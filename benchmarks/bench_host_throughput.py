@@ -10,9 +10,11 @@ Two acceptance stories share this benchmark:
 * **Fused host kernels** (both sides). The reference pipeline runs the
   paper's stages as separate whole-field passes; the fused path
   (:mod:`repro.core.fastpath`) runs the same arithmetic in one blocked
-  pass with reused scratch and a byte-lane bit-shuffle, producing
-  byte-identical streams (asserted here on every run). The shard engine
-  stacks on top, dispatching fused super-shards across a worker pool.
+  pass with reused scratch and a bit-shuffle done as an 8x8 bit-matrix
+  transpose over uint64 words (decoded by the same transpose, its own
+  inverse), producing byte-identical streams (asserted here on every
+  run). The shard engine stacks on top, dispatching fused super-shards
+  across a worker pool.
 
 Two field profiles bracket the operating range:
 

@@ -23,18 +23,23 @@ block (f = 0) stores the header only — no signs, no payload — capping the
 best-case ratio at 32x for CereSZ and 128x for SZp (visible as the 31.99 /
 127.94 ceilings in the paper's Table 5).
 
-Everything is vectorized by grouping blocks with equal fixed length, so the
-encoder performs O(distinct fixed lengths) numpy passes rather than one per
-block. Decoding of a bare v1 stream must walk the headers sequentially
-(record sizes are data dependent) but unpacks payloads group-wise the same
-way. Indexed (container v2) streams ship the fixed lengths up front, so
-:func:`index_record_offsets` replaces the walk with one ``cumsum``.
+Everything is vectorized by grouping blocks, so the encoder performs
+O(distinct fixed lengths) numpy passes rather than one per block. The
+reference :func:`encode_blocks` shuffles with shift-and-mask per group of
+equal fixed length. The fast :func:`pack_records` and the decoder
+:func:`decode_blocks` treat each byte lane of eight consecutive elements as
+an 8x8 bit matrix in one uint64 word and transpose it with three delta
+swaps (:func:`_transpose_8x8`). They group blocks by how many byte lanes
+their fixed length uses (at most eight groups). Decoding of a bare v1
+stream must walk the headers sequentially (record sizes are data
+dependent). Indexed (container v2) streams ship the fixed lengths up front,
+so :func:`index_record_offsets` replaces the walk with one ``cumsum``.
 
-Group writes and reads move bytes column-by-column within a group (all
-records of a group share one length), so the transient state per group is
-one ``(g,)`` offset vector — not the ``(g, record_len)`` int64 fancy-index
-matrix an all-at-once gather would need, which costs 8x the payload it
-moves and dominated peak memory on large fields.
+The fast paths move whole records at once, one fixed length at a time,
+through a strided view of every ``width``-byte window of the stream
+(:func:`_windows`). Rows of that view start at any byte, so indexing it
+with record offsets needs no ``(records, width)`` int64 index matrix,
+which would cost 8x the payload it moves.
 """
 
 from __future__ import annotations
@@ -52,6 +57,20 @@ _MAX_FL = 63
 #: uint64 magnitude m >= 1, the number of table entries <= m is exactly
 #: ``m.bit_length()`` (and 0 for m == 0, since no power is <= 0).
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+#: The three delta swaps of an 8x8 bit-matrix transpose held in one 64-bit
+#: word (Hacker's Delight, section 7-3): ``(shift, mask)`` pairs that swap
+#: the 1x1, then 2x2, then 4x4 sub-blocks on either side of the diagonal.
+_TRANSPOSE_8X8_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA),
+        (14, 0x0000CCCC0000CCCC),
+        (28, 0x00000000F0F0F0F0),
+    )
+)
+
+_LE_U64 = np.dtype("<u8")
 
 
 def exact_bit_lengths(mags: np.ndarray) -> np.ndarray:
@@ -170,22 +189,40 @@ def pack_records(
     :func:`encode_blocks`, but the two deliberately do *not* share the
     bit-shuffle implementation: ``encode_blocks`` stays the readable
     shift-and-mask reference that serves as the independent oracle, while
-    this core routes the shuffle through uint8 byte lanes and
-    ``unpackbits``/``packbits`` (an order of magnitude less memory
-    traffic). The equivalence is enforced by the property suite in
+    this core runs the shuffle as an 8x8 bit-matrix transpose over uint64
+    words (:func:`_transpose_8x8`). Each word holds one byte lane of eight
+    consecutive elements, and only the ``ceil(f/8)`` lanes a block's
+    fixed length ``f`` uses are transposed. The equivalence is enforced by
+    the property suites in ``tests/core/test_encoding.py`` and
     ``tests/core/test_fastpath.py``.
 
     ``mags`` is the ``(num_blocks, L)`` uint64 magnitude array, ``negs``
     the matching sign mask (bool or uint8), ``fl`` the per-block fixed
     lengths. Returns the packed uint8 record array (records laid out back
-    to back).
+    to back). Zero blocks are written as their header only.
     """
     mags = np.ascontiguousarray(mags, dtype=np.uint64)
+    negs = np.asarray(negs)
     fl = np.asarray(fl, dtype=np.int64)
     _check_header_bytes(header_bytes)
+    if mags.ndim != 2:
+        raise CompressionError(
+            f"expected (num_blocks, block_size) magnitudes, got shape "
+            f"{mags.shape}"
+        )
     num_blocks, block_size = mags.shape
     if block_size % 8:
         raise CompressionError("block size must be a multiple of 8")
+    if negs.shape != mags.shape:
+        raise CompressionError(
+            f"sign mask shape {negs.shape} does not match magnitude shape "
+            f"{mags.shape}"
+        )
+    if fl.shape != (num_blocks,):
+        raise CompressionError(
+            f"fixed-length vector shape {fl.shape} does not match "
+            f"{num_blocks} blocks"
+        )
     if header_bytes == SZP_HEADER_BYTES and int(fl.max(initial=0)) > 0xFF:
         raise FormatError("fixed length does not fit the 1-byte SZp header")
     if int(fl.max(initial=0)) > _MAX_FL:
@@ -197,58 +234,48 @@ def pack_records(
     offsets = np.zeros(num_blocks + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     out = np.zeros(int(offsets[-1]), dtype=np.uint8)
-
-    # Headers (vectorized little-endian write).
-    for byte in range(header_bytes):
-        out[offsets[:-1] + byte] = (fl >> (8 * byte)).astype(np.uint8)
-
+    nz = np.flatnonzero(fl)
+    if not nz.size:
+        return out
+    fnz = fl[nz]
     sign_bytes = block_size // 8
 
-    negs = np.ascontiguousarray(negs)
-    # Little-endian byte lanes of each magnitude: lane b of element j is
-    # bits 8b..8b+7 — the raw material of the bit-shuffle.
-    lanes = mags.astype("<u8", copy=False).view(np.uint8).reshape(
+    # Little-endian headers: fl <= 63, so only the first byte is nonzero,
+    # and a zero block's header is all zero bytes already.
+    out[offsets[nz]] = fnz.astype(np.uint8)
+    # Sign bytes (element j -> bit j%8 of sign byte j//8) for every
+    # nonzero record in one flat pack.
+    starts = offsets[nz] + header_bytes
+    _windows(out, sign_bytes)[starts] = np.packbits(
+        negs[nz], bitorder="little"
+    ).reshape(nz.size, sign_bytes)
+    starts += sign_bytes
+
+    # Byte lane b of element e holds its bits 8b..8b+7.
+    lanes = mags.astype(_LE_U64, copy=False).view(np.uint8).reshape(
         num_blocks, block_size, 8
     )
-
-    # ``bincount`` beats ``unique`` here (no sort), and zero blocks — the
-    # majority on well-compressed fields — never touch the sign/payload
-    # machinery at all: their records are header-only.
-    present = np.nonzero(np.bincount(fl, minlength=_MAX_FL + 1))[0]
-    for f in present:
-        f = int(f)
-        if f == 0:
-            continue
-        idx = np.nonzero(fl == f)[0]
-        g = len(idx)
-        # Sign bytes for this group only (element j -> bit j%8 of sign
-        # byte j//8). Packing per group instead of once over every block
-        # skips the zero blocks entirely.
-        signs = np.packbits(
-            np.ascontiguousarray(negs[idx]).reshape(g, sign_bytes, 8),
-            axis=-1,
-            bitorder="little",
-        ).reshape(g, sign_bytes)
-        # Bit-shuffle: byte group k carries bit k of all elements (Fig 8).
-        # Unpack only the lanes that hold the low f bits, transpose so the
-        # bit-plane axis leads, and re-pack along elements — this moves
-        # ~f*L bits per block instead of the 64*f*L a shift-mask over
-        # uint64 magnitudes would stream.
-        nlanes = (f + 7) // 8
-        bits = np.unpackbits(
-            lanes[idx, :, :nlanes], axis=-1, bitorder="little"
-        )  # (g, L, nlanes*8): bit j of element, little-endian
-        planes = np.ascontiguousarray(bits.transpose(0, 2, 1)[:, :f, :])
-        payload = np.packbits(
-            planes.reshape(g, f, sign_bytes, 8), axis=-1, bitorder="little"
-        ).reshape(g, f * sign_bytes)
-
-        body = np.concatenate([signs, payload], axis=1)
-        # Column-wise scatter: the loop is bounded by the record length
-        # (<= 256 iterations at block size 32), not the block count.
-        starts = offsets[idx] + header_bytes
-        for col in range(body.shape[1]):
-            out[starts + col] = body[:, col]
+    nlanes = (fnz + 7) >> 3
+    for c in np.flatnonzero(np.bincount(nlanes)):
+        c = int(c)
+        rows = np.flatnonzero(nlanes == c)
+        # (records, c, L), lane-major: each run of eight bytes is one
+        # byte lane of one 8-element group, i.e. one uint64 word.
+        words = np.ascontiguousarray(
+            lanes[nz[rows]][:, :, :c].transpose(0, 2, 1)
+        )
+        _transpose_8x8(words.view(_LE_U64))
+        # Byte k of word (b, j) is byte j of bit plane 8b + k (Fig 8);
+        # gather the planes each record stores, one fixed length at a
+        # time, and write the records whole.
+        words = words.reshape(rows.size, c * block_size)
+        order = _plane_order(c, block_size)
+        group_fl = fnz[rows]
+        for f in np.flatnonzero(np.bincount(group_fl)):
+            f = int(f)
+            q = np.flatnonzero(group_fl == f)
+            payload = words[q][:, order[: f * sign_bytes]]
+            _windows(out, f * sign_bytes)[starts[rows[q]]] = payload
 
     return out
 
@@ -384,11 +411,17 @@ def decode_blocks(
     a container-v2 index pass both (from :func:`unpack_block_index` and
     :func:`index_record_offsets`) and skip the walk entirely.
 
+    Payloads are unshuffled by the inverse of :func:`pack_records`: the
+    stored bit planes are put back into uint64 words, one byte lane of
+    eight consecutive elements each, and :func:`_transpose_8x8` (its own
+    inverse) turns them back into magnitude bytes. Only the ``ceil(f/8)``
+    lanes a record stores are transposed; signs are applied branch-free.
+
     ``out`` accepts a preallocated ``(num_blocks, block_size)`` int64
     buffer (the fused decoder reuses one scratch chunk across the whole
     stream); rows of zero blocks are cleared, so stale contents are safe.
     """
-    buf = _as_u8(stream)
+    buf = np.ascontiguousarray(_as_u8(stream))
     if offsets is None or fls is None:
         offsets, fls = scan_record_offsets(
             buf, num_blocks, block_size, header_bytes, start
@@ -419,47 +452,104 @@ def decode_blocks(
         zero_rows = fls == 0
         if zero_rows.any():
             out[zero_rows] = 0
+    nz = np.flatnonzero(fls)
+    if not nz.size:
+        return out
+    fnz = fls[nz]
     sign_bytes = block_size // 8
 
-    for f in np.unique(fls):
-        f = int(f)
-        if f == 0:
-            continue
-        idx = np.nonzero(fls == f)[0]
-        body_len = sign_bytes + f * sign_bytes
-        # Column-wise gather (see the module docstring): transient state is
-        # one (g,) offset vector, not a (g, body_len) int64 index matrix.
-        starts = offsets[idx] + header_bytes
-        body = np.empty((len(idx), body_len), dtype=np.uint8)
-        for col in range(body_len):
-            body[:, col] = buf[starts + col]
-        sign_part = body[:, :sign_bytes]
-        payload = body[:, sign_bytes:]
+    # Sign bits of every nonzero record in one flat unpack.
+    starts = offsets[nz] + header_bytes
+    negs = np.unpackbits(
+        _windows(buf, sign_bytes)[starts], bitorder="little"
+    ).reshape(nz.size, block_size)
+    starts += sign_bytes
 
-        negs = np.unpackbits(sign_part, axis=-1, bitorder="little")
-        bits = np.unpackbits(
-            payload.reshape(len(idx), f, sign_bytes), axis=-1, bitorder="little"
-        ).reshape(len(idx), f, block_size)
-        # Reassemble magnitudes bytewise: OR each run of eight bit planes
-        # into one byte lane, then view the eight lanes per element as a
-        # little-endian uint64 — f uint8 passes and one widening instead
-        # of f int64 passes (or a (g, f, L) int64 tensor).
-        lanes = np.zeros((len(idx), block_size, 8), dtype=np.uint8)
-        for b in range((f + 7) // 8):
-            lo = 8 * b
-            acc = bits[:, lo, :].copy()
-            for k in range(lo + 1, min(lo + 8, f)):
-                acc |= bits[:, k, :] << np.uint8(k - lo)
-            lanes[:, :, b] = acc
-        mags = (
-            lanes.reshape(len(idx), block_size * 8)
-            .view(np.dtype("<u8"))
-            .astype(np.int64)
-        )
-        np.negative(mags, out=mags, where=negs.view(bool))
-        out[idx] = mags
+    nlanes = (fnz + 7) >> 3
+    for c in np.flatnonzero(np.bincount(nlanes)):
+        c = int(c)
+        rows = np.flatnonzero(nlanes == c)
+        g = rows.size
+        # Bit planes the records do not store stay zero, so the
+        # magnitudes' unused high bits come out zero.
+        planes = np.zeros((g, 8 * c * sign_bytes), dtype=np.uint8)
+        group_fl = fnz[rows]
+        for f in np.flatnonzero(np.bincount(group_fl)):
+            f = int(f)
+            q = np.flatnonzero(group_fl == f)
+            planes[q, : f * sign_bytes] = _windows(buf, f * sign_bytes)[
+                starts[rows[q]]
+            ]
+        # The inverse of the encoder's shuffle: planes back into words,
+        # then the same (self-inverse) transpose.
+        words = np.take(planes, np.argsort(_plane_order(c, block_size)), axis=1)
+        _transpose_8x8(words.view(_LE_U64))
+        words = words.reshape(g, c, block_size)
+        # One strided copy per lane keeps numpy's inner loop on the long
+        # element axis (a single transposed copy iterates over c).
+        lanes = np.zeros((g, block_size, 8), dtype=np.uint8)
+        for b in range(c):
+            lanes[:, :, b] = words[:, b]
+        # fl <= 63 keeps every magnitude below 2**63, so the lanes read as
+        # a nonnegative int64; (m ^ s) - s negates where s is all ones.
+        # s stays int8: numpy widens it chunk by chunk inside the ufunc.
+        mags = lanes.view("<i8").reshape(g, block_size)
+        s = -negs[rows].view(np.int8)
+        mags ^= s
+        mags -= s
+        out[nz[rows]] = mags
 
     return out
+
+
+def _transpose_8x8(words: np.ndarray) -> np.ndarray:
+    """Transpose the 8x8 bit matrix held in each uint64 word, in place.
+
+    Bit ``8*i + k`` of a word (bit k of its little-endian byte i) trades
+    places with bit ``8*k + i``. When byte i is one byte lane of element i
+    of an 8-element group, byte k of the result holds bit k of all eight
+    elements: one byte of one bit plane of the Fig 8 shuffle. The
+    transpose is its own inverse, so the decoder runs it unchanged.
+    """
+    t = np.empty_like(words)
+    for shift, mask in _TRANSPOSE_8X8_STEPS:
+        np.right_shift(words, shift, out=t)
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+    return words
+
+
+def _plane_order(lanes: int, block_size: int) -> np.ndarray:
+    """Where each payload byte sits among a record's transposed words.
+
+    Transposed words run ``[lane b][group j][byte k]``; the payload stores
+    bit plane ``8*b + k`` whole, group after group. Entry ``p`` is the word
+    byte that becomes payload byte ``p``.
+    """
+    groups = block_size // 8
+    return (
+        np.arange(lanes * block_size)
+        .reshape(lanes, groups, 8)
+        .transpose(0, 2, 1)
+        .ravel()
+    )
+
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-byte window of ``buf`` as the rows of one view.
+
+    Indexing the rows with record start offsets gathers, or on a writable
+    ``buf`` scatters, whole records in one call: no per-column loop and no
+    ``(records, width)`` int64 index matrix. This is the view
+    ``sliding_window_view`` builds, without its ~20 us of per-call checks,
+    which add up over one call per fixed length per chunk.
+    """
+    return np.ndarray(
+        (buf.size - width + 1, width), np.uint8, buf, 0, (1, 1)
+    )
 
 
 def _as_u8(stream: bytes | np.ndarray) -> np.ndarray:

@@ -14,10 +14,12 @@ preallocated scratch buffers that are reused for all chunks, so after the
 single global min/max scan the input is read exactly once and nothing
 full-size is ever materialized. There are no per-block Python loops — the
 only Python-level loop is over chunks, and each iteration is a fixed
-number of vectorized NumPy calls. The bit-shuffle itself runs through
-uint8 byte lanes and ``unpackbits``/``packbits``
-(:func:`repro.core.encoding.pack_records`) instead of shift-and-mask over
-uint64 — about an eighth of the memory traffic per payload bit.
+number of vectorized NumPy calls. The bit-shuffle itself
+(:func:`repro.core.encoding.pack_records`) is an 8x8 bit-matrix transpose
+over uint64 words, three delta swaps per word, instead of shift-and-mask
+over uint64 magnitudes: each word holds one byte lane of eight consecutive
+elements, and only the byte lanes a block's fixed length uses are
+transposed.
 
 **Oracle contract.** The fused kernels are *not* a relaxation of the
 format. Per element they execute the identical float64 operation chain
@@ -44,8 +46,9 @@ records with a nonzero fixed length, prefix-sum and dequantize in
 scratch, and scatter into the output field. Zero blocks cost nothing and
 the reference's full ``(num_blocks, L)`` int64 residual array is never
 allocated. Record payloads are read by the same
-:func:`repro.core.encoding.decode_blocks` gather the reference uses,
-chunk by chunk into one reused scratch buffer (``out=``).
+:func:`repro.core.encoding.decode_blocks` the reference uses, chunk by
+chunk into one reused scratch buffer (``out=``); it inverts the shuffle
+with the same self-inverse transpose.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ table: fl corruption must localize to its group, not poison the whole
 stream).
 
 Verification is vectorized through :func:`repro.faults.crc32c.crc32c_many`
-— all groups advance column-wise in lockstep, the same gather idiom the
-block decoder uses.
+— all groups advance column-wise in lockstep.
 """
 
 from __future__ import annotations

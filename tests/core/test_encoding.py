@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.config import CERESZ_HEADER_BYTES, SZP_HEADER_BYTES
 from repro.errors import CompressionError, FormatError
 from repro.core.encoding import (
+    _transpose_8x8,
     block_fixed_lengths,
     decode_blocks,
     encode_blocks,
@@ -278,6 +279,128 @@ class TestPackRecords:
                 np.zeros((1, 8), dtype=bool),
                 np.array([64], dtype=np.int64),
             )
+
+    def test_fixed_length_vector_of_wrong_length_rejected(self):
+        with pytest.raises(CompressionError, match=r"\(3,\).*2 blocks"):
+            pack_records(
+                np.ones((2, 8), dtype=np.uint64),
+                np.zeros((2, 8), dtype=bool),
+                np.array([1, 1, 1], dtype=np.int64),
+            )
+
+    def test_narrow_sign_mask_rejected(self):
+        with pytest.raises(CompressionError, match=r"\(2, 4\).*\(2, 8\)"):
+            pack_records(
+                np.ones((2, 8), dtype=np.uint64),
+                np.zeros((2, 4), dtype=bool),
+                np.array([1, 1], dtype=np.int64),
+            )
+
+    def test_non_2d_magnitudes_rejected(self):
+        with pytest.raises(CompressionError, match=r"\(16,\)"):
+            pack_records(
+                np.ones(16, dtype=np.uint64),
+                np.zeros(16, dtype=bool),
+                np.array([1, 1], dtype=np.int64),
+            )
+
+    def test_short_sign_mask_rejected(self):
+        with pytest.raises(CompressionError, match=r"\(1, 8\).*\(2, 8\)"):
+            pack_records(
+                np.ones((2, 8), dtype=np.uint64),
+                np.zeros((1, 8), dtype=bool),
+                np.array([1, 1], dtype=np.int64),
+            )
+
+
+@st.composite
+def _residual_blocks(draw):
+    """Residual blocks whose fixed lengths span the whole 0..63 range.
+
+    Each block gets a drawn width w: its magnitudes lie below 2**w and one
+    of them has bit w-1 set, so the block's fixed length is exactly w
+    (w = 0 is a zero block). A "full" block sets every magnitude to
+    2**w - 1, which reaches 2**63 - 1 at w = 63.
+    """
+    block_size = draw(st.sampled_from([8, 16, 24, 32, 64, 256]))
+    widths = draw(st.lists(st.integers(0, 63), max_size=6))
+    full = draw(st.lists(st.booleans(), min_size=len(widths),
+                         max_size=len(widths)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mags = np.zeros((len(widths), block_size), dtype=np.uint64)
+    for row, (w, f) in enumerate(zip(widths, full)):
+        if w == 0:
+            continue
+        top = np.uint64((1 << w) - 1)
+        if f:
+            mags[row] = top
+        else:
+            mags[row] = rng.integers(0, top, size=block_size,
+                                     dtype=np.uint64, endpoint=True)
+            mags[row, rng.integers(block_size)] |= np.uint64(1 << (w - 1))
+    negative = rng.random(mags.shape) < 0.5
+    residuals = np.where(negative, -mags.view(np.int64), mags.view(np.int64))
+    return residuals, np.array(widths, dtype=np.int64)
+
+
+class TestPackRecordsFullRange:
+    """pack_records and decode_blocks against the encode_blocks oracle over
+    every fixed length, i.e. one to eight byte lanes of the bit-matrix
+    transpose."""
+
+    @given(
+        blocks=_residual_blocks(),
+        header=st.sampled_from([SZP_HEADER_BYTES, CERESZ_HEADER_BYTES]),
+        sign_dtype=st.sampled_from([bool, np.uint8]),
+    )
+    @example(
+        blocks=(np.zeros((3, 32), dtype=np.int64), np.zeros(3, np.int64)),
+        header=CERESZ_HEADER_BYTES,
+        sign_dtype=bool,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_encode_blocks_and_round_trips(
+        self, blocks, header, sign_dtype
+    ):
+        residuals, widths = blocks
+        fl = block_fixed_lengths(residuals)
+        assert np.array_equal(fl, widths)
+        mags = np.abs(residuals).view(np.uint64)
+        negs = (residuals < 0).astype(sign_dtype)
+        stream = encode_blocks(residuals, header)
+        assert pack_records(mags, negs, fl, header).tobytes() == stream
+
+        num_blocks, block_size = residuals.shape
+        stale = np.full((num_blocks, block_size), -7, dtype=np.int64)
+        out = decode_blocks(stream, num_blocks, block_size, header, out=stale)
+        assert np.array_equal(out, residuals)
+
+
+class TestTranspose8x8:
+    """The bit-matrix transpose behind pack_records and decode_blocks."""
+
+    @staticmethod
+    def _reference(words):
+        # Bit k of little-endian byte i moves to bit i of byte k.
+        bits = np.unpackbits(
+            words.astype("<u8").view(np.uint8), bitorder="little"
+        ).reshape(-1, 8, 8)
+        return np.packbits(
+            bits.transpose(0, 2, 1), axis=-1, bitorder="little"
+        ).reshape(-1).view("<u8").astype(np.uint64)
+
+    @given(hnp.arrays(np.uint64, st.integers(0, 64)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_and_is_an_involution(self, words):
+        got = _transpose_8x8(words.copy())
+        assert np.array_equal(got, self._reference(words))
+        assert np.array_equal(_transpose_8x8(got), words)
+
+    def test_random_words(self, rng):
+        words = rng.integers(0, 2**64, size=4096, dtype=np.uint64)
+        got = _transpose_8x8(words.copy())
+        assert np.array_equal(got, self._reference(words))
+        assert np.array_equal(_transpose_8x8(got), words)
 
 
 class TestBlockIndex:
