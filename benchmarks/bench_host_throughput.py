@@ -16,6 +16,11 @@ Two acceptance stories share this benchmark:
   run). The shard engine stacks on top, dispatching fused super-shards
   across a worker pool.
 
+The ``fused-v3`` case writes and reads the checksummed container (v3):
+the fused path plus the per-group CRC32C table of
+:mod:`repro.core.integrity`. Its stream is asserted byte-identical to the
+reference codec's v3 stream, and its decode to the reference decode.
+
 Two field profiles bracket the operating range:
 
 * ``smooth`` — the RTM snapshot generator (the paper's streaming use
@@ -199,6 +204,24 @@ def run_profile(
     record("indexed-v2", tc_ref, res_ref, td_ref, out_ref)
     record("fused", tc_fus, res_fus, td_fus, out_fus)
 
+    # The checksummed (v3) container: the fused path plus the CRC32C group
+    # table on write and its verification on read, held to the same
+    # byte-identity contract against the reference codec. As many samples
+    # as the fused pair, so the two rows compare.
+    v3 = {"index": True, "checksum": True}
+    t_c, res_v3 = best_of(pair_repeats, fused.compress, field, rel=REL, **v3)
+    ref_v3 = reference.compress(field, rel=REL, **v3).stream
+    if res_v3.stream != ref_v3:
+        raise AssertionError(
+            f"{profile}: fused v3 stream differs from reference v3 stream"
+        )
+    t_d, out_v3 = best_of(pair_repeats, fused.decompress, res_v3.stream)
+    if out_v3.tobytes() != reference.decompress(ref_v3).tobytes():
+        raise AssertionError(
+            f"{profile}: fused v3 decode differs from reference v3 decode"
+        )
+    record("fused-v3", t_c, res_v3, t_d, out_v3)
+
     by_name = {r["name"]: r for r in rows}
     summary = {
         "v2_over_v1_decode_speedup": (
@@ -251,7 +274,9 @@ def render(results: dict, n: int, jobs: int) -> str:
         " the reference multi-stage pipeline on a v2 container; fused is",
         " the single-pass kernel of repro/core/fastpath.py — its streams",
         " are asserted byte-identical to indexed-v2 on every run;",
-        " fused-sharded adds the worker-pool shard engine.)",
+        " fused-sharded adds the worker-pool shard engine; fused-v3 adds",
+        " the CRC32C group table, asserted byte-identical to the",
+        " reference codec's v3 stream.)",
     ]
     return "\n".join(lines) + "\n"
 

@@ -17,8 +17,9 @@ letting readers locate every group boundary without trusting the fl table.
 table: fl corruption must localize to its group, not poison the whole
 stream).
 
-Verification is vectorized through :func:`repro.faults.crc32c.crc32c_many`
-— all groups advance column-wise in lockstep.
+Writing and verifying both hash every group in one call to
+:func:`repro.faults.crc32c.crc32c_many`, whose 64-byte lanes advance all
+groups together.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.core.format import StreamHeader
 from repro.errors import ContainerError
 from repro.faults.crc32c import crc32c, crc32c_many
 
-_GROUP_ENTRY = struct.Struct("<II")  # record_bytes, crc32c
+_GROUP_ENTRY_BYTES = 8  # record_bytes u32, crc32c u32
 _META_CRC = struct.Struct("<I")
 
 
@@ -73,29 +74,22 @@ def group_block_spans(num_blocks: int, crc_group: int) -> np.ndarray:
 
 def compute_group_crcs(
     header: StreamHeader,
-    fl_table: bytes | memoryview,
-    body: bytes | memoryview,
+    fl_table: bytes | np.ndarray,
+    body: bytes | np.ndarray,
     group_bytes: np.ndarray,
 ) -> np.ndarray:
-    """Actual CRC32C of each group: crc(fl slice ++ record slice).
+    """Actual CRC32C of the first ``len(group_bytes)`` groups: crc(fl slice
+    ++ record slice).
 
     ``group_bytes`` supplies the record span of each group (from the
     meta-verified group table on read, or from the fl table on write), so
     groups stay locatable even when their fl entries are corrupt.
     """
     edges = group_block_spans(header.num_blocks, header.crc_group)
-    fl_starts = edges[:-1]
-    fl_lens = np.diff(edges)
-    rec_edges = np.zeros(len(group_bytes) + 1, dtype=np.int64)
-    np.cumsum(group_bytes, out=rec_edges[1:])
-    fl_crcs = crc32c_many(np.frombuffer(fl_table, dtype=np.uint8),
-                          fl_starts, fl_lens)
-    return crc32c_many(
-        np.frombuffer(body, dtype=np.uint8),
-        rec_edges[:-1],
-        np.diff(rec_edges),
-        init=fl_crcs,
-    )
+    edges = edges[: len(group_bytes) + 1]
+    rec_starts = np.cumsum(group_bytes, dtype=np.int64) - group_bytes
+    fl_crcs = crc32c_many(fl_table, edges[:-1], np.diff(edges))
+    return crc32c_many(body, rec_starts, group_bytes, init=fl_crcs)
 
 
 def build_checksummed_tail(
@@ -105,14 +99,12 @@ def build_checksummed_tail(
     fls = np.frombuffer(fl_table, dtype=np.uint8).astype(np.int64)
     sizes = record_sizes(fls, header.block_size, header.header_width)
     edges = group_block_spans(header.num_blocks, header.crc_group)
-    group_bytes = np.add.reduceat(sizes, edges[:-1]).astype(np.int64)
-    crcs = compute_group_crcs(header, fl_table, body, group_bytes)
-    table = b"".join(
-        _GROUP_ENTRY.pack(int(b), int(c))
-        for b, c in zip(group_bytes.tolist(), crcs.tolist())
-    )
-    meta = crc32c(table, crc=crc32c(head))
-    return table + _META_CRC.pack(meta)
+    group_bytes = np.add.reduceat(sizes, edges[:-1])
+    entries = np.empty((group_bytes.size, 2), dtype="<u4")
+    entries[:, 0] = group_bytes
+    entries[:, 1] = compute_group_crcs(header, fl_table, body, group_bytes)
+    table = entries.tobytes()
+    return table + _META_CRC.pack(crc32c(head + table))
 
 
 def read_checksum_layout(
@@ -129,7 +121,7 @@ def read_checksum_layout(
     ng = header.num_groups
     fl_start = offset
     table_start = fl_start + nb
-    meta_start = table_start + ng * _GROUP_ENTRY.size
+    meta_start = table_start + ng * _GROUP_ENTRY_BYTES
     records_start = meta_start + _META_CRC.size
     if len(stream) < records_start:
         raise ContainerError(
@@ -145,12 +137,8 @@ def read_checksum_layout(
     ).reshape(ng, 2)
     group_bytes = raw[:, 0].astype(np.int64)
     group_crcs = raw[:, 1].astype(np.uint32)
-    meta_crc = int(
-        _META_CRC.unpack(bytes(stream[meta_start:records_start]))[0]
-    )
-    head = bytes(stream[:offset])
-    table = bytes(stream[table_start:meta_start])
-    meta_ok = crc32c(table, crc=crc32c(head)) == meta_crc
+    meta_crc = _META_CRC.unpack_from(stream, meta_start)[0]
+    meta_ok = crc32c(bytes(stream[:offset]) + raw.tobytes()) == meta_crc
     group_offsets = np.zeros(ng + 1, dtype=np.int64)
     np.cumsum(group_bytes, out=group_offsets[1:])
     group_offsets += records_start
@@ -174,30 +162,21 @@ def verify_groups(
     A group whose record span runs past the end of the stream is corrupt
     by definition (truncation) and is reported without hashing.
     """
-    ng = layout.num_groups
-    if ng == 0:
-        return np.zeros(0, dtype=np.int64)
-    end = len(stream)
-    truncated = layout.group_offsets[1:] > end
-    fl_table = stream[layout.fl_start : layout.fl_start + header.num_blocks]
-    intact = ~truncated
-    bad = truncated.copy()
-    if intact.any():
-        idx = np.nonzero(intact)[0]
-        starts = layout.group_offsets[:-1][idx] - layout.records_start
-        lens = layout.group_bytes[idx]
-        edges = group_block_spans(header.num_blocks, header.crc_group)
-        body = stream[layout.records_start :]
-        fl_crcs = crc32c_many(
-            np.frombuffer(fl_table, dtype=np.uint8),
-            edges[:-1][idx],
-            np.diff(edges)[idx],
-        )
-        actual = crc32c_many(
-            np.frombuffer(body, dtype=np.uint8), starts, lens, init=fl_crcs
-        )
-        bad[idx] = actual != layout.group_crcs[idx]
-    return np.nonzero(bad)[0].astype(np.int64)
+    # Group ends only grow, so truncation cuts off a suffix of the groups.
+    intact = int(
+        np.searchsorted(layout.group_offsets[1:], len(stream), side="right")
+    )
+    actual = compute_group_crcs(
+        header,
+        np.frombuffer(
+            stream, np.uint8, count=header.num_blocks, offset=layout.fl_start
+        ),
+        np.frombuffer(stream, np.uint8, offset=layout.records_start),
+        layout.group_bytes[:intact],
+    )
+    bad = np.ones(layout.num_groups, dtype=bool)
+    bad[:intact] = actual != layout.group_crcs[:intact]
+    return np.flatnonzero(bad)
 
 
 def corrupt_blocks_of(

@@ -129,6 +129,38 @@ class TestVerify:
         assert "no checksums" in report.describe()
 
 
+class TestMultiLaneLocalization:
+    """The CRC kernel hashes 64-byte lanes and folds them per group; a
+    flip anywhere in a group several lanes long, with a byte length that
+    leaves a partial word in its padded first lane, must still fail that
+    group alone."""
+
+    def test_every_byte_of_a_multi_lane_group(self):
+        codec = CereSZ(block_size=24)  # odd record sizes: 7 + 3 * fl bytes
+        data = _field(24 * 8 * 5, seed=4)
+        res = codec.compress(data, eps=EPS, checksum=True, crc_group=8)
+        header, layout = _layout(res.stream)
+        sizes = layout.group_bytes.tolist()
+        group = next(
+            g for g in range(1, layout.num_groups - 1)
+            if sizes[g] > 2 * 64 and sizes[g] % 4
+        )
+        lo, hi = group * 8, (group + 1) * 8  # the group's blocks
+        targets = list(
+            range(layout.group_offsets[group], layout.group_offsets[group + 1])
+        ) + list(range(layout.fl_start + lo, layout.fl_start + hi))
+        base = codec.decompress(res.stream).reshape(-1)
+        L = codec.block_size
+        for at in targets:
+            bad = _flip(res.stream, at, 1 << (at % 8))
+            assert verify_stream(bad).corrupt_groups == (group,), at
+            values, report = salvage_decompress(bad)
+            assert set(report.lost_block_indices) <= set(range(lo, hi)), at
+            flat = values.reshape(-1)
+            assert np.array_equal(flat[: lo * L], base[: lo * L]), at
+            assert np.array_equal(flat[hi * L :], base[hi * L :]), at
+
+
 class TestStrictDecode:
     def test_corrupt_payload_raises_container_error(self):
         codec = CereSZ()
