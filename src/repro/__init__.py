@@ -29,7 +29,6 @@ Top-level surface:
 
 from repro.config import BLOCK_SIZE, DEFAULT_WAFER, FULL_WAFER, WaferConfig
 from repro.core.compressor import CereSZ, CompressionResult
-from repro.core.nd_variant import CereSZND
 from repro.core.parallel import (
     compress_sharded,
     decompress_sharded,
@@ -54,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CereSZ",
-    "CereSZND",
     "WSECereSZ",
     "CompressionResult",
     "FrameWriter",

@@ -280,10 +280,6 @@ class CereSZ:
         clone.predictor = pred
         return clone
 
-    def _with_fast(self, fast: bool | None) -> "CereSZ":
-        """Backwards-compatible alias for :meth:`_with_options`."""
-        return self._with_options(fast=fast)
-
     # -- compression ---------------------------------------------------------------
 
     def resolve_error_bound(

@@ -40,8 +40,12 @@ the same per-stage rounding and the same ``NodeCounters.add_stage``
 entries the stepped path would have made — so makespans, stage breakdowns
 and output bytes are bit-identical while the per-block Python overhead
 (64-entry superset scans, name parsing, phase checks) disappears.
-``lower_plan(..., fast_kernels=False)`` keeps the stepped path for
-differential testing and benchmarking.
+``lower_plan(..., fast_kernels=False)`` keeps the stepped path as the
+fused kernel's named oracle: ``tests/core/test_simulate_parallel.py``
+lowers every strategy both ways and asserts identical bytes, makespan,
+tasks, events, per-PE traces and per-stage counters. The degraded-mode
+host fallback (:func:`host_block_records`) encodes through the same
+record encoder as the fused kernel.
 """
 
 from __future__ import annotations
@@ -125,8 +129,9 @@ def lower_plan(
     two lowerings of the same plan produce identical event schedules.
 
     ``fast_kernels`` selects the fused whole-block compression kernel for
-    nodes that run the full algorithm on one PE (see the module docstring);
-    results are identical either way.
+    nodes that run the full algorithm on one PE; ``False`` runs the
+    stepped sub-stage machine, the fused kernel's oracle (see the module
+    docstring). Results are identical either way.
 
     ``tracer`` (a :class:`repro.obs.tracing.Tracer`) wraps the pass in a
     ``"lower"`` host span; lowering itself is untraced beyond that.
@@ -274,11 +279,11 @@ def _make_fast_compress(
     Arithmetic and accounting are exact replays of the stepped path
     (``_run_full_compress`` + ``finalize_record``): the same operations in
     the same order, one ``ctx.spend``/``nc.add_stage`` pair per live stage
-    with the same per-stage rounding, and the same byte layout (sign bytes
-    then bit planes 0..fl-1, little-endian packing within bytes). The only
-    differences are mechanical: costs are precomputed at lowering time
-    instead of re-derived per block, and all ``fl`` bit planes are packed
-    in one vectorized call instead of ``fl`` separate ones.
+    with the same per-stage rounding, and the same byte layout
+    (:func:`_encode_record`). The only differences are mechanical: costs
+    are precomputed at lowering time instead of re-derived per block, and
+    all ``fl`` bit planes are packed in one vectorized call instead of
+    ``fl`` separate ones.
 
     Prediction dispatches through the plan's registered block-local
     predictor (``plan.predictor``); the default ``lorenzo1d`` performs the
@@ -316,28 +321,38 @@ def _make_fast_compress(
         return plan_
 
     def compress(ctx: TaskContext) -> bytes:
-        codes = np.floor(ctx.buffer("inbox") / (2.0 * eps) + 0.5)
-        residuals = pred.predict_blocks(codes[None, :])[0]
-        signs = np.packbits(
-            (residuals < 0).reshape(-1, 8), axis=-1, bitorder="little"
-        )
-        mags = np.abs(residuals)
-        fl = int(mags.max()).bit_length()
+        record, fl = _encode_record(ctx.buffer("inbox"), eps, pred)
         spend, items = _acct_for(fl)
         ctx.spend(spend)
         nc.add_stages(items)
-        header = fl.to_bytes(CERESZ_HEADER_BYTES, "little")
-        if fl == 0:
-            return header
-        imags = mags.astype(np.int64)
-        ks = np.arange(fl, dtype=np.int64)
-        bits = ((imags[None, :] >> ks[:, None]) & 1).astype(np.uint8)
-        planes = np.packbits(
-            bits.reshape(fl, -1, 8), axis=-1, bitorder="little"
-        )
-        return header + signs.tobytes() + planes.tobytes()
+        return record
 
     return compress
+
+
+def _encode_record(vals: np.ndarray, eps: float, pred) -> tuple[bytes, int]:
+    """One block's wafer record and its fixed length.
+
+    quantize -> predict -> sign-pack -> fl -> plane-pack: the 4-byte fl
+    header (the wafer's 32-bit message), sign bytes, then bit planes
+    0..fl-1, little-endian packing within bytes. The fused kernel and the
+    host fallback both encode through here, so the two cannot drift apart.
+    """
+    codes = np.floor(vals / (2.0 * eps) + 0.5)
+    residuals = pred.predict_blocks(codes[None, :])[0]
+    signs = np.packbits(
+        (residuals < 0).reshape(-1, 8), axis=-1, bitorder="little"
+    )
+    mags = np.abs(residuals)
+    fl = int(mags.max()).bit_length()
+    header = fl.to_bytes(CERESZ_HEADER_BYTES, "little")
+    if fl == 0:
+        return header, 0
+    imags = mags.astype(np.int64)
+    ks = np.arange(fl, dtype=np.int64)
+    bits = ((imags[None, :] >> ks[:, None]) & 1).astype(np.uint8)
+    planes = np.packbits(bits.reshape(fl, -1, 8), axis=-1, bitorder="little")
+    return header + signs.tobytes() + planes.tobytes(), fl
 
 
 def host_block_records(
@@ -346,7 +361,6 @@ def host_block_records(
     indices,
     *,
     predictor: str = "lorenzo1d",
-    header_bytes: int = CERESZ_HEADER_BYTES,
 ) -> dict[int, bytes]:
     """Wafer-identical compressed records computed on the host.
 
@@ -364,24 +378,7 @@ def host_block_records(
     for idx in indices:
         vals = np.asarray(raw_blocks[int(idx)], dtype=np.float64)
         vals = vals.astype(np.float32).astype(np.float64)
-        codes = np.floor(vals / (2.0 * eps) + 0.5)
-        residuals = pred.predict_blocks(codes[None, :])[0]
-        signs = np.packbits(
-            (residuals < 0).reshape(-1, 8), axis=-1, bitorder="little"
-        )
-        mags = np.abs(residuals)
-        fl = int(mags.max()).bit_length()
-        header = fl.to_bytes(header_bytes, "little")
-        if fl == 0:
-            out[int(idx)] = header
-            continue
-        imags = mags.astype(np.int64)
-        ks = np.arange(fl, dtype=np.int64)
-        bits = ((imags[None, :] >> ks[:, None]) & 1).astype(np.uint8)
-        planes = np.packbits(
-            bits.reshape(fl, -1, 8), axis=-1, bitorder="little"
-        )
-        out[int(idx)] = header + signs.tobytes() + planes.tobytes()
+        out[int(idx)] = _encode_record(vals, eps, pred)[0]
     return out
 
 

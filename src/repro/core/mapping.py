@@ -1,22 +1,23 @@
-"""Mapping CereSZ onto the simulated wafer (paper Section 4).
+"""The compression sub-stage state machine the wafer kernels execute.
 
-Three program builders, one per parallelization strategy of Fig 6:
+Section 4's strategies (Fig 6) are plan constructors in
+:mod:`repro.core.plan`, lowered onto the simulator by the single pass in
+:mod:`repro.core.lower`. This module holds what those lowered tasks run
+per block:
 
-* :func:`build_row_parallel_program` — data parallelism across rows: the
-  whole compression runs on the first PE of each row, blocks round-robin
-  over rows (Fig 6 left, profiled in Fig 7);
-* :func:`build_pipeline_program` — pipeline parallelism across columns:
-  Algorithm 1's stage groups run on consecutive PEs of each row,
-  intermediate state forwarded east (Fig 6 middle);
-* :func:`build_multi_pipeline_program` — data parallelism across pipelines:
-  several pipelines per row, with head PEs relaying input blocks eastward
-  and counting ``(TC - i) / pipeline_length`` blocks before taking their
-  own, exactly the Fig 9 kernel.
+* :class:`PipelineState` — everything one block carries between
+  Algorithm 1's sub-stages, serializable for fabric transport;
+* :func:`run_substage` / :func:`substage_cycles` — one sub-stage's
+  arithmetic and its calibrated cycle cost;
+* :func:`finalize_record` — the on-stream record of a finished block;
+* :class:`ProgramOutputs` — the host-side collection of emitted records.
 
-All three run the *real* kernels on the real data: the compressed records
-they emit are asserted byte-identical to the NumPy reference compressor.
-Compute cycles are charged per sub-stage from the calibrated cost model, so
-the same simulation also yields the timing behaviour of Figs 7/10.
+The kernels run on the real data: the records they emit are asserted
+byte-identical to the NumPy reference compressor, and compute cycles are
+charged per sub-stage from the calibrated cost model, so the same
+simulation also yields the timing behaviour of Figs 7/10. The stepped
+machine is also the named oracle for the fused whole-block kernel of
+:mod:`repro.core.lower`.
 
 Pipeline state between PEs is serialized into a single float64 array (the
 fabric moves wavelets, not Python objects); float64 carries the int64
@@ -29,18 +30,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from repro.config import BLOCK_SIZE, CERESZ_HEADER_BYTES
+from repro.config import CERESZ_HEADER_BYTES
 from repro.errors import CompressionError, ScheduleError
-from repro.core.encoding import encode_blocks
-from repro.core.schedule import StageDistribution, distribute_substages
-from repro.core.stages import SubStage, compression_substages
-from repro.wse.color import Color, ColorAllocator
-from repro.wse.cost import CycleModel, PAPER_CYCLE_MODEL
-from repro.wse.dsd import FabinDsd, FaboutDsd, Mem1dDsd
-from repro.wse.engine import Engine
-from repro.wse.fabric import Fabric
-from repro.wse.pe import Task, TaskContext
-from repro.wse.wavelet import Direction
+from repro.core.stages import SubStage
+from repro.wse.cost import CycleModel
 
 # --- pipeline state ------------------------------------------------------------------
 
@@ -271,7 +264,7 @@ def substage_cycles(
     return stage.cycles
 
 
-# --- strategy 1: data parallelism across rows -------------------------------------
+# --- run outputs ---------------------------------------------------------------------
 
 
 @dataclass
@@ -289,106 +282,3 @@ class ProgramOutputs:
                 + ("..." if len(missing) > 8 else "")
             )
         return b"".join(self.records[i] for i in range(num_blocks))
-
-
-# --- program builders (thin wrappers over the plan/lower layer) ---------------------
-#
-# Each strategy is now a plan constructor in repro.core.plan plus the single
-# lowering pass in repro.core.lower; these wrappers keep the original build_*
-# entry points (and their exact behavior) for callers and tests.
-
-
-def build_row_parallel_program(
-    fabric: Fabric,
-    engine: Engine,
-    blocks: np.ndarray,
-    eps: float,
-    *,
-    model: CycleModel = PAPER_CYCLE_MODEL,
-) -> ProgramOutputs:
-    """Whole-algorithm-per-PE over the first column (Fig 6 left / Fig 7).
-
-    Block ``i`` goes to row ``i % rows``; each row's PE 0 receives its
-    blocks from the west edge in order and compresses them back-to-back.
-    """
-    from repro.core.lower import lower_plan
-    from repro.core.plan import plan_row_parallel
-
-    plan = plan_row_parallel(blocks, eps, rows=fabric.rows, cols=fabric.cols)
-    return lower_plan(plan, fabric, engine, model=model).outputs
-
-
-def build_pipeline_program(
-    fabric: Fabric,
-    engine: Engine,
-    blocks: np.ndarray,
-    eps: float,
-    distribution: StageDistribution,
-    *,
-    model: CycleModel = PAPER_CYCLE_MODEL,
-) -> ProgramOutputs:
-    """One pipeline per row across the first ``len(distribution)`` columns.
-
-    Stage group ``g`` runs on column ``g``; between groups the serialized
-    :class:`PipelineState` travels east on a dedicated color (two colors
-    alternate so consecutive hops do not conflict).
-    """
-    from repro.core.lower import lower_plan
-    from repro.core.plan import plan_pipeline
-
-    plan = plan_pipeline(
-        blocks, eps, distribution, rows=fabric.rows, cols=fabric.cols
-    )
-    return lower_plan(plan, fabric, engine, model=model).outputs
-
-
-def build_multi_pipeline_program(
-    fabric: Fabric,
-    engine: Engine,
-    blocks: np.ndarray,
-    eps: float,
-    *,
-    model: CycleModel = PAPER_CYCLE_MODEL,
-    pipeline_length: int = 1,
-) -> ProgramOutputs:
-    """Fig 9: multiple single-PE pipelines per row with counted relays.
-
-    Every PE of a row both relays raw blocks east and compresses its own;
-    the relay schedule counts down per round exactly as Algorithm Fig 9
-    prescribes, so no flow control is needed.
-    """
-    from repro.core.lower import lower_plan
-    from repro.core.plan import plan_multi_pipeline
-
-    plan = plan_multi_pipeline(
-        blocks,
-        eps,
-        rows=fabric.rows,
-        cols=fabric.cols,
-        pipeline_length=pipeline_length,
-    )
-    return lower_plan(plan, fabric, engine, model=model).outputs
-
-
-def build_staged_multi_pipeline_program(
-    fabric: Fabric,
-    engine: Engine,
-    blocks: np.ndarray,
-    eps: float,
-    distribution: StageDistribution,
-    *,
-    model: CycleModel = PAPER_CYCLE_MODEL,
-) -> ProgramOutputs:
-    """Fig 6 right in full generality: P staged pipelines per row.
-
-    Raw blocks relay through pipeline heads (Fig 9's counted schedule);
-    within a pipeline the serialized state flows east through the stage
-    groups of ``distribution``.
-    """
-    from repro.core.lower import lower_plan
-    from repro.core.plan import plan_staged_multi_pipeline
-
-    plan = plan_staged_multi_pipeline(
-        blocks, eps, distribution, rows=fabric.rows, cols=fabric.cols
-    )
-    return lower_plan(plan, fabric, engine, model=model).outputs

@@ -3,12 +3,14 @@
 The paper's Section 4.2 closes with the decompression mapping: the reverse
 Bit-shuffle splits per byte group, while the prefix sum (reverse Lorenzo)
 and the de-quantization multiply are indivisible; Algorithm 1 distributes
-those sub-stages the same way. This module implements the row-parallel
-decompression program with the wrinkle that makes it interesting on a
-dataflow machine: *compressed records have data-dependent length*, so a PE
-cannot post one fixed-extent receive per block. Instead it receives in two
-phases — the 4-byte header word first (one wavelet), which tells it the
-block's fixed length, then the ``1 + fl`` words of signs and payload.
+those sub-stages the same way. The plans live in :mod:`repro.core.plan`
+and their lowering in :mod:`repro.core.lower`; this module holds the
+per-block pieces the lowered tasks run. The wrinkle that makes the
+mapping interesting on a dataflow machine: *compressed records have
+data-dependent length*, so a PE cannot post one fixed-extent receive per
+block. Instead it receives in two phases — the 4-byte header word first
+(one wavelet), which tells it the block's fixed length, then the
+``1 + fl`` words of signs and payload.
 Zero blocks (fl = 0) have no second phase at all, which is exactly the
 short-circuit that makes decompression faster at loose bounds.
 
@@ -25,17 +27,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from repro.config import BLOCK_SIZE, CERESZ_HEADER_BYTES
+from repro.config import CERESZ_HEADER_BYTES
 from repro.errors import CompressionError
 from repro.core.encoding import scan_record_offsets
-from repro.core.stages import decompression_substages
-from repro.wse.color import ColorAllocator
-from repro.wse.cost import CycleModel, PAPER_CYCLE_MODEL
-from repro.wse.dsd import FabinDsd, Mem1dDsd
-from repro.wse.engine import Engine
-from repro.wse.fabric import Fabric
-from repro.wse.pe import Task, TaskContext
-from repro.wse.wavelet import Direction
 
 
 @dataclass
@@ -106,37 +100,6 @@ def decode_block_from_words(
     mags[signs] = -mags[signs]
     codes = np.cumsum(mags, dtype=np.int64)  # reverse Lorenzo (prefix sum)
     return (codes.astype(np.float64) * (2.0 * eps)).astype(np.float32)
-
-
-def build_row_parallel_decompress_program(
-    fabric: Fabric,
-    engine: Engine,
-    body: bytes,
-    num_blocks: int,
-    eps: float,
-    *,
-    block_size: int = BLOCK_SIZE,
-    model: CycleModel = PAPER_CYCLE_MODEL,
-) -> DecompressOutputs:
-    """Whole-block decompression on the first PE of each row.
-
-    Block ``i`` goes to row ``i % rows``. Each PE alternates between the
-    ``header`` task (receive one word, learn ``fl``) and the ``body`` task
-    (receive ``1 + fl`` words, decode, emit) — the data-dependent receive
-    chain that fixed-extent compression does not need.
-    """
-    from repro.core.lower import lower_plan
-    from repro.core.plan import plan_row_parallel_decompress
-
-    plan = plan_row_parallel_decompress(
-        body,
-        num_blocks,
-        eps,
-        rows=fabric.rows,
-        cols=fabric.cols,
-        block_size=block_size,
-    )
-    return lower_plan(plan, fabric, engine, model=model).outputs
 
 
 # --- pipeline-parallel decompression (Algorithm 1 over reverse sub-stages) ---
@@ -280,38 +243,3 @@ def finalize_decompressed(state: DecompressState) -> np.ndarray:
             f"block not fully decompressed (phase {state.phase!r})"
         )
     return state.values.astype(np.float32)
-
-
-def build_pipeline_decompress_program(
-    fabric: Fabric,
-    engine: Engine,
-    body: bytes,
-    num_blocks: int,
-    eps: float,
-    distribution,
-    *,
-    block_size: int = BLOCK_SIZE,
-    model: CycleModel = PAPER_CYCLE_MODEL,
-) -> DecompressOutputs:
-    """One decompression pipeline per row (Algorithm 1 stage groups).
-
-    The head PE of each row performs the two-phase header/body receive and
-    runs the first stage group; intermediate :class:`DecompressState`
-    travels east; the last group's PE emits the reconstructed block. Zero
-    blocks enter the pipeline pre-collapsed (phase "signed") so later PEs
-    only pay the prefix-sum and de-quantization stages, exactly like the
-    device's fast path.
-    """
-    from repro.core.lower import lower_plan
-    from repro.core.plan import plan_pipeline_decompress
-
-    plan = plan_pipeline_decompress(
-        body,
-        num_blocks,
-        eps,
-        distribution,
-        rows=fabric.rows,
-        cols=fabric.cols,
-        block_size=block_size,
-    )
-    return lower_plan(plan, fabric, engine, model=model).outputs

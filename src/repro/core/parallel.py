@@ -322,9 +322,9 @@ def _compress_predicted_sharded(
     """Whole-array predictors: predict once, shard only the block encode.
 
     A whole-array predictor's transform spans the full field, so cutting
-    the *data* into shards would silently change what gets predicted (the
-    old ``CereSZND.compress(jobs=...)`` bug: each shard degenerated to
-    1-D prediction over its slice and the stream differed from serial).
+    the *data* into shards would silently change what gets predicted
+    (each shard would degenerate to prediction over its own slice and the
+    stream would differ from serial).
     Instead, quantization and prediction run once over the whole array —
     both are vectorized single passes — and the pool parallelizes the
     expensive part that *is* block-local: sign split, bit-length scan,

@@ -1099,9 +1099,10 @@ def plan_multi_pipeline(
     pred = wafer_predictor(predictor)
     if pipeline_length != 1:
         raise ScheduleError(
-            "the multi-pipeline builder models pipeline_length=1 (the "
-            "paper's optimal configuration); longer pipelines compose via "
-            "build_pipeline_program"
+            "plan_multi_pipeline models pipeline_length=1 (the paper's "
+            "optimal configuration); for longer pipelines use "
+            "plan_staged_multi_pipeline, or WSECereSZ(strategy=\"multi\", "
+            "pipeline_length=k)"
         )
     num_blocks, block_size = blocks.shape
 

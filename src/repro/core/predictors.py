@@ -137,12 +137,12 @@ class Lorenzo1D(Predictor):
 
 
 class LorenzoND(Predictor):
-    """Full N-D Lorenzo over every axis (the legacy ``CereSZND`` variant)."""
+    """Full N-D Lorenzo over every axis (``CereSZ(predictor="nd")``)."""
 
     name = "nd"
     tag = 1
     locality = WHOLE_ARRAY
-    summary = "N-D Lorenzo over all axes (legacy CereSZND; host-only)"
+    summary = "N-D Lorenzo over all axes (host-only)"
 
     def predict(self, codes):
         return lorenzo_predict_nd(codes)

@@ -26,6 +26,9 @@ to the serial path, which is itself the single-process fallback when
 Processes, not threads: the simulator is pure Python, so a thread pool
 would serialize on the GIL. Workers receive the (picklable) sub-plan and
 cost model, build their own fabric/engine, and return outputs + report.
+Every path builds the one engine configuration there is — memoized
+routes, slimmed event queue, fused kernels — so results never depend on
+which entry point ran them.
 
 Observability rides along the same split. Pass ``tracer=`` (a
 :class:`repro.obs.tracing.Tracer`) and/or ``metrics=`` (a
@@ -133,17 +136,12 @@ def _span(tracer: Tracer | None, name: str, **args):
 def _simulate_one(
     plan: MappingPlan,
     model: CycleModel,
-    optimize: bool,
-    fast_kernels: bool,
     tracer: Tracer | None = None,
     faults: FaultPlan | None = None,
 ) -> tuple[ProgramOutputs | DecompressOutputs, SimulationReport, Fabric, Engine]:
-    fabric = Fabric(plan.rows, plan.cols, cache_routes=optimize)
-    engine = Engine(fabric, optimize=optimize, tracer=tracer, faults=faults)
-    lowered = lower_plan(
-        plan, fabric, engine, model=model, fast_kernels=fast_kernels,
-        tracer=tracer,
-    )
+    fabric = Fabric(plan.rows, plan.cols)
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    lowered = lower_plan(plan, fabric, engine, model=model, tracer=tracer)
     with _span(tracer, "engine.run", rows=plan.rows, cols=plan.cols):
         try:
             report = engine.run()
@@ -167,8 +165,8 @@ def _collect_worker_metrics(fabric, engine) -> dict:
 
 def _partition_worker(
     args: tuple[
-        MappingPlan, CycleModel, bool, bool,
-        tuple[str, int] | None, bool, FaultPlan | None,
+        MappingPlan, CycleModel, tuple[str, int] | None, bool,
+        FaultPlan | None,
     ],
 ) -> tuple:
     """Module-level so the process pool can pickle it.
@@ -186,9 +184,7 @@ def _partition_worker(
     behind ``RemoteTraceback`` noise, and would discard the metrics the
     failed partition already gathered.
     """
-    plan, model, optimize, fast_kernels, trace_cfg, want_metrics, faults = (
-        args
-    )
+    plan, model, trace_cfg, want_metrics, faults = args
     tracer = (
         Tracer(level=trace_cfg[0], sample_every=trace_cfg[1])
         if trace_cfg is not None
@@ -196,7 +192,7 @@ def _partition_worker(
     )
     try:
         outputs, report, fabric, engine = _simulate_one(
-            plan, model, optimize, fast_kernels, tracer, faults
+            plan, model, tracer, faults
         )
     except Exception as exc:
         snapshot = None
@@ -241,8 +237,6 @@ def simulate_plan(
     model: CycleModel = PAPER_CYCLE_MODEL,
     jobs: int | str = 1,
     mode: str = "event",
-    optimize: bool = True,
-    fast_kernels: bool = True,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     faults: FaultPlan | None = None,
@@ -260,9 +254,7 @@ def simulate_plan(
     simulation; it never changes results, only wall time. Pass
     ``jobs="auto"`` to let :func:`_auto_jobs` pick a worker count from the
     CPU count and the plan's useful partition count (1 whenever the pool
-    would cost more than it saves). ``optimize`` and
-    ``fast_kernels`` select the engine/kernel fast paths (both default on;
-    the benchmark harness disables them to measure the difference).
+    would cost more than it saves).
 
     ``mode`` selects how the mesh is covered. ``"event"`` (default) runs
     the discrete-event engine over every PE. ``"hybrid"`` fingerprints the
@@ -314,9 +306,8 @@ def simulate_plan(
         return simulate_with_repair(
             plan, faults=faults, on_fault=on_fault, max_repairs=max_repairs,
             replan=replan, verify=verify, host_fallback=host_fallback,
-            model=model, jobs=jobs, mode=mode, optimize=optimize,
-            fast_kernels=fast_kernels, tracer=tracer, metrics=metrics,
-            ledger=ledger, progress=progress,
+            model=model, jobs=jobs, mode=mode, tracer=tracer,
+            metrics=metrics, ledger=ledger, progress=progress,
         )
     if ledger is not None:
         import time as _time
@@ -325,9 +316,8 @@ def simulate_plan(
 
         t0 = _time.perf_counter()
         run = simulate_plan(
-            plan, model=model, jobs=jobs, mode=mode, optimize=optimize,
-            fast_kernels=fast_kernels, tracer=tracer, metrics=metrics,
-            faults=faults, progress=progress,
+            plan, model=model, jobs=jobs, mode=mode, tracer=tracer,
+            metrics=metrics, faults=faults, progress=progress,
         )
         wall = _time.perf_counter() - t0
         _ledger_mod.emit(
@@ -343,8 +333,6 @@ def simulate_plan(
                 "direction": plan.direction,
                 "mode": mode,
                 "jobs": jobs,
-                "optimize": bool(optimize),
-                "fast_kernels": bool(fast_kernels),
                 "faults": faults is not None,
             },
             timings={
@@ -380,8 +368,6 @@ def simulate_plan(
             plan,
             model=model,
             jobs=jobs,
-            optimize=optimize,
-            fast_kernels=fast_kernels,
             tracer=tracer,
             metrics=metrics,
             progress=progress,
@@ -390,17 +376,12 @@ def simulate_plan(
         subs = split_rows(plan, jobs)
         if len(subs) > 1:
             chunks = row_chunks(plan.rows, jobs)
-            trace_cfg = (
-                (tracer.level, tracer.sample_every)
-                if tracer is not None and tracer.enabled
-                else None
-            )
+            trace_cfg = _trace_cfg(tracer)
             with _span(tracer, "simulate", jobs=len(subs), rows=plan.rows):
                 results = run_pool(
                     _partition_worker,
                     [
-                        (sub, model, optimize, fast_kernels, trace_cfg,
-                         metrics is not None,
+                        (sub, model, trace_cfg, metrics is not None,
                          faults.for_rows(rows) if faults is not None
                          else None)
                         for sub, rows in zip(subs, chunks)
@@ -415,7 +396,7 @@ def simulate_plan(
     with _span(tracer, "simulate", jobs=1, rows=plan.rows):
         try:
             outputs, report, fabric, engine = _simulate_one(
-                plan, model, optimize, fast_kernels, tracer, faults
+                plan, model, tracer, faults
             )
         except DeadlockError as exc:
             failed_engine = getattr(exc, "_engine", None)
@@ -449,8 +430,6 @@ def simulate_with_repair(
     model: CycleModel = PAPER_CYCLE_MODEL,
     jobs: int | str = 1,
     mode: str = "event",
-    optimize: bool = True,
-    fast_kernels: bool = True,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     ledger=None,
@@ -459,9 +438,10 @@ def simulate_with_repair(
     """Run ``plan`` under ``faults``, repairing the mapping until it works.
 
     The self-healing orchestrator: each round simulates the current plan
-    and, when the run stalls (:class:`DeadlockError`) or completes but
-    fails ``verify`` (silent corruption — SRAM flips), classifies the
-    fault plan against the current mapping
+    and, when the run stalls (:class:`DeadlockError`), completes without
+    a record or output for every planned block (a PE halted after its
+    last receive matched), or fails ``verify`` (silent corruption — SRAM
+    flips), classifies the fault plan against the current mapping
     (:func:`repro.faults.repair.classify_faults`), condemns the harmful
     rows, and rewrites the plan:
 
@@ -511,6 +491,7 @@ def simulate_with_repair(
         raise ValueError(f"max_repairs must be >= 0, got {max_repairs}")
 
     tolerated = classify_faults(faults, plan).tolerated
+    planned = set(row_blocks(plan, set(range(plan.rows))))
     current = plan
     all_bad: set[int] = set()
     repairs: list = []
@@ -567,8 +548,7 @@ def simulate_with_repair(
     for _ in range(plan.rows + 2):
         try:
             run = simulate_plan(
-                current, model=model, jobs=jobs, mode=mode,
-                optimize=optimize, fast_kernels=fast_kernels, tracer=tracer,
+                current, model=model, jobs=jobs, mode=mode, tracer=tracer,
                 metrics=metrics, faults=faults, ledger=ledger,
                 progress=progress,
             )
@@ -579,7 +559,16 @@ def simulate_with_repair(
         else:
             if host_records:
                 run.outputs.records.update(host_records)
-            ok = bool(verify(run)) if verify is not None else True
+            # A PE halted after its last receive matched leaves nothing
+            # pending, so the engine quiesces cleanly with that block
+            # silently missing: an incomplete run is a failed attempt.
+            done = (
+                run.outputs.records if plan.direction == "compress"
+                else run.outputs.blocks
+            )
+            ok = planned.issubset(done) and (
+                bool(verify(run)) if verify is not None else True
+            )
         if ok:
             outcome = "clean"
             if any(r.action == "fallback" for r in repairs):
@@ -811,8 +800,6 @@ def _simulate_hybrid(
     *,
     model: CycleModel,
     jobs: int,
-    optimize: bool,
-    fast_kernels: bool,
     tracer: Tracer | None,
     metrics: MetricsRegistry | None,
     progress=None,
@@ -831,8 +818,7 @@ def _simulate_hybrid(
     emit_seqs = row_emit_sequences(plan)
     cfg = _trace_cfg(tracer)
     items = [
-        (row_subplan(plan, rep), model, optimize, fast_kernels, cfg,
-         metrics is not None, None)
+        (row_subplan(plan, rep), model, cfg, metrics is not None, None)
         for rep, _ in classes
     ]
     with _span(
@@ -966,8 +952,6 @@ def simulate_replicated(
     copies: int,
     *,
     model: CycleModel = PAPER_CYCLE_MODEL,
-    optimize: bool = True,
-    fast_kernels: bool = True,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     progress=None,
@@ -1003,8 +987,7 @@ def simulate_replicated(
         tracer, "simulate.replicated", copies=copies, rows=template.rows
     ):
         result = _partition_worker(
-            (template, model, optimize, fast_kernels, _trace_cfg(tracer),
-             metrics is not None, None)
+            (template, model, _trace_cfg(tracer), metrics is not None, None)
         )
         _raise_partition_failures(
             [result], [tuple(range(template.rows))], metrics

@@ -222,15 +222,14 @@ def _headline_host_throughput(payload: dict) -> dict:
 
 def _headline_sim_speed(payload: dict) -> dict:
     out = {}
-    for key in ("fig7_rows_speedup", "max_obs_overhead"):
-        if payload.get(key) is not None:
-            out[key] = float(payload[key])
+    if payload.get("max_obs_overhead") is not None:
+        out["max_obs_overhead"] = float(payload["max_obs_overhead"])
     for cfg in payload.get("configs", []):
         tag = f"{cfg['strategy']}{cfg['rows']}x{cfg['cols']}"
-        out[f"{tag}.makespan_cycles"] = float(
-            cfg["optimized"]["makespan_cycles"]
-        )
-        out[f"{tag}.sim_speedup"] = float(cfg["speedup_optimized"])
+        optimized = cfg["optimized"]
+        out[f"{tag}.makespan_cycles"] = float(optimized["makespan_cycles"])
+        out[f"{tag}.wall_s"] = float(optimized["wall_s"])
+        out[f"{tag}.sim_events"] = float(optimized["events"])
     for cfg in payload.get("hybrid_configs", []):
         tag = f"{cfg['strategy']}{cfg['rows']}x{cfg['cols']}"
         out[f"{tag}.hybrid_speedup"] = float(cfg["speedup_hybrid"])

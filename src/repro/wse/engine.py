@@ -37,9 +37,9 @@ remain), and ``match`` probes are only queued when they can pair —
 deliveries with no posted receive and receives with an empty inbox do not
 enqueue anything. Both are pure event-count reductions: timing and
 matching order are unchanged, only redundant no-op events disappear.
-``Engine(..., optimize=False)`` restores the pre-optimization behaviour
-(every activation pushes a task event, every deliver/post pushes a match,
-every send copies) so the benchmark suite can measure the difference.
+``tests/core/test_simulate_parallel.py`` pins the exact event count of
+each mapping strategy, so a return to the naive schedule (one task event
+per activation, one match per deliver/post) fails the test suite.
 """
 
 from __future__ import annotations
@@ -119,17 +119,11 @@ class Engine:
         fabric: Fabric,
         *,
         max_events: int = 50_000_000,
-        optimize: bool = True,
         tracer=None,
         faults: FaultInjector | FaultPlan | None = None,
     ):
         self.fabric = fabric
         self.max_events = max_events
-        #: Event-queue slimming + zero-copy scratch sends (see the module
-        #: docstring). ``optimize=False`` keeps the naive behaviour so the
-        #: benchmark harness can measure what the optimizations buy; results
-        #: are identical either way.
-        self.optimize = optimize
         #: Optional :class:`repro.obs.tracing.Tracer`. Per-PE timeline
         #: events are recorded only at ``trace_level="timeline"``; the
         #: level is cached as one bool so the off path costs a single
@@ -241,12 +235,12 @@ class Engine:
             )
             # A freshly posted receive can only pair if data already sits in
             # the inbox; otherwise the next deliver event probes for us.
-            if not self.optimize or pe.inbox.get(src.color.id):
+            if pe.inbox.get(src.color.id):
                 self._push(now, _Event("match", pe, src.color.id))
         elif isinstance(dst, FaboutDsd) and isinstance(src, Mem1dDsd):
             view = src.resolve(pe.buffers)
             names = self._scratch.get(pe.coord)
-            if self.optimize and names and src.buffer in names:
+            if names and src.buffer in names:
                 # Transmit scratch: the buffer is freed right after the send
                 # captures it, so ownership transfers to the fabric and no
                 # defensive copy is needed (see the ownership rule above).
@@ -265,7 +259,7 @@ class Engine:
             self._relay.setdefault(key, deque()).append(
                 _PendingRelay(dst.color, src.extent, on_complete, now, relay)
             )
-            if not self.optimize or pe.inbox.get(src.color.id):
+            if pe.inbox.get(src.color.id):
                 self._push(now, _Event("match", pe, src.color.id))
         elif isinstance(dst, Mem1dDsd) and isinstance(src, Mem1dDsd):
             target = dst.resolve(pe.buffers)
@@ -417,11 +411,7 @@ class Engine:
             # Data with no posted receive/relay just waits in the inbox; the
             # matching submit_transfer will probe when it arrives.
             key = (event.pe.row, event.pe.col, event.color_id)
-            if (
-                not self.optimize
-                or self._recv.get(key)
-                or self._relay.get(key)
-            ):
+            if self._recv.get(key) or self._relay.get(key):
                 self._push(time, _Event("match", event.pe, event.color_id))
         elif event.kind == "match":
             self._match(event.pe, event.color_id, time)
@@ -529,10 +519,9 @@ class Engine:
         dispatcher re-arms while pending activations remain — so dropping
         the duplicate never delays a task.
         """
-        if self.optimize:
-            if pe.task_scheduled:
-                return
-            pe.task_scheduled = True
+        if pe.task_scheduled:
+            return
+        pe.task_scheduled = True
         self._push(at, _Event("task", pe))
 
     def _run_task(self, pe: ProcessingElement, time: float) -> None:

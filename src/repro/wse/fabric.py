@@ -13,7 +13,9 @@ traverses (each intermediate position resolves to the same destination with
 fewer hops), so a chain of k relaying PEs pays one O(k) walk total instead
 of k separate walks. Installing any route invalidates the whole cache —
 route setup happens at program-load time, before traffic flows, so the
-invalidation never costs anything during a simulation.
+invalidation never costs anything during a simulation. The memo is always
+on; ``tests/wse/test_route_cache.py`` pins literal destinations and hop
+counts for walked and memoized resolutions alike.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class Fabric:
         cols: int,
         *,
         sram_bytes: int | None = None,
-        cache_routes: bool = True,
     ):
         if not (1 <= rows <= WSE_USABLE_ROWS):
             raise ValueError(f"rows outside [1, {WSE_USABLE_ROWS}]: {rows}")
@@ -59,10 +60,6 @@ class Fabric:
         self.rows = rows
         self.cols = cols
         #: Static-route memo: (row, col, color_id, entering) -> ResolvedRoute.
-        #: ``cache_routes=False`` keeps the pre-cache behaviour (every
-        #: resolve re-walks the route); the benchmark harness uses it to
-        #: measure what the cache buys.
-        self.cache_routes = cache_routes
         self._route_cache: dict[
             tuple[int, int, int, Direction], ResolvedRoute
         ] = {}
@@ -189,14 +186,13 @@ class Fabric:
         the module docstring. Only successful walks are cached; error paths
         always re-walk so diagnostics stay exact.
         """
-        cache = self._route_cache if self.cache_routes else None
+        cache = self._route_cache
         ckey = (row, col, color.id, entering)
-        if cache is not None:
-            hit = cache.get(ckey)
-            if hit is not None:
-                self.route_cache_hits += 1
-                return hit
-            self.route_cache_misses += 1
+        hit = cache.get(ckey)
+        if hit is not None:
+            self.route_cache_hits += 1
+            return hit
+        self.route_cache_misses += 1
         r, c = row, col
         arriving = entering
         hops = 0
@@ -219,21 +215,15 @@ class Fabric:
             path.append(key)
             out = self.pe(r, c).router.route(color.id, arriving)
             if out is Direction.RAMP:
+                # Every traversed position resolves to the same RAMP with
+                # the remaining hop count, so one walk warms the cache for
+                # the whole chain downstream of the source.
                 destination = (r, c)
-                if cache is not None:
-                    # Every traversed position resolves to the same RAMP
-                    # with the remaining hop count, so one walk warms the
-                    # cache for the whole chain downstream of the source.
-                    for i, (pr, pc, pd) in enumerate(path):
-                        cache[(pr, pc, color.id, pd)] = ResolvedRoute(
-                            source=(pr, pc),
-                            destination=destination,
-                            hops=hops - i,
-                        )
-                    return cache[ckey]
-                return ResolvedRoute(
-                    source=(row, col), destination=destination, hops=hops
-                )
+                for i, (pr, pc, pd) in enumerate(path):
+                    cache[(pr, pc, color.id, pd)] = ResolvedRoute(
+                        source=(pr, pc), destination=destination, hops=hops - i
+                    )
+                return cache[ckey]
             nxt = self.neighbor(r, c, out)
             if nxt is None:
                 raise RoutingError(

@@ -12,7 +12,7 @@ The paper's kernels are built from two communication idioms:
 compose them without hand-wiring colors, routes, and task bindings each
 time. It is a convenience layer only: everything it does can be written
 against :class:`~repro.wse.fabric.Fabric` directly, exactly as
-:mod:`repro.core.mapping` does for the full compressor.
+:mod:`repro.core.lower` does when it lowers a compressor mapping plan.
 """
 
 from __future__ import annotations

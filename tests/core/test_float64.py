@@ -10,7 +10,6 @@ import pytest
 
 from repro import CereSZ
 from repro.errors import ErrorBoundError
-from repro.core.nd_variant import CereSZND
 from repro.metrics.errorbound import check_error_bound
 
 
@@ -61,7 +60,7 @@ class TestFloat64RoundTrip:
         assert np.array_equal(back, data)
 
     def test_nd_variant_in_f64(self, field64):
-        codec = CereSZND()
+        codec = CereSZ(predictor="nd")
         data = field64[:4096].reshape(64, 64)
         result = codec.compress(data, rel=1e-6)
         back = codec.decompress(result.stream)

@@ -12,7 +12,9 @@ import pytest
 
 from repro.config import BLOCK_SIZE
 from repro.core.compressor import CereSZ
+from repro.core.plan import plan_multi_pipeline
 from repro.core.wse_compressor import WSECereSZ
+from repro.errors import ScheduleError
 
 EPS = 0.01
 
@@ -91,3 +93,14 @@ def test_plan_for_matches_compressed_placement(
     assert plan.num_blocks == 7
     again = sim.plan_for(data, eps=EPS)
     assert plan.snapshot() == again.snapshot()
+
+
+def test_multi_pipeline_plan_names_the_staged_alternative():
+    """Longer pipelines are the staged plan's job; the error says how."""
+    blocks = np.zeros((4, BLOCK_SIZE))
+    with pytest.raises(
+        ScheduleError,
+        match=r"plan_staged_multi_pipeline.*"
+        r"WSECereSZ\(strategy=\"multi\", pipeline_length=k\)",
+    ):
+        plan_multi_pipeline(blocks, EPS, rows=1, cols=4, pipeline_length=2)

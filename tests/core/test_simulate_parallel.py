@@ -1,17 +1,19 @@
-"""Row-parallel and legacy-engine simulation equivalence.
+"""Execution-mode equivalence of the simulator.
 
-The performance layer must be invisible in results: the optimized engine
-(route cache, event dedup, zero-copy sends, fused kernels) and row-parallel
-simulation with ``jobs > 1`` have to reproduce the legacy single-process
-run cycle for cycle and byte for byte. These tests sweep the plan matrix
-and compare makespans, compressed bytes, per-PE traces, and per-stage
-counter breakdowns across all three execution modes.
+The performance layer must be invisible in results: row-parallel
+simulation with ``jobs > 1``, observed runs, and the fused whole-block
+kernels have to reproduce the serial run and the stepped sub-stage
+machine (the fused kernel's named oracle) cycle for cycle and byte for
+byte. These tests sweep the plan matrix and compare makespans, compressed
+bytes, per-PE traces, and per-stage counter breakdowns, and pin the exact
+event count the engine's event-queue slimming yields for each strategy.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import BLOCK_SIZE
+from repro.core.lower import lower_plan
 from repro.core.plan import (
     plan_multi_pipeline,
     plan_pipeline,
@@ -27,8 +29,15 @@ from repro.core.stages import compression_substages
 from repro.core.wse_compressor import WSECereSZ
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.wse.engine import Engine
+from repro.wse.fabric import Fabric
 
 EPS = 0.01
+
+#: Exact engine events of the 13-block matrix. The naive schedule (one task
+#: event per activation, one match probe per deliver and per posted
+#: receive) made 91/273/165/258; these pins catch a return to it.
+EXACT_EVENTS = {"rows": 78, "pipeline": 234, "multi": 138, "staged": 214}
 
 
 def _blocks(num_blocks: int, seed: int = 11) -> np.ndarray:
@@ -149,29 +158,28 @@ class TestExecutionModeEquivalence:
             observed.report.trace
         )
 
-    def test_optimized_matches_legacy(self, strategy):
-        blocks = _blocks(13)
-        legacy = simulate_plan(
-            _plan(strategy, blocks), optimize=False, fast_kernels=False
-        )
-        optimized = simulate_plan(_plan(strategy, blocks))
-        assert legacy.outputs.stream(13) == optimized.outputs.stream(13)
-        assert (
-            legacy.report.makespan_cycles
-            == optimized.report.makespan_cycles
-        )
-        assert legacy.report.tasks_run == optimized.report.tasks_run
-        assert _trace_rows(legacy.report.trace) == _trace_rows(
-            optimized.report.trace
-        )
-        assert _counter_rows(legacy.report.trace) == _counter_rows(
-            optimized.report.trace
-        )
-        # The optimizations exist to shrink the event queue.
-        assert (
-            optimized.report.events_processed
-            <= legacy.report.events_processed
-        )
+    def test_fused_matches_stepped(self, strategy):
+        """The fused whole-block kernel against its stepped oracle."""
+        runs = []
+        for fast_kernels in (False, True):
+            plan = _plan(strategy, _blocks(13))
+            fabric = Fabric(plan.rows, plan.cols)
+            engine = Engine(fabric)
+            lowered = lower_plan(
+                plan, fabric, engine, fast_kernels=fast_kernels
+            )
+            runs.append((lowered.outputs, engine.run()))
+        (stepped, s_rep), (fused, f_rep) = runs
+        assert stepped.stream(13) == fused.stream(13)
+        assert s_rep.makespan_cycles == f_rep.makespan_cycles
+        assert s_rep.tasks_run == f_rep.tasks_run
+        assert s_rep.events_processed == f_rep.events_processed
+        assert _trace_rows(s_rep.trace) == _trace_rows(f_rep.trace)
+        assert _counter_rows(s_rep.trace) == _counter_rows(f_rep.trace)
+
+    def test_exact_event_count(self, strategy):
+        run = simulate_plan(_plan(strategy, _blocks(13)))
+        assert run.report.events_processed == EXACT_EVENTS[strategy]
 
 
 class TestRowPartitioning:

@@ -219,6 +219,33 @@ class TestVerifyDetection:
         assert len(seen) == 2
 
 
+class TestSilentBlockLoss:
+    """A PE halted after its only receive matched leaves nothing pending,
+    so the run quiesces without a stall and the block is simply missing.
+    The loop must count that incomplete run as a failed attempt."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_halted_single_block_row_is_remapped(self, rows):
+        data = _field(rows * 32)  # one block per row
+        faults = FaultPlan(
+            seed=1, faults=(PEHalt(row=0, col=0, at_cycle=5),)
+        )
+        clean = WSECereSZ(rows, 1, strategy="rows")
+        healing = WSECereSZ(
+            rows, 1, strategy="rows", spare_rows=1, on_fault="repair",
+            faults=faults,
+        )
+        result = healing.compress(data, eps=EPS)
+        assert result.stream == clean.compress(data, eps=EPS).stream
+        assert [
+            (r.row, r.action, r.target_row) for r in result.repair.repairs
+        ] == [(0, "remap", rows)]
+        back, _ = healing.decompress_on_wafer(result.stream)
+        assert np.array_equal(
+            back, clean.decompress_on_wafer(result.stream)[0]
+        )
+
+
 class TestPartitionInvariance:
     @pytest.mark.parametrize("kind", ("halt", "drop"))
     def test_repair_report_identical_for_any_jobs(self, kind):

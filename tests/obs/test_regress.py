@@ -57,6 +57,8 @@ class TestMetricPolicy:
             ("makespan_cycles", "lower", "deterministic"),
             ("compressed_bytes", "lower", "deterministic"),
             ("fig7_rows_speedup", "higher", "timing"),
+            ("rows4x1.sim_events", "lower", "deterministic"),
+            ("rows4x1.wall_s", "lower", "timing"),
             ("smooth.fused_compress_speedup", "higher", "timing"),
             ("smooth.rtm_small.ratio", "higher", "deterministic"),
             ("obs1.holds_ratio", "higher", "deterministic"),
@@ -94,13 +96,15 @@ class TestHeadlineAdapters:
     def test_sim_speed(self):
         payload = {
             "benchmark": "sim_speed",
-            "fig7_rows_speedup": 8.0,
             "max_obs_overhead": 0.02,
             "configs": [
                 {
                     "strategy": "rows", "rows": 4, "cols": 1,
-                    "optimized": {"makespan_cycles": 1000.0},
-                    "speedup_optimized": 8.0,
+                    "optimized": {
+                        "makespan_cycles": 1000.0,
+                        "wall_s": 0.05,
+                        "events": 780,
+                    },
                 }
             ],
             "hybrid_configs": [
@@ -113,6 +117,9 @@ class TestHeadlineAdapters:
         }
         vals = headline_values(payload)
         assert vals["rows4x1.makespan_cycles"] == 1000.0
+        assert vals["rows4x1.wall_s"] == 0.05
+        assert vals["rows4x1.sim_events"] == 780.0
+        assert vals["max_obs_overhead"] == 0.02
         assert vals["rows4x1.hybrid_speedup"] == 2.5
         assert vals["wafer.wall_s"] == 4.2
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, MemoryError_, RoutingError, TaskError
-from repro.core.mapping import build_multi_pipeline_program
+from repro.core.lower import lower_plan
+from repro.core.plan import plan_multi_pipeline
 from repro.wse.color import Color, ColorAllocator
 from repro.wse.dsd import FabinDsd, Mem1dDsd
 from repro.wse.engine import Engine
@@ -31,14 +32,16 @@ class TestSramLimits:
         fabric = Fabric(1, 2, sram_bytes=64)  # pathologically small PE
         engine = Engine(fabric)
         blocks = np.zeros((4, 32), dtype=np.float64)
+        plan = plan_multi_pipeline(blocks, 0.1, rows=1, cols=2)
         with pytest.raises(MemoryError_, match="overflow"):
-            build_multi_pipeline_program(fabric, engine, blocks, eps=0.1)
+            lower_plan(plan, fabric, engine)
 
     def test_normal_mapping_fits_comfortably(self):
         fabric = Fabric(1, 2)
         engine = Engine(fabric)
         blocks = np.zeros((4, 32), dtype=np.float64)
-        build_multi_pipeline_program(fabric, engine, blocks, eps=0.1)
+        plan = plan_multi_pipeline(blocks, 0.1, rows=1, cols=2)
+        lower_plan(plan, fabric, engine)
         for pe in fabric:
             assert pe.sram.used < pe.sram.capacity // 10
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.wse.color import Color
-from repro.wse.fabric import Fabric
+from repro.wse.fabric import Fabric, ResolvedRoute
 from repro.wse.wavelet import Direction
 
 
@@ -41,18 +41,28 @@ class TestRouteCacheHits:
         assert fabric.route_cache_size == size_after_first
 
     def test_cached_and_walked_routes_agree(self):
-        fabric = Fabric(2, 4)
-        cold = Fabric(2, 4, cache_routes=False)
+        """Walked and memoized resolutions both equal the literal route."""
         color = Color(2)
-        for f in (fabric, cold):
-            _eastward_chain(f, color, 1, 4)
-        for col in range(3):
-            entering = Direction.RAMP if col == 0 else Direction.WEST
-            assert fabric.resolve(1, col, color, entering) == cold.resolve(
-                1, col, color, entering
-            )
-        assert cold.route_cache_size == 0
-        assert cold.route_cache_hits == 0
+        expected = {
+            col: ResolvedRoute(source=(1, col), destination=(1, 3), hops=3 - col)
+            for col in range(3)
+        }
+
+        def entering(col: int) -> Direction:
+            return Direction.RAMP if col == 0 else Direction.WEST
+
+        for col, want in expected.items():
+            cold = Fabric(2, 4)  # empty memo: this resolve walks the route
+            _eastward_chain(cold, color, 1, 4)
+            assert cold.resolve(1, col, color, entering(col)) == want
+            assert cold.route_cache_misses == 1
+        warm = Fabric(2, 4)
+        _eastward_chain(warm, color, 1, 4)
+        warm.resolve(1, 0, color)  # one walk memoizes the whole chain
+        for col, want in expected.items():
+            assert warm.resolve(1, col, color, entering(col)) == want
+        assert warm.route_cache_hits == 3
+        assert warm.route_cache_misses == 1
 
 
 class TestRouteCacheInvalidation:
@@ -101,12 +111,6 @@ class TestRouteCacheInvalidation:
         assert fabric.route_cache_misses == 1
         fabric.resolve(0, 0, color)
         assert fabric.route_cache_misses == 1  # warm now
-        # The uncached fabric never counts hits or misses.
-        cold = Fabric(1, 3, cache_routes=False)
-        cold.route_row_segment(0, 0, 2, color)
-        cold.resolve(0, 0, color)
-        assert cold.route_cache_misses == 0
-        assert cold.route_cache_hits == 0
 
     def test_error_paths_stay_uncached(self):
         fabric = Fabric(1, 2)
