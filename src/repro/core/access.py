@@ -2,11 +2,15 @@
 
 Because every block record is self-contained (the paper's block-wise design
 exists precisely so PEs never need neighbours), a reader can decode any
-subrange of a stream without touching the rest of the payload. For v1
-streams only the header *scan* is sequential — record sizes are
-data-dependent — and it reads 4 bytes per block, so skipping is cheap even
-for ranges deep into a large field. Indexed (container v2) streams skip
-even that: the fl table yields every offset from one cumsum.
+subrange of a stream without touching the rest of the payload. The record
+layout comes from :func:`repro.core.compressor.stream_block_layout`, the
+one layout function every decoder uses. For v1 streams only the header walk
+is sequential — record sizes are data-dependent — and it steps on one byte
+per block, validating every header in one vectorized pass afterwards, so
+skipping is cheap even for ranges deep into a large field. Indexed
+(container v2) streams skip even that: the fl table yields every offset
+from one cumsum. Checksummed (v3) streams are read through their index too,
+after their CRCs verify.
 
 This is a host-side library feature the wafer design enables for free:
 post-hoc analysis tools routinely want one slab of a snapshot, not the
@@ -18,40 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CompressionError, FormatError
-from repro.core.encoding import (
-    decode_blocks,
-    index_record_offsets,
-    scan_record_offsets,
-    unpack_block_index,
-)
+from repro.core.compressor import stream_block_layout
+from repro.core.encoding import decode_blocks
 from repro.core.format import StreamHeader
 from repro.core.predictors import get_predictor
 from repro.core.quantize import dequantize
-
-
-def _record_layout(
-    stream: bytes, header: StreamHeader, offset: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, fixed lengths) per block, via the index when available."""
-    if header.indexed:
-        fls, records_start = unpack_block_index(
-            stream, header.num_blocks, offset
-        )
-        offsets = index_record_offsets(
-            fls,
-            header.block_size,
-            header.header_width,
-            start=records_start,
-            stream_size=len(stream),
-        )
-        return offsets, fls
-    return scan_record_offsets(
-        stream,
-        header.num_blocks,
-        header.block_size,
-        header.header_width,
-        start=offset,
-    )
 
 
 def decompress_range(
@@ -88,7 +63,7 @@ def decompress_range(
     first_block = start // L
     last_block = (stop - 1) // L  # inclusive
 
-    offsets, fls = _record_layout(stream, header, offset)
+    offsets, fls = stream_block_layout(stream, header, offset)
     if last_block >= header.num_blocks:
         raise FormatError("stream holds fewer blocks than its header claims")
 
@@ -114,11 +89,11 @@ def block_index(stream: bytes) -> np.ndarray:
     """Per-block byte offsets into the stream (an explicit random-access
     index a caller can cache to skip the header scan on repeated reads).
 
-    For indexed v2 streams this is a vectorized cumsum over the embedded
-    fl table; v1 streams still pay one sequential header walk.
+    For indexed (v2, v3) streams this is a vectorized cumsum over the
+    embedded fl table; v1 streams pay one header walk, one byte per block.
     """
     header, offset = StreamHeader.unpack(stream)
     if header.constant is not None:
         return np.zeros(0, dtype=np.int64)
-    offsets, _ = _record_layout(stream, header, offset)
+    offsets, _ = stream_block_layout(stream, header, offset)
     return offsets

@@ -132,15 +132,6 @@ def stream_block_layout(
             stream_size=len(stream),
         )
     else:
-        # Every record is at least header_width wide; compare against the
-        # bytes actually available for records (after the global header),
-        # so a header claiming a block count just inside the *total*
-        # length cannot slip past and trigger an O(num_blocks) allocation.
-        if header.num_blocks * header.header_width > len(stream) - offset:
-            raise FormatError(
-                f"stream of {len(stream)} bytes cannot describe "
-                f"{header.num_blocks} blocks"
-            )
         offsets, fls = scan_record_offsets(
             stream,
             header.num_blocks,

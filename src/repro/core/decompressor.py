@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.compressor import stream_block_layout
 from repro.core.encoding import (
     decode_blocks,
-    index_record_offsets,
     record_sizes,
     scan_record_offsets,
-    unpack_block_index,
 )
 from repro.core.format import StreamHeader
 from repro.core.integrity import (
@@ -151,7 +150,7 @@ def _verify_plain(stream: bytes) -> IntegrityReport:
         )
     # Pre-CRC stream: the best we can do is check the layout is walkable.
     try:
-        _structural_offsets(stream, header, offset)
+        stream_block_layout(stream, header, offset)
         note = "layout walk OK (no checksums to verify)"
         meta_ok = True
     except FormatError as exc:
@@ -163,31 +162,6 @@ def _verify_plain(stream: bytes) -> IntegrityReport:
         total_blocks=header.num_blocks,
         meta_ok=meta_ok,
         note=note,
-    )
-
-
-def _structural_offsets(
-    stream: bytes, header: StreamHeader, offset: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, fls) of a v1/v2 stream, strict (raises FormatError)."""
-    if header.indexed:
-        fls, records_start = unpack_block_index(
-            stream, header.num_blocks, offset
-        )
-        offsets = index_record_offsets(
-            fls,
-            header.block_size,
-            header.header_width,
-            start=records_start,
-            stream_size=len(stream),
-        )
-        return offsets, fls
-    return scan_record_offsets(
-        stream,
-        header.num_blocks,
-        header.block_size,
-        header.header_width,
-        start=offset,
     )
 
 

@@ -32,8 +32,11 @@ an 8x8 bit matrix in one uint64 word and transpose it with three delta
 swaps (:func:`_transpose_8x8`). They group blocks by how many byte lanes
 their fixed length uses (at most eight groups). Decoding of a bare v1
 stream must walk the headers sequentially (record sizes are data
-dependent). Indexed (container v2) streams ship the fixed lengths up front,
-so :func:`index_record_offsets` replaces the walk with one ``cumsum``.
+dependent); :func:`scan_record_offsets` steps on one header byte per block
+through a record-size table and validates every header afterwards in one
+vectorized pass. Indexed (container v2) streams ship the fixed lengths up
+front, so :func:`index_record_offsets` replaces the walk with one
+``cumsum``.
 
 The fast paths move whole records at once, one fixed length at a time,
 through a strided view of every ``width``-byte window of the stream
@@ -43,6 +46,8 @@ which would cost 8x the payload it moves.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -352,45 +357,73 @@ def scan_record_offsets(
     This is the sequential part of decoding: record sizes depend on the
     headers, so offsets are discovered one block at a time — but it is the
     *only* sequential part, and it reads headers, not payloads.
+
+    Per block the walk does one ``bytes`` index, one lookup in a 256-entry
+    record-size table and one byte store. It steps on each header's low
+    byte: a valid fixed length (<= 63) always fits there, and the table's
+    other 192 entries jump past the end of the stream, so the next read
+    ends the walk. Offsets then come from one ``cumsum`` of the table, and
+    every visited header is validated in one vectorized pass; the first
+    failure in block order is raised. A ``bytes`` stream is walked in
+    place; anything else is copied into one first.
     """
     _check_header_bytes(header_bytes)
-    buf = _as_u8(stream)
+    buf = stream if isinstance(stream, bytes) else _as_u8(stream).tobytes()
+    n = len(buf)
     if num_blocks < 0:
         raise FormatError(f"negative block count {num_blocks}")
     # Every block record is at least one header wide; a block count that
     # cannot fit the stream indicates corruption and must be rejected
     # before any O(num_blocks) allocation happens.
-    if num_blocks * header_bytes > max(0, buf.size - start):
+    if num_blocks * header_bytes > max(0, n - start):
         raise FormatError(
-            f"stream of {buf.size} bytes cannot hold {num_blocks} block "
-            f"records"
+            f"stream of {n} bytes cannot hold {num_blocks} block records"
         )
-    sign_bytes = block_size // 8
-    offsets = np.empty(num_blocks, dtype=np.int64)
-    fls = np.empty(num_blocks, dtype=np.int64)
+    size_of = np.full(256, n + 1, dtype=np.int64)
+    size_of[: _MAX_FL + 1] = record_sizes(
+        np.arange(_MAX_FL + 1), block_size, header_bytes
+    )
+    step = size_of.tolist()
+    lows = bytearray()
+    put = lows.append
     pos = start
-    n = buf.size
-    for i in range(num_blocks):
-        if pos + header_bytes > n:
-            raise FormatError(
-                f"stream truncated in header of block {i} "
-                f"(offset {pos}, stream {n} bytes)"
-            )
-        f = 0
-        for byte in range(header_bytes):
-            f |= int(buf[pos + byte]) << (8 * byte)
-        if f > _MAX_FL:
-            raise FormatError(f"block {i}: invalid fixed length {f}")
-        offsets[i] = pos
-        fls[i] = f
-        pos += header_bytes
-        if f:
-            pos += sign_bytes + f * sign_bytes
+    try:
+        for _ in repeat(None, num_blocks):
+            b = buf[pos]
+            put(b)
+            pos += step[b]
+    except IndexError:
+        pass  # read past the end; the checks below say why
+
+    fls = np.frombuffer(lows, dtype=np.uint8)
+    offsets = np.cumsum(size_of[fls])
+    offsets -= size_of[fls]
+    offsets += start
+    # Offsets rise by at least a header per block, so only the last
+    # visited header can overhang the end of the stream.
+    fit = fls.size
+    if fit and offsets[-1] + header_bytes > n:
+        fit -= 1
+    bad = fls[:fit] > _MAX_FL
+    u8 = np.frombuffer(buf, dtype=np.uint8)
+    for byte in range(1, header_bytes):
+        bad |= u8[offsets[:fit] + byte] != 0
+    if bad.any():
+        i = int(bad.argmax())
+        at = int(offsets[i])
+        f = int.from_bytes(buf[at : at + header_bytes], "little")
+        raise FormatError(f"block {i}: invalid fixed length {f}")
+    if fit < num_blocks:
+        at = int(offsets[fit]) if fit < fls.size else pos
+        raise FormatError(
+            f"stream truncated in header of block {fit} "
+            f"(offset {at}, stream {n} bytes)"
+        )
     if pos > n:
         raise FormatError(
             f"stream truncated in payload of final block (need {pos}, have {n})"
         )
-    return offsets, fls
+    return offsets, fls.astype(np.int64)
 
 
 def decode_blocks(
@@ -424,7 +457,7 @@ def decode_blocks(
     buf = np.ascontiguousarray(_as_u8(stream))
     if offsets is None or fls is None:
         offsets, fls = scan_record_offsets(
-            buf, num_blocks, block_size, header_bytes, start
+            stream, num_blocks, block_size, header_bytes, start
         )
     else:
         offsets = np.asarray(offsets, dtype=np.int64)

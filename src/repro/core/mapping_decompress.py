@@ -65,7 +65,7 @@ def records_to_words(
         )
     buf = np.frombuffer(body, dtype=np.uint8)
     offsets, fls = scan_record_offsets(
-        buf, num_blocks, block_size, CERESZ_HEADER_BYTES
+        body, num_blocks, block_size, CERESZ_HEADER_BYTES
     )
     out = []
     sign_words = block_size // 32

@@ -217,6 +217,11 @@ def _headline_host_throughput(payload: dict) -> dict:
                 out[f"{profile}.{key}"] = float(summary[key])
         for case in summary.get("cases", []):
             out[f"{profile}.{case['name']}.ratio"] = float(case["ratio"])
+            # The v1 case's decode rate is the only gate on the header
+            # walk: a slower walk raises the v2-over-v1 speedup.
+            out[f"{profile}.{case['name']}.decompress_mbs"] = float(
+                case["decompress_mbs"]
+            )
     return out
 
 
@@ -259,12 +264,22 @@ def _headline_observations(payload: dict) -> dict:
 
 
 def load_baseline(path: str | os.PathLike) -> dict:
-    """Headline metrics from a committed BENCH_*.json (or RunRecord JSON)."""
+    """Headline metrics from a committed BENCH_*.json (or RunRecord JSON).
+
+    A ``--quick`` payload is refused: baselines are full-size runs, and a
+    quick run that overwrote its own baseline would only be compared with
+    itself.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise LedgerError(f"{path}: not valid JSON: {exc}") from exc
+    if payload.get("quick") is True:
+        raise LedgerError(
+            f"{path}: a --quick run cannot be a baseline; restore the "
+            f"committed full-size file"
+        )
     try:
         return headline_values(payload)
     except LedgerError as exc:

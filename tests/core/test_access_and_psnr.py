@@ -10,45 +10,66 @@ from repro.core.quantize import psnr_to_relative
 from repro.metrics.quality import psnr as measure_psnr
 
 
+#: Every container random access must read: v1 (header walk), v2 (fl
+#: index) and v3 (fl index, then the CRC group table, then the records).
+CONTAINERS = {
+    "v1": {"index": False},
+    "v2": {"index": True},
+    "v3": {"index": True, "checksum": True},
+}
+
+
 @pytest.fixture(scope="module")
 def stream_and_field():
     rng = np.random.default_rng(4)
     data = np.cumsum(rng.normal(size=3000)).astype(np.float32)
     data[1000:1500] = 0.0  # zero blocks in the middle
-    result = CereSZ().compress(data, rel=1e-3)
-    return result, data
+    results = {
+        name: CereSZ().compress(data, rel=1e-3, **kw)
+        for name, kw in CONTAINERS.items()
+    }
+    return results, data
 
 
 class TestDecompressRange:
     def test_matches_full_reconstruction(self, stream_and_field):
-        result, data = stream_and_field
-        full = CereSZ().decompress(result.stream)
-        for start, stop in [(0, 32), (0, 3000), (100, 900), (2950, 3000)]:
-            part = decompress_range(result.stream, start, stop)
-            assert np.array_equal(part, full[start:stop]), (start, stop)
+        results, data = stream_and_field
+        for name, result in results.items():
+            full = CereSZ().decompress(result.stream)
+            for start, stop in [(0, 32), (0, 3000), (100, 900), (2950, 3000)]:
+                part = decompress_range(result.stream, start, stop)
+                assert np.array_equal(part, full[start:stop]), (
+                    name, start, stop,
+                )
 
     def test_unaligned_ranges(self, stream_and_field):
-        result, data = stream_and_field
-        full = CereSZ().decompress(result.stream)
-        for start, stop in [(1, 2), (31, 33), (17, 1999), (1499, 1501)]:
-            part = decompress_range(result.stream, start, stop)
-            assert np.array_equal(part, full[start:stop]), (start, stop)
+        results, data = stream_and_field
+        for name, result in results.items():
+            full = CereSZ().decompress(result.stream)
+            for start, stop in [(1, 2), (31, 33), (17, 1999), (1499, 1501)]:
+                part = decompress_range(result.stream, start, stop)
+                assert np.array_equal(part, full[start:stop]), (
+                    name, start, stop,
+                )
 
     def test_range_through_zero_blocks(self, stream_and_field):
-        result, data = stream_and_field
-        part = decompress_range(result.stream, 1100, 1400)
-        assert not part.any()
+        results, data = stream_and_field
+        for name, result in results.items():
+            part = decompress_range(result.stream, 1100, 1400)
+            assert not part.any(), name
 
     def test_empty_range(self, stream_and_field):
-        result, _ = stream_and_field
-        assert decompress_range(result.stream, 50, 50).size == 0
+        results, _ = stream_and_field
+        for result in results.values():
+            assert decompress_range(result.stream, 50, 50).size == 0
 
     def test_out_of_bounds_rejected(self, stream_and_field):
-        result, _ = stream_and_field
-        with pytest.raises(CompressionError, match="outside"):
-            decompress_range(result.stream, 0, 4000)
-        with pytest.raises(CompressionError):
-            decompress_range(result.stream, -1, 10)
+        results, _ = stream_and_field
+        for result in results.values():
+            with pytest.raises(CompressionError, match="outside"):
+                decompress_range(result.stream, 0, 4000)
+            with pytest.raises(CompressionError):
+                decompress_range(result.stream, -1, 10)
 
     def test_nd_streams_rejected(self, field_2d):
         nd = CereSZ(predictor="nd").compress(field_2d, rel=1e-3)
@@ -61,10 +82,19 @@ class TestDecompressRange:
         assert np.all(part == np.float32(7.5))
 
     def test_block_index(self, stream_and_field):
-        result, _ = stream_and_field
-        idx = block_index(result.stream)
-        assert idx.size == -(-3000 // 32)
-        assert np.all(np.diff(idx) >= 4)  # at least a header per block
+        results, _ = stream_and_field
+        records = set()
+        for name, result in results.items():
+            idx = block_index(result.stream)
+            assert idx.size == -(-3000 // 32)
+            assert np.all(np.diff(idx) >= 4)  # at least a header per block
+            # Every offset lands on its record's header, whose low byte is
+            # the block's fixed length.
+            headers = np.frombuffer(result.stream, dtype=np.uint8)[idx]
+            assert np.array_equal(headers, result.fixed_lengths), name
+            records.add(result.stream[idx[0]:])
+        # The records are the same bytes behind every container's tables.
+        assert len(records) == 1
 
 
 class TestPsnrTarget:

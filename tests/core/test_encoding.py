@@ -250,6 +250,117 @@ class TestScanAndErrors:
         assert np.array_equal(out, residuals)
 
 
+def walk_headers(stream, num_blocks, block_size, header_bytes, start=0):
+    """The plain sequential header walk: the oracle for
+    :func:`scan_record_offsets`, same results and same error messages."""
+    buf = bytes(stream)
+    n = len(buf)
+    if num_blocks < 0:
+        raise FormatError(f"negative block count {num_blocks}")
+    if num_blocks * header_bytes > max(0, n - start):
+        raise FormatError(
+            f"stream of {n} bytes cannot hold {num_blocks} block records"
+        )
+    sign_bytes = block_size // 8
+    offsets, fls = [], []
+    pos = start
+    for i in range(num_blocks):
+        if pos + header_bytes > n:
+            raise FormatError(
+                f"stream truncated in header of block {i} "
+                f"(offset {pos}, stream {n} bytes)"
+            )
+        f = int.from_bytes(buf[pos : pos + header_bytes], "little")
+        if f > 63:
+            raise FormatError(f"block {i}: invalid fixed length {f}")
+        offsets.append(pos)
+        fls.append(f)
+        pos += header_bytes
+        if f:
+            pos += sign_bytes + f * sign_bytes
+    if pos > n:
+        raise FormatError(
+            f"stream truncated in payload of final block (need {pos}, have {n})"
+        )
+    return np.array(offsets, dtype=np.int64), np.array(fls, dtype=np.int64)
+
+
+def _walk_outcome(walk, *args):
+    try:
+        offsets, fls = walk(*args)
+    except FormatError as exc:
+        return ("raised", str(exc))
+    return ("ok", offsets.tolist(), fls.tolist())
+
+
+class TestHeaderWalkOracle:
+    """The vectorized-validation walk against the sequential oracle, on
+    valid streams and on one corruption per example."""
+
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.one_of(st.just(0), st.integers(1, 63)),
+                st.integers(1, 12),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        block_size=st.integers(1, 32).map(lambda k: 8 * k),
+        header=st.sampled_from([SZP_HEADER_BYTES, CERESZ_HEADER_BYTES]),
+        prefix=st.binary(max_size=9),
+        trailing=st.binary(max_size=9),
+        as_array=st.booleans(),
+        corruption=st.sampled_from(
+            ["none", "truncate", "low", "high", "count"]
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_sequential_walk(
+        self, runs, block_size, header, prefix, trailing, as_array,
+        corruption, data,
+    ):
+        fls = [f for f, count in runs for _ in range(count)]
+        rng = np.random.default_rng(len(fls))
+        records = bytearray()
+        heads = []
+        for f in fls:
+            heads.append(len(prefix) + len(records))
+            records += f.to_bytes(header, "little")
+            if f:
+                body = (f + 1) * (block_size // 8)
+                records += rng.integers(0, 256, body, dtype=np.uint8).tobytes()
+        stream = bytearray(prefix + records + trailing)
+        num_blocks = len(fls)
+        # Claiming extra blocks may still parse (the trailing bytes can
+        # read as valid records); every other corruption must raise.
+        must_raise = corruption in ("truncate", "low")
+        if corruption == "truncate":
+            end = len(prefix) + len(records)
+            stream = stream[: data.draw(st.integers(len(prefix), end - 1))]
+        elif corruption == "low":
+            at = data.draw(st.sampled_from(heads))
+            stream[at] = data.draw(st.integers(64, 255))
+        elif corruption == "high" and header == CERESZ_HEADER_BYTES:
+            at = data.draw(st.sampled_from(heads)) + data.draw(
+                st.integers(1, 3)
+            )
+            stream[at] = data.draw(st.integers(1, 255))
+            must_raise = True
+        elif corruption == "count":
+            num_blocks += data.draw(st.integers(1, 40))
+        stream = bytes(stream)
+        if as_array:
+            stream = np.frombuffer(stream, dtype=np.uint8).copy()
+
+        args = (stream, num_blocks, block_size, header, len(prefix))
+        got = _walk_outcome(scan_record_offsets, *args)
+        assert got == _walk_outcome(walk_headers, *args)
+        if must_raise:
+            assert got[0] == "raised"
+
+
 class TestPackRecords:
     """The fused path's packing core against the encode_blocks oracle."""
 

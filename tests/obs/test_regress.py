@@ -77,21 +77,50 @@ class TestMetricPolicy:
         assert policy.abs_tol is not None
 
 
+def host_payload(v1_decode_mbs=720.0, v2_over_v1=2.4, quick=False):
+    """A host-throughput bench payload: the v1 (header walk) case and the
+    indexed case it is measured against."""
+    return {
+        "benchmark": "host_throughput",
+        "quick": quick,
+        "profiles": {
+            "smooth": {
+                "v2_over_v1_decode_speedup": v2_over_v1,
+                "fused_compress_speedup": 4.0,
+                "cases": [
+                    {"name": "serial-v1", "ratio": 26.6,
+                     "decompress_mbs": v1_decode_mbs},
+                    {"name": "indexed-v2", "ratio": 22.0,
+                     "decompress_mbs": v1_decode_mbs * v2_over_v1},
+                ],
+            }
+        },
+    }
+
+
 class TestHeadlineAdapters:
     def test_host_throughput(self):
-        payload = {
-            "benchmark": "host_throughput",
-            "profiles": {
-                "smooth": {
-                    "v2_over_v1_decode_speedup": 3.5,
-                    "fused_compress_speedup": 4.0,
-                    "cases": [{"name": "rtm_small", "ratio": 25.0}],
-                }
-            },
-        }
-        vals = headline_values(payload)
-        assert vals["smooth.v2_over_v1_decode_speedup"] == 3.5
-        assert vals["smooth.rtm_small.ratio"] == 25.0
+        vals = headline_values(host_payload())
+        assert vals["smooth.v2_over_v1_decode_speedup"] == 2.4
+        assert vals["smooth.serial-v1.ratio"] == 26.6
+        assert vals["smooth.serial-v1.decompress_mbs"] == 720.0
+        assert vals["smooth.indexed-v2.decompress_mbs"] == 720.0 * 2.4
+
+    def test_host_decode_rate_gates_the_header_walk(self):
+        """A slower v1 header walk *raises* the v2-over-v1 speedup, so only
+        the v1 case's own decode rate can catch it. A return to the
+        per-block scalar walk reads ~55 MB/s against the ~720 MB/s
+        baseline (-92%) and must be flagged; a healthy quick run (~420
+        MB/s on a quarter-size field) must pass."""
+        base = headline_values(host_payload())
+        quick = headline_values(host_payload(420.0, 3.2, quick=True))
+        assert compare_to_baseline(quick, base).ok
+        scalar = compare_to_baseline(
+            headline_values(host_payload(55.0, 25.0)), base
+        )
+        assert [f.metric for f in scalar.findings if f.regressed] == [
+            "smooth.serial-v1.decompress_mbs"
+        ]
 
     def test_sim_speed(self):
         payload = {
@@ -166,6 +195,16 @@ class TestHeadlineAdapters:
         path.write_text("{nope")
         with pytest.raises(LedgerError, match="not valid JSON"):
             load_baseline(path)
+
+    def test_load_baseline_refuses_quick_runs(self, tmp_path):
+        """A --quick bench that overwrote its committed baseline would be
+        gated against itself; the gate must refuse it instead."""
+        path = tmp_path / "BENCH_host_throughput.json"
+        path.write_text(json.dumps(host_payload(quick=True)))
+        with pytest.raises(LedgerError, match="quick"):
+            load_baseline(path)
+        path.write_text(json.dumps(host_payload(quick=False)))
+        assert load_baseline(path)["smooth.serial-v1.decompress_mbs"] == 720.0
 
 
 class TestCompare:
