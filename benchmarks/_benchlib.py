@@ -1,4 +1,5 @@
-"""Shared plumbing for the benchmark scripts: ledger emission and logs.
+"""Shared plumbing for the benchmark scripts: ledger emission, logs, and
+the machine-speed probe.
 
 Every headline bench writes its payload JSON as before (the perf
 trajectory the repo commits) and, with ``--ledger``, *also* appends one
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -25,7 +27,34 @@ from repro.obs.ledger import emit  # noqa: E402
 from repro.obs.log import get_logger  # noqa: E402
 from repro.obs.regress import headline_values  # noqa: E402
 
-__all__ = ["add_ledger_flag", "emit_bench_record", "get_logger"]
+__all__ = [
+    "REFERENCE_CAL_S",
+    "add_ledger_flag",
+    "calibration_s",
+    "emit_bench_record",
+    "get_logger",
+]
+
+#: The machine-speed probe's time on an unloaded 2-vCPU Xeon VM, the same
+#: reference the repository benchmark (``perfbench/run.py``) scales to: a
+#: call timed while :func:`calibration_s` took ``c`` seconds counts as
+#: ``REFERENCE_CAL_S / c`` times its wall time.
+REFERENCE_CAL_S = 0.006
+
+
+def calibration_s() -> float:
+    """Wall time of a fixed pure-Python loop, the machine-speed probe.
+
+    A copy of ``perfbench.run.calibration_s``. On a shared VM other
+    tenants slow this process for tens of seconds at a time, by up to 2x;
+    the loop runs no ``repro`` code, so a program change cannot move it,
+    while contention slows it together with the timed call.
+    """
+    t0 = time.perf_counter()
+    d = {}
+    for i in range(40000):
+        d[i & 1023] = d.get(i & 1023, 0) + i
+    return time.perf_counter() - t0
 
 
 def add_ledger_flag(parser) -> None:

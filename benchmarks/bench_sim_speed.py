@@ -22,7 +22,18 @@ metrics registry), and parallel (``jobs`` workers) — and asserts the
 compressed bytes and makespans are identical before reporting wall
 time, events and simulated-cycles/second.
 
-Run as a script (the point is relative wall clock, best-of-N):
+Timing. Each config's headline ``optimized.wall_s`` is the median of the
+optimized run's samples from the optimized/observed pair, each scaled to
+the reference machine speed by a probe taken just before and just after
+it (:func:`_benchlib.calibration_s`, the repository benchmark's probe and
+0.006 s reference). Load on a shared box is bimodal over tens of seconds,
+so a raw best-of-N lands in the quiet or the loaded mode depending on
+when it ran; the scaled median does not. The obs-overhead and parallel
+speedup ratios keep raw best-of-N on both sides (``best_wall_s`` is the
+optimized side's), as do the hybrid walls; the full-wafer wall is one
+raw run. The payload's ``timing`` field records this.
+
+Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_sim_speed.py
     PYTHONPATH=src python benchmarks/bench_sim_speed.py --quick
@@ -47,10 +58,18 @@ sys.path.insert(
 )
 
 try:  # script mode: the benchmarks dir itself is sys.path[0]
-    from _benchlib import add_ledger_flag, emit_bench_record, get_logger
+    from _benchlib import (
+        REFERENCE_CAL_S,
+        add_ledger_flag,
+        calibration_s,
+        emit_bench_record,
+        get_logger,
+    )
 except ImportError:  # collected as part of the benchmarks package
     from benchmarks._benchlib import (
+        REFERENCE_CAL_S,
         add_ledger_flag,
+        calibration_s,
         emit_bench_record,
         get_logger,
     )
@@ -81,6 +100,15 @@ EPS = 1e-3
 #: keep the measured figure reliably inside a 5% gate on a loaded machine
 #: (9 still showed ±8% outliers).
 OBS_REPEATS = 25
+
+#: How the payload's times were taken (recorded in the JSON).
+TIMING_METHOD = (
+    f"optimized.wall_s: median of the optimized side's {OBS_REPEATS}+ "
+    f"paired samples, each scaled to reference speed by calibration "
+    f"probes before and after it (reference {REFERENCE_CAL_S} s); "
+    f"best_wall_s, observed, parallel and hybrid walls: raw best-of-N; "
+    f"wafer.wall_s: one raw run"
+)
 
 #: (mesh label, rows, cols, blocks-per-row). The fig7 configuration is the
 #: rows strategy on the largest mesh run (Fig 7 sweeps PE rows at block 32).
@@ -113,8 +141,8 @@ def best_of(repeats: int, fn):
     return best, value
 
 
-def best_of_paired(repeats: int, fn_a, fn_b):
-    """Best-of-N for two functions with interleaved, order-alternating runs.
+def paired_samples(repeats: int, fn_a, fn_b):
+    """Interleaved, order-alternating samples of two functions.
 
     The obs-overhead figure is a ratio of two short (~10-100 ms)
     measurements; timing all of A then all of B lets CPU frequency and
@@ -127,32 +155,36 @@ def best_of_paired(repeats: int, fn_a, fn_b):
     doesn't land inside exactly one side's timing window. Best-of-N on
     each side then converges to the quiet-machine time for both.
 
-    Returns ``((best_a, val_a), (best_b, val_b))``.
+    Every call is also bracketed by machine-speed probes
+    (:func:`calibration_s`; consecutive calls share the probe between
+    them), so each sample carries the machine's speed relative to the
+    reference while it ran.
+
+    Returns ``((times_a, speeds_a, val_a), (times_b, speeds_b, val_b))``.
     """
-    best_a = best_b = float("inf")
-    val_a = val_b = None
+    times: dict[str, list[float]] = {"a": [], "b": []}
+    speeds: dict[str, list[float]] = {"a": [], "b": []}
+    values = {}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        before = calibration_s()
         for i in range(repeats):
             pair = ((fn_a, "a"), (fn_b, "b"))
             if i % 2:
                 pair = pair[::-1]
             for fn, side in pair:
                 t0 = time.perf_counter()
-                value = fn()
-                dt = time.perf_counter() - t0
-                if side == "a":
-                    val_a = value
-                    best_a = min(best_a, dt)
-                else:
-                    val_b = value
-                    best_b = min(best_b, dt)
+                values[side] = fn()
+                times[side].append(time.perf_counter() - t0)
+                after = calibration_s()
+                speeds[side].append(2 * REFERENCE_CAL_S / (before + after))
+                before = after
     finally:
         if was_enabled:
             gc.enable()
-    return (best_a, val_a), (best_b, val_b)
+    return tuple((times[k], speeds[k], values[k]) for k in "ab")
 
 
 def run_config(
@@ -193,13 +225,21 @@ def run_config(
     plan_obs = build_plan(strategy, rows, cols, blocks)
     tracer = Tracer(level="off")
     registry = MetricsRegistry()
-    results["optimized"], results["observed"] = best_of_paired(
-        max(repeats, OBS_REPEATS),
-        lambda: simulate_plan(plan_opt, **modes["optimized"]),
-        lambda: simulate_plan(
-            plan_obs, tracer=tracer, metrics=registry, **modes["observed"]
-        ),
+    (opt_times, opt_speeds, opt_run), (obs_times, _, obs_run) = (
+        paired_samples(
+            max(repeats, OBS_REPEATS),
+            lambda: simulate_plan(plan_opt, **modes["optimized"]),
+            lambda: simulate_plan(
+                plan_obs, tracer=tracer, metrics=registry,
+                **modes["observed"],
+            ),
+        )
     )
+    # The headline wall: the median sample at reference machine speed.
+    results["optimized"] = (
+        float(np.median(np.multiply(opt_times, opt_speeds))), opt_run
+    )
+    results["observed"] = (min(obs_times), obs_run)
     for mode in modes:
         wall, run = results[mode]
         streams[mode] = run.outputs.stream(num_blocks)
@@ -223,12 +263,12 @@ def run_config(
             f"{strategy} {rows}x{cols}: modes disagree on makespan "
             f"{sorted(makespans)}"
         )
-    out["speedup_parallel"] = (
-        out["optimized"]["wall_s"] / out["parallel"]["wall_s"]
-    )
-    out["obs_overhead"] = (
-        out["observed"]["wall_s"] / out["optimized"]["wall_s"] - 1.0
-    )
+    # The ratios compare raw best-of times: the optimized side's best of
+    # the same paired samples its reference-speed median came from.
+    best_opt = min(opt_times)
+    out["optimized"]["best_wall_s"] = best_opt
+    out["speedup_parallel"] = best_opt / out["parallel"]["wall_s"]
+    out["obs_overhead"] = out["observed"]["wall_s"] / best_opt - 1.0
     return out
 
 
@@ -335,7 +375,8 @@ def render(configs: list[dict], jobs: int) -> str:
     lines = [
         "WSE simulator speed: single-process engine vs row-parallel",
         f"block {BLOCK_SIZE}, eps {EPS}, jobs {jobs} for the parallel "
-        "column, best-of-N wall clock",
+        "column; opt s: median at reference machine speed, the rest "
+        "best-of-N",
         "",
         f"{'config':<20} {'blocks':>6} {'events':>7} {'opt s':>8} "
         f"{'par s':>8} {'par x':>6} {'obs %':>6} {'Mcyc/s opt':>11}",
@@ -356,8 +397,9 @@ def render(configs: list[dict], jobs: int) -> str:
         "(optimized: the engine, single process; observed: optimized +",
         " trace_level=off tracer and a metrics registry — 'obs %' is its",
         " wall-time overhead; parallel: optimized + row partitions across",
-        " processes, 'par x' its speedup over optimized. All modes produce",
-        " identical bytes, makespans, and counters.)",
+        " processes, 'par x' its speedup over optimized. 'par x' and 'obs %'",
+        " compare best-of-N times. All modes produce identical bytes,",
+        " makespans, and counters.)",
     ]
     return "\n".join(lines) + "\n"
 
@@ -489,6 +531,7 @@ def main(argv=None) -> int:
         "eps": EPS,
         "jobs": args.jobs,
         "quick": args.quick,
+        "timing": TIMING_METHOD,
         "configs": configs,
         "fig7_rows_obs_overhead": fig7["obs_overhead"],
         "max_obs_overhead": worst_obs["obs_overhead"],

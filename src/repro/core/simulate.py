@@ -868,10 +868,11 @@ def _compose_hybrid(
 
     Everything scales exactly: records map position-for-position through
     the emit sequences, traces/counters are the representative's with the
-    row coordinate rewritten (folded in row-major order, matching the
-    serial run's recording loop), events/tasks multiply by class size,
-    the makespan is the max over classes (replication cannot change a
-    row's finish time), and metric counters/histograms scale linearly
+    row coordinate rewritten (merged by reference in row-major order, the
+    serial run's recording order, and built on first read), events/tasks
+    multiply by class size, the makespan is the max over classes
+    (replication cannot change a row's finish time), and metric
+    counters/histograms scale linearly
     while gauges are replication-invariant. The known inexactness is the
     same as for row-parallel runs: ``sim.engine.queue_depth.max`` (heap
     depth depends on how rows share one event heap) and the *ordering* of
@@ -968,7 +969,8 @@ def simulate_replicated(
     is asserted at small scale by the hybrid test suite). Composition
     semantics match :func:`simulate_plan(mode="hybrid")
     <simulate_plan>`; the composed stream equals the template's stream
-    tiled ``copies`` times.
+    tiled ``copies`` times. Trace rows merge by reference, O(1) per copy
+    until the report's ``traces``/``node_counters`` are first read.
     """
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")

@@ -85,6 +85,10 @@ class SimulationReport:
         return self.fault is not None
 
 
+class _Misframe(TaskError):
+    """An extent mismatch under fault injection: a stall symptom, no bug."""
+
+
 @dataclass
 class _PendingRecv:
     dst: Mem1dDsd
@@ -319,7 +323,10 @@ class Engine:
             time, _, event = heapq.heappop(self._queue)
             self._now = max(self._now, time)
             self._events_processed += 1
-            self._dispatch(time, event)
+            try:
+                self._dispatch(time, event)
+            except _Misframe as exc:
+                return _stall(str(exc), "deadlock")
             if stop_when is not None and stop_when():
                 break
         if not allow_pending:
@@ -445,12 +452,13 @@ class Engine:
             candidates.sort()
             _, which = candidates[0]
             if which == "relay":
-                pending = relays.popleft()
+                pending = relays[0]
                 if data.size != pending.extent:
-                    raise TaskError(
+                    raise (_Misframe if self._faulted else TaskError)(
                         f"PE{pe.coord}: relay on color {color_id} expected "
                         f"{pending.extent} wavelets, got {data.size}"
                     )
+                relays.popleft()
                 self._send(
                     pe,
                     pending.out_color,
@@ -460,12 +468,13 @@ class Engine:
                     pending.charge_relay,
                 )
             else:
-                pending = recvs.popleft()
+                pending = recvs[0]
                 if data.size != pending.extent:
-                    raise TaskError(
+                    raise (_Misframe if self._faulted else TaskError)(
                         f"PE{pe.coord}: receive on color {color_id} expected "
                         f"{pending.extent} wavelets, got {data.size}"
                     )
+                recvs.popleft()
                 target = pending.dst.resolve(pe.buffers)
                 if target.size != data.size:
                     raise TaskError(

@@ -92,13 +92,24 @@ class PETrace:
         return self.compute_cycles + self.relay_cycles
 
 
-@dataclass
 class TraceRecorder:
     """Collects :class:`PETrace` rows and answers aggregate queries."""
 
-    traces: list[PETrace] = field(default_factory=list)
-    events_processed: int = 0
-    node_counters: list[NodeCounters] = field(default_factory=list)
+    def __init__(self) -> None:
+        self._traces: list[PETrace] = []
+        self._node_counters: list[NodeCounters] = []
+        self._replicas: list[tuple[TraceRecorder, int]] = []
+        self.events_processed = 0
+
+    @property
+    def traces(self) -> list[PETrace]:
+        self._materialize()
+        return self._traces
+
+    @property
+    def node_counters(self) -> list[NodeCounters]:
+        self._materialize()
+        return self._node_counters
 
     def record(self, pe: ProcessingElement) -> None:
         self.traces.append(
@@ -204,35 +215,41 @@ class TraceRecorder:
         touched here — replication multiplies it, so the composer sets the
         class-weighted total once.
 
-        Replica counters share the representative's ``stage_cycles`` dict:
-        aggregation only reads it after a run, and sharing keeps wafer-
-        scale composition (hundreds of thousands of counters) cheap.
+        The copy is kept by reference, O(1); its rows are built on first
+        read, in merge order, sharing the representative's ``stage_cycles``
+        dicts. A representative must not be mutated once merged.
         """
-        for t in part.traces:
-            self.traces.append(
-                PETrace(
-                    row=t.row + row_offset,
-                    col=t.col,
-                    compute_cycles=t.compute_cycles,
-                    relay_cycles=t.relay_cycles,
-                    tasks_run=t.tasks_run,
-                    finished_at=t.finished_at,
+        self._replicas.append((part, row_offset))
+
+    def _materialize(self) -> None:
+        """Build the rows of every pending replica, in merge order."""
+        pending, self._replicas = self._replicas, []
+        for part, row_offset in pending:
+            for t in part.traces:
+                self._traces.append(
+                    PETrace(
+                        row=t.row + row_offset,
+                        col=t.col,
+                        compute_cycles=t.compute_cycles,
+                        relay_cycles=t.relay_cycles,
+                        tasks_run=t.tasks_run,
+                        finished_at=t.finished_at,
+                    )
                 )
-            )
-        for nc in part.node_counters:
-            row = nc.row + row_offset
-            self.node_counters.append(
-                NodeCounters(
-                    label=f"{nc.kind}@({row},{nc.col})",
-                    kind=nc.kind,
-                    row=row,
-                    col=nc.col,
-                    blocks_relayed=nc.blocks_relayed,
-                    wavelets_sent=nc.wavelets_sent,
-                    blocks_emitted=nc.blocks_emitted,
-                    stage_cycles=nc.stage_cycles,
+            for nc in part.node_counters:
+                row = nc.row + row_offset
+                self._node_counters.append(
+                    NodeCounters(
+                        label=f"{nc.kind}@({row},{nc.col})",
+                        kind=nc.kind,
+                        row=row,
+                        col=nc.col,
+                        blocks_relayed=nc.blocks_relayed,
+                        wavelets_sent=nc.wavelets_sent,
+                        blocks_emitted=nc.blocks_emitted,
+                        stage_cycles=nc.stage_cycles,
+                    )
                 )
-            )
 
     def busiest_pe(self) -> PETrace:
         if not self.traces:

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import partition_blocks
+from repro.core.compressor import CereSZ
 from repro.core.plan import expand_mesh, plan_row_parallel
 from repro.core.simulate import simulate_plan, simulate_with_repair
 from repro.core.wse_compressor import WSECereSZ
-from repro.errors import RepairError, ScheduleError
+from repro.errors import DeadlockError, RepairError, ScheduleError
 from repro.faults import (
     FaultPlan,
     LinkDown,
@@ -244,6 +245,48 @@ class TestSilentBlockLoss:
         assert np.array_equal(
             back, clean.decompress_on_wafer(result.stream)[0]
         )
+
+
+class TestMisframedDecode:
+    """A dropped wavelet on the record feed shifts every later message,
+    so the next receive sees the wrong length (a 1-wavelet header where
+    the 7-wavelet payload was expected, or the reverse). Under injection
+    that is a fault symptom and must enter the repair ladder like any
+    stall, not escape it as a bare TaskError."""
+
+    X = np.random.default_rng(3).normal(size=390).cumsum().astype(np.float32)
+
+    @pytest.mark.parametrize("on_fault", ("raise", "repair", "fallback"))
+    @pytest.mark.parametrize("nth", (1, 2, 5))
+    @pytest.mark.parametrize("spare", (0, 1))
+    @pytest.mark.parametrize("strategy", ("rows", "pipeline"))
+    def test_dropped_wavelet_stays_on_the_ladder(
+        self, strategy, spare, nth, on_fault
+    ):
+        stream = CereSZ().compress(self.X, rel=1e-3).stream
+        cols = 2 if strategy == "pipeline" else 1
+        codec = WSECereSZ(
+            rows=1, cols=cols, strategy=strategy, pipeline_length=cols,
+            spare_rows=spare, on_fault=on_fault,
+            faults=FaultPlan(
+                seed=0,
+                faults=(WaveletDrop(row=0, col=0, color_id=0, nth=nth),),
+            ),
+        )
+        if on_fault == "raise":
+            with pytest.raises(DeadlockError) as exc_info:
+                codec.decompress_on_wafer(stream)
+            report = exc_info.value.report
+            assert [f.kind for f in report.injected] == ["drop"]
+            assert (0, 0) in report.stuck_pes
+        elif on_fault == "repair" and spare:
+            back, _ = codec.decompress_on_wafer(stream)
+            assert np.array_equal(back, CereSZ().decompress(stream))
+        else:
+            with pytest.raises(RepairError) as exc_info:
+                codec.decompress_on_wafer(stream)
+            assert exc_info.value.fault_report is not None
+            assert exc_info.value.repair_report.outcome == "exhausted"
 
 
 class TestPartitionInvariance:
