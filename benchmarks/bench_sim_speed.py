@@ -6,21 +6,25 @@ Three optimizations stack on the hot path:
 * route caching — ``Fabric.resolve`` memoizes per (PE, color, entering
   direction) instead of re-walking the static route for every send;
 * event-queue slimming + fused kernels — at most one ``task`` event per
-  PE, ``match`` probes only when they can pair, zero-copy scratch sends,
-  and whole-block compression fused into one vectorized kernel with
-  identical cycle accounting;
+  PE, ``match`` probes only when they can pair, zero-copy sends straight
+  to the fabric, and fused kernels with identical cycle accounting for
+  whole-block compression and for every pipelined stage group in both
+  directions;
 * row-parallel simulation — provably independent row subgraphs simulated
   in separate processes and merged exactly (``jobs > 1``).
 
 ``simulate_plan`` always runs the first two, so there is no slower mode
 to race; their results are pinned in the test suite instead (literal
 route destinations and hop counts, the exact event count of every
-strategy, and the fused kernel against its stepped sub-stage oracle).
+strategy, and the fused kernels against their stepped sub-stage oracle).
 Each strategy/mesh cell runs the same plan three ways — optimized
 (single process), observed (optimized plus an ``off`` tracer and a
 metrics registry), and parallel (``jobs`` workers) — and asserts the
 compressed bytes and makespans are identical before reporting wall
-time, events and simulated-cycles/second.
+time, events and simulated-cycles/second. One decode cell rides along:
+``pipeline-decompress`` on the small mesh decodes the wafer records of
+the same blocks through the Section 4.2 pipeline, with the same three-way
+equality asserts on the decoded values.
 
 Timing. Each config's headline ``optimized.wall_s`` is the median of the
 optimized run's samples from the optimized/observed pair, each scaled to
@@ -73,9 +77,12 @@ except ImportError:  # collected as part of the benchmarks package
         emit_bench_record,
         get_logger,
     )
+from repro.core.lower import host_block_records  # noqa: E402
+from repro.core.mapping_decompress import DecompressOutputs  # noqa: E402
 from repro.core.plan import (  # noqa: E402
     plan_multi_pipeline,
     plan_pipeline,
+    plan_pipeline_decompress,
     plan_row_parallel,
     tile_rows,
 )
@@ -84,7 +91,10 @@ from repro.core.simulate import (  # noqa: E402
     simulate_plan,
     simulate_replicated,
 )
-from repro.core.stages import compression_substages  # noqa: E402
+from repro.core.stages import (  # noqa: E402
+    compression_substages,
+    decompression_substages,
+)
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.tracing import Tracer  # noqa: E402
 
@@ -127,7 +137,26 @@ def build_plan(strategy: str, rows: int, cols: int, blocks: np.ndarray):
         stages = compression_substages(8, BLOCK_SIZE)
         dist = distribute_substages(stages, min(cols, 4))
         return plan_pipeline(blocks, EPS, dist, rows=rows, cols=cols)
+    if strategy == "pipeline-decompress":
+        # Decode the blocks' wafer records; the reverse sub-stages are
+        # sized for the largest fixed length, as decompress_on_wafer does.
+        n = blocks.shape[0]
+        records = host_block_records(blocks, EPS, range(n))
+        max_fl = max(int.from_bytes(r[:4], "little") for r in records.values())
+        stages = decompression_substages(max_fl, BLOCK_SIZE)
+        dist = distribute_substages(stages, min(cols, 4))
+        body = b"".join(records[i] for i in range(n))
+        return plan_pipeline_decompress(
+            body, n, EPS, dist, rows=rows, cols=cols, block_size=BLOCK_SIZE
+        )
     return plan_multi_pipeline(blocks, EPS, rows=rows, cols=cols)
+
+
+def run_output(run, num_blocks: int) -> bytes:
+    """A run's compressed stream, or its decoded values' bytes."""
+    if isinstance(run.outputs, DecompressOutputs):
+        return run.outputs.assemble(num_blocks, BLOCK_SIZE).tobytes()
+    return run.outputs.stream(num_blocks)
 
 
 def best_of(repeats: int, fn):
@@ -242,7 +271,7 @@ def run_config(
     results["observed"] = (min(obs_times), obs_run)
     for mode in modes:
         wall, run = results[mode]
-        streams[mode] = run.outputs.stream(num_blocks)
+        streams[mode] = run_output(run, num_blocks)
         makespan = run.report.makespan_cycles
         out[mode] = {
             "wall_s": wall,
@@ -255,7 +284,7 @@ def run_config(
         streams["optimized"] == streams["observed"] == streams["parallel"]
     ):
         raise AssertionError(
-            f"{strategy} {rows}x{cols}: modes disagree on compressed bytes"
+            f"{strategy} {rows}x{cols}: modes disagree on output bytes"
         )
     makespans = {out[m]["makespan_cycles"] for m in modes}
     if len(makespans) != 1:
@@ -378,13 +407,13 @@ def render(configs: list[dict], jobs: int) -> str:
         "column; opt s: median at reference machine speed, the rest "
         "best-of-N",
         "",
-        f"{'config':<20} {'blocks':>6} {'events':>7} {'opt s':>8} "
+        f"{'config':<24} {'blocks':>6} {'events':>7} {'opt s':>8} "
         f"{'par s':>8} {'par x':>6} {'obs %':>6} {'Mcyc/s opt':>11}",
     ]
     for c in configs:
         label = f"{c['strategy']} {c['rows']}x{c['cols']}"
         lines.append(
-            f"{label:<20} {c['num_blocks']:>6} "
+            f"{label:<24} {c['num_blocks']:>6} "
             f"{c['optimized']['events']:>7} "
             f"{c['optimized']['wall_s']:>8.4f} "
             f"{c['parallel']['wall_s']:>8.4f} "
@@ -398,8 +427,8 @@ def render(configs: list[dict], jobs: int) -> str:
         " trace_level=off tracer and a metrics registry — 'obs %' is its",
         " wall-time overhead; parallel: optimized + row partitions across",
         " processes, 'par x' its speedup over optimized. 'par x' and 'obs %'",
-        " compare best-of-N times. All modes produce identical bytes,",
-        " makespans, and counters.)",
+        " compare best-of-N times. All modes produce identical bytes (or",
+        " decoded values), makespans, and counters.)",
     ]
     return "\n".join(lines) + "\n"
 
@@ -502,6 +531,13 @@ def main(argv=None) -> int:
                     strategy, rows, use_cols, per_row, repeats, args.jobs
                 )
             )
+    # Wafer decode: the Section 4.2 pipeline on the small mesh.
+    _, rows, cols, per_row = meshes[0]
+    configs.append(
+        run_config(
+            "pipeline-decompress", rows, cols, per_row, repeats, args.jobs
+        )
+    )
 
     # Hybrid smoke rides along in every run (including --quick / CI):
     # row-homogeneous workloads on the small mesh, every strategy,

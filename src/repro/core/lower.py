@@ -16,55 +16,78 @@ pass walks the plan deterministically:
 The task closures reproduce the retired per-strategy builders cycle for
 cycle: the counted relay of Fig 9, the two-phase header/body receive of the
 decompression mapping, the staged head's combined relay-then-stage-group-0
-duty, and the serialized :class:`~repro.core.mapping.PipelineState`
-forwarding of Fig 6's pipelines. The one intentional unification: idle
-shuffle sub-stages (bit index >= the block's fixed length) are charged one
-task dispatch and skipped without entering the state machine, for every
-pipeline variant — the charge is identical to what ``run_substage`` on an
-idle bit cost, and the serialized phase difference ("lengthed" vs
-"encoded") is invisible to both downstream stage groups and record
-finalization.
+duty, and the serialized state forwarding of Fig 6's pipelines (the
+:class:`~repro.core.mapping.PipelineState` and
+:class:`~repro.core.mapping_decompress.DecompressState` wire layouts). The
+one intentional unification: idle shuffle sub-stages (bit index >= the
+block's fixed length) are charged one task dispatch and skipped without
+entering the state machine, for every pipeline variant — the charge is
+identical to what ``run_substage`` on an idle bit cost, and the serialized
+phase difference ("lengthed" vs "encoded") is invisible to both downstream
+stage groups and record finalization.
 
 Instrumentation: every lowered node counts blocks relayed, wavelets sent,
 blocks emitted, and busy cycles per sub-stage into its
 :class:`~repro.wse.trace.NodeCounters`, which the engine's trace recorder
 aggregates for the per-stage validation breakdowns.
 
-Whole-block fast path: nodes that run the *entire* compression on one PE
-(the rows strategy's ComputeNode, the multi-pipeline RelayNode with no
-stage group) use a fused kernel instead of stepping the per-sub-stage
-state machine. The kernel performs the identical arithmetic in one pass
-(all ``fl`` bit planes shuffled with a single vectorized pack) and then
-replays the exact per-stage accounting — the same ``ctx.spend`` calls with
-the same per-stage rounding and the same ``NodeCounters.add_stage``
-entries the stepped path would have made — so makespans, stage breakdowns
-and output bytes are bit-identical while the per-block Python overhead
-(64-entry superset scans, name parsing, phase checks) disappears.
-``lower_plan(..., fast_kernels=False)`` keeps the stepped path as the
-fused kernel's named oracle: ``tests/core/test_simulate_parallel.py``
-lowers every strategy both ways and asserts identical bytes, makespan,
-tasks, events, per-PE traces and per-stage counters. The degraded-mode
-host fallback (:func:`host_block_records`) encodes through the same
-record encoder as the fused kernel.
+Fused kernels: no node steps the per-sub-stage state machine by default.
+
+* Whole-block compression (the rows strategy's ComputeNode, the
+  multi-pipeline RelayNode with no stage group) packs all ``fl`` bit
+  planes in one vectorized call (:func:`_make_fast_compress`).
+* Every pipelined stage group, in both directions (compress StageNodes,
+  the staged RelayNode head, the decompress HeaderNode head and
+  StageNodes), runs one kernel per Algorithm-1 group
+  (:func:`_make_fused_group`, :func:`_make_fused_decode`). It reads the
+  received state vector in place through the same header checks as
+  ``from_array``, runs the group's contiguous sub-stage run in a few
+  vectorized operations, and writes the outgoing state vector directly in
+  the wire layout.
+* Whole-block decode (the rows decompression HeaderNode) looks its
+  accounting up per fixed length.
+
+Every kernel replays the stepped path's accounting exactly: one
+``ctx.spend`` of the sum of the per-stage roundings and one
+``NodeCounters.add_stages`` call with the same entries, memoized per fixed
+length (stage groups also key on the entry phase, so a corrupted state
+still fails with the stepped path's phase-order ``CompressionError``).
+Makespans, stage breakdowns, stream bytes and decoded values are
+bit-identical while the per-block Python overhead (state objects rebuilt
+at every hop, per-sub-stage name dispatch, phase checks) disappears.
+``lower_plan(..., fast_kernels=False)`` keeps the stepped machines
+(``run_substage``, ``run_decompress_substage`` and both state classes) as
+the fused kernels' named oracle: ``tests/core/test_simulate_parallel.py``
+lowers every strategy in both directions both ways and asserts identical
+output, makespan, tasks, events, per-PE traces and per-stage counters, and
+``tests/core/test_fused_groups.py`` chains the group kernels over random
+splits against the stepped machines, hop by hop. The degraded-mode host
+fallback (:func:`host_block_records`) encodes through the same record
+encoder as the fused whole-block kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from repro.core.mapping import (
+    PHASES,
     PipelineState,
     ProgramOutputs,
     finalize_record,
     run_substage,
+    state_header,
     substage_cycles,
 )
 from repro.core.mapping_decompress import (
+    DECODE_PHASES,
     DecompressOutputs,
     DecompressState,
     decode_block_from_words,
+    decode_state_header,
     finalize_decompressed,
     run_decompress_substage,
 )
@@ -81,7 +104,7 @@ from repro.core.plan import (
 from repro.config import CERESZ_HEADER_BYTES
 from repro.core.predictors import get_predictor
 from repro.core.stages import compression_substages, decompression_substages
-from repro.errors import ScheduleError
+from repro.errors import CompressionError, ScheduleError
 from repro.wse.color import Color, ColorAllocator
 from repro.wse.cost import CycleModel, PAPER_CYCLE_MODEL
 from repro.wse.dsd import FabinDsd, FaboutDsd, Mem1dDsd
@@ -128,10 +151,11 @@ def lower_plan(
     activations, and feed injections all follow plan declaration order, so
     two lowerings of the same plan produce identical event schedules.
 
-    ``fast_kernels`` selects the fused whole-block compression kernel for
-    nodes that run the full algorithm on one PE; ``False`` runs the
-    stepped sub-stage machine, the fused kernel's oracle (see the module
-    docstring). Results are identical either way.
+    ``fast_kernels`` selects the fused kernels (whole-block compression,
+    every pipelined stage group in both directions, and the whole-block
+    decode accounting); ``False`` runs the stepped sub-stage machines,
+    their oracle (see the module docstring). Results are identical either
+    way.
 
     ``tracer`` (a :class:`repro.obs.tracing.Tracer`) wraps the pass in a
     ``"lower"`` host span; lowering itself is untraced beyond that.
@@ -215,13 +239,16 @@ def _lower_plan(
             )
         elif isinstance(node, StageNode):
             if plan.direction == "compress":
-                _lower_stage(node, plan, pe, engine, cmap, model, outputs, nc)
+                lower_stage = _lower_stage
             else:
-                _lower_decompress_stage(
-                    node, plan, pe, engine, cmap, model, outputs, nc
-                )
+                lower_stage = _lower_decompress_stage
+            lower_stage(
+                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
+            )
         elif isinstance(node, HeaderNode):
-            _lower_header(node, plan, pe, engine, cmap, model, outputs, nc)
+            _lower_header(
+                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
+            )
         else:  # pragma: no cover - plan.validate() rejects unknown kinds
             raise ScheduleError(f"cannot lower node kind {node.kind!r}")
 
@@ -235,6 +262,17 @@ def _lower_plan(
 
 
 # --- shared closure pieces -------------------------------------------------------------
+
+
+def _batched(items) -> tuple[int, tuple[tuple[str, float], ...]]:
+    """One block's batched accounting: ``(ctx.spend cycles, add_stages items)``.
+
+    The stepped path spends ``int(round(cost))`` per stage, so the batched
+    spend is the sum of the per-stage roundings (NOT round-of-sum), and the
+    stage breakdown keeps the raw per-stage floats in stage order.
+    """
+    items = tuple(items)
+    return sum(int(round(cost)) for _, cost in items), items
 
 
 def _is_idle_shuffle(stage, fl: int | None) -> bool:
@@ -304,25 +342,17 @@ def _make_fast_compress(
         ("get_length", model.get_length.cycles(block_size)),
     )
     per_bit = model.bit_shuffle.cycles(block_size, 1)
-    # Accounting plans memoized per fixed length: the stepped path spends
-    # int(round(cost)) per stage, so the batched spend is the sum of the
-    # per-stage roundings (NOT round-of-sum) and the stage breakdown keeps
-    # the raw per-stage floats.
-    acct: dict[int, tuple[int, tuple[tuple[str, float], ...]]] = {}
 
-    def _acct_for(fl: int) -> tuple[int, tuple[tuple[str, float], ...]]:
-        plan_ = acct.get(fl)
-        if plan_ is None:
-            items = fixed_costs + tuple(
-                (f"shuffle_bit_{k}", per_bit) for k in range(fl)
-            )
-            spend = sum(int(round(cost)) for _, cost in items)
-            plan_ = acct[fl] = (spend, items)
-        return plan_
+    @functools.cache
+    def accounting(fl: int) -> tuple[int, tuple[tuple[str, float], ...]]:
+        return _batched(
+            fixed_costs
+            + tuple((f"shuffle_bit_{k}", per_bit) for k in range(fl))
+        )
 
     def compress(ctx: TaskContext) -> bytes:
         record, fl = _encode_record(ctx.buffer("inbox"), eps, pred)
-        spend, items = _acct_for(fl)
+        spend, items = accounting(fl)
         ctx.spend(spend)
         nc.add_stages(items)
         return record
@@ -382,8 +412,105 @@ def host_block_records(
     return out
 
 
-def _make_run_group(
+_FIXED_STAGES = (
+    "multiplication", "addition", "lorenzo", "sign", "max", "get_length"
+)
+_DECODE_TAIL = ("sign_restore", "prefix_sum", "dequant_mult")
+_LENGTHED = PHASES.index("lengthed")
+_ENCODED = PHASES.index("encoded")
+_HAS_SIGNS = PHASES.index("mags")  # "mags" and every later phase
+
+
+def _split_group(
+    group, words: tuple[str, ...], prefix: str, *, bits_first: bool
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """A stage group's named sub-stages and its bit indices, in order.
+
+    Algorithm 1 fills groups with contiguous runs of the canonical
+    sub-stage sequence (``words`` then bits ``0..``, or bits then ``words``
+    for decompression); the fused kernels rely on that shape, so any other
+    group is rejected at lowering time.
+    """
+    names = tuple(s.name for s in group)
+    ks = tuple(int(n[len(prefix):]) for n in names if n.startswith(prefix))
+    bits = [f"{prefix}{k}" for k in range(max(ks, default=-1) + 1)]
+    seq = bits + list(words) if bits_first else list(words) + bits
+    start = seq.index(names[0]) if names and names[0] in seq else -1
+    if start < 0 or tuple(seq[start : start + len(names)]) != names:
+        raise ScheduleError(
+            f"stage group {list(names)} is not a contiguous run of the "
+            f"sub-stage sequence"
+        )
+    return tuple(n for n in names if not n.startswith(prefix)), ks
+
+
+def _make_emit(
+    out_color: Color | None,
+    rearm_color: Color | None,
+    my: list[int],
+    box: dict,
+    plan: MappingPlan,
+    model: CycleModel,
+    store: dict,
+    nc: NodeCounters,
+):
+    """A stage group's epilogue: store the block's result or forward it.
+
+    ``store`` is the outputs' record or decoded-block dict. Forwarded
+    states are always ``state_len`` float64 vectors. With a
+    ``rearm_color`` (the decode groups) the task then re-arms its receive,
+    or halts after its last block.
+    """
+    forward = model.forward_block_cycles(plan.block_size)
+    wavelets = wavelet_count(np.zeros(plan.state_len, dtype=np.float64))
+
+    def emit(ctx: TaskContext, result) -> None:
+        idx = my[box["done"]]
+        box["done"] += 1
+        if out_color is None:
+            store[idx] = result
+            nc.blocks_emitted += 1
+        else:
+            ctx.spend(forward)
+            ctx.send(out_color, result)
+            nc.wavelets_sent += wavelets
+        if rearm_color is None:
+            return
+        if box["done"] < len(my):
+            ctx.activate(rearm_color)
+        else:
+            ctx.halt()
+
+    return emit
+
+
+def _wire_vector(state_len: int, header: tuple, parts) -> np.ndarray:
+    """A forwarded state: ``header`` then ``parts`` back to back, zero-padded
+    to ``state_len`` — the ``to_array`` layout of both state classes.
+
+    The sliced writes raise exactly when ``to_array``'s concatenation would
+    overflow the padding, as the stepped path's padding does.
+    """
+    vec = np.zeros(state_len, dtype=np.float64)
+    at = len(header)
+    vec[:at] = header
+    for part in parts:
+        vec[at : at + part.size] = part
+        at += part.size
+    return vec
+
+
+def _padded(vec: np.ndarray, state_len: int) -> np.ndarray:
+    """The stepped path's forwarded state: ``vec`` zero-padded."""
+    padded = np.zeros(state_len, dtype=np.float64)
+    padded[: vec.size] = vec
+    return padded
+
+
+def _make_stepped_group(
     group,
+    source: str,
+    first: bool,
     out_color: Color | None,
     my: list[int],
     box: dict,
@@ -392,16 +519,28 @@ def _make_run_group(
     outputs: ProgramOutputs,
     nc: NodeCounters,
 ):
-    """One Algorithm-1 stage group: run, then emit or forward the state.
+    """One Algorithm-1 stage group stepped through the state machine.
 
-    Idle shuffle bits cost one task dispatch (the schedule planned them;
-    the PE still wakes for them) but never enter the state machine.
+    The fused group kernel's oracle. The block enters as raw values
+    (``first``) or as the serialized state in buffer ``source``. Idle
+    shuffle bits cost one task dispatch (the schedule planned them; the PE
+    still wakes for them) but never enter the state machine.
     """
     eps = plan.eps
     block_size = plan.block_size
     state_len = plan.state_len
+    emit = _make_emit(
+        out_color, None, my, box, plan, model, outputs.records, nc
+    )
 
-    def run_group(ctx: TaskContext, state: PipelineState) -> PipelineState:
+    def run_group(ctx: TaskContext) -> None:
+        raw = ctx.buffer(source)
+        if first:
+            state = PipelineState(
+                phase="raw", block_size=block_size, values=raw.copy()
+            )
+        else:
+            state = PipelineState.from_array(raw)
         for stage in group:
             if _is_idle_shuffle(stage, state.fl):
                 ctx.spend(model.task_dispatch)
@@ -411,19 +550,162 @@ def _make_run_group(
             cost = substage_cycles(stage, state.fl, model, block_size)
             ctx.spend(cost)
             nc.add_stage(stage.name, cost)
-        idx = my[box["done"]]
-        box["done"] += 1
         if out_color is None:
-            outputs.records[idx] = finalize_record(state)
-            nc.blocks_emitted += 1
+            emit(ctx, finalize_record(state))
         else:
-            vec = state.to_array()
-            padded = np.zeros(state_len, dtype=np.float64)
-            padded[: vec.size] = vec
-            ctx.spend(model.forward_block_cycles(block_size))
-            ctx.send(out_color, padded)
-            nc.wavelets_sent += wavelet_count(padded)
-        return state
+            emit(ctx, _padded(state.to_array(), state_len))
+
+    return run_group
+
+
+def _make_fused_group(
+    group,
+    source: str,
+    first: bool,
+    out_color: Color | None,
+    my: list[int],
+    box: dict,
+    plan: MappingPlan,
+    model: CycleModel,
+    outputs: ProgramOutputs,
+    nc: NodeCounters,
+):
+    """One Algorithm-1 stage group as a single fused kernel.
+
+    Same inputs, outputs and accounting as :func:`_make_stepped_group`:
+    the received state is read in place through
+    :func:`~repro.core.mapping.state_header` (the checks of
+    ``PipelineState.from_array``); the group's fixed sub-stages run in
+    order and its live shuffle bits are packed in one vectorized call; one
+    ``ctx.spend``/``add_stages`` pair, memoized per (phase, fl) at the
+    group's shuffle run, replays the per-stage charges; and the outgoing
+    state is written straight into a ``state_len`` vector in the
+    ``PipelineState.to_array`` layout (header, values, sign bytes, planes).
+    """
+    fixed, ks = _split_group(
+        group, _FIXED_STAGES, "shuffle_bit_", bits_first=False
+    )
+    two_eps = 2.0 * plan.eps
+    block_size = plan.block_size
+    state_len = plan.state_len
+    entry = _FIXED_STAGES.index(fixed[0]) if fixed else -1
+    (mult, add, lorenzo, sign, maxed, length) = (
+        name in fixed for name in _FIXED_STAGES
+    )
+    fixed_items = tuple(
+        (s.name, s.cycles) for s in group if s.name in _FIXED_STAGES
+    )
+    fixed_acct = _batched(fixed_items)
+    per_bit = model.bit_shuffle.cycles(block_size, 1)
+    dispatch = model.task_dispatch
+    no_planes = np.zeros(0, dtype=np.uint8)
+    emit = _make_emit(
+        out_color, None, my, box, plan, model, outputs.records, nc
+    )
+
+    @functools.cache
+    def shuffle_run(phase: int, fl: int | None):
+        """(spend, items, live bits) for the shuffle run, or an error.
+
+        Live bits (k < fl) precede idle ones, so only the run's first
+        sub-stage can fail its phase check, before anything is charged.
+        """
+        head = f"shuffle_bit_{ks[0]}"
+        if fl is None or ks[0] < fl:
+            if phase not in (_LENGTHED, _ENCODED):
+                return f"{head} applied to {PHASES[phase]}"
+            if fl is None:
+                return f"{head} applied to a block with no length"
+        spend, items = _batched(
+            fixed_items
+            + tuple(
+                (f"shuffle_bit_{k}", per_bit if k < fl else dispatch)
+                for k in ks
+            )
+        )
+        return spend, items, np.array([[k] for k in ks if k < fl])
+
+    def run_group(ctx: TaskContext) -> None:
+        src = ctx.buffer(source)
+        if first:
+            phase, bs, max_mag, fl, bits = 0, block_size, None, None, 0
+            values, signs, done = src, None, no_planes
+        else:
+            phase, bs, max_mag, fl, bits = state_header(src)
+            sb = bs // 8
+            values = src[5 : 5 + bs]
+            # Sign bytes, then the planes shuffled so far: one cast.
+            tail = src[5 + bs : 5 + bs + sb + bits * sb].astype(np.uint8)
+            signs = tail[:sb] if phase >= _HAS_SIGNS else None
+            done = tail[sb:]
+        if fixed:
+            if phase != entry:
+                raise CompressionError(
+                    f"{fixed[0]} applied to {PHASES[phase]}"
+                )
+            if mult:
+                values = values / two_eps
+            if add:
+                values = np.floor(values + 0.5)
+            if lorenzo:
+                out = values.copy()
+                out[1:] -= values[:-1]
+                values = out
+            if sign:
+                signs = np.packbits(
+                    (values < 0).astype(np.uint8).reshape(-1, 8),
+                    axis=-1,
+                    bitorder="little",
+                ).reshape(-1)
+                values = np.abs(values)
+            if maxed:
+                max_mag = int(values.max())
+            if length:
+                fl = int(max_mag).bit_length()
+            phase = entry + len(fixed)
+        planes = no_planes
+        if ks:
+            run = shuffle_run(phase, fl)
+            if isinstance(run, str):
+                raise CompressionError(run)
+            spend, items, live = run
+            if live.size:
+                # Row r is bit live[r] of every magnitude; packing the rows
+                # back to back gives the planes in order, sb bytes each.
+                planes = np.packbits(
+                    ((values.astype(np.int64) >> live) & 1) == 1,
+                    bitorder="little",
+                )
+                bits += live.size
+                if bits >= fl:
+                    phase = _ENCODED
+        else:
+            spend, items = fixed_acct
+        ctx.spend(spend)
+        nc.add_stages(items)
+        if out_color is None:
+            if fl is None or signs is None:
+                raise CompressionError(
+                    f"cannot finalize a block in phase {PHASES[phase]!r}"
+                )
+            record = int(fl).to_bytes(CERESZ_HEADER_BYTES, "little")
+            if fl:
+                record += signs.tobytes() + done.tobytes() + planes.tobytes()
+            emit(ctx, record)
+            return
+        header = (
+            phase,
+            bs,
+            -1 if max_mag is None else max_mag,
+            -1 if fl is None else fl,
+            bits,
+        )
+        if signs is None:
+            signs = np.zeros(bs // 8, dtype=np.uint8)
+        emit(
+            ctx,
+            _wire_vector(state_len, header, (values, signs, done, planes)),
+        )
 
     return run_group
 
@@ -454,13 +736,11 @@ def _lower_compute(
     use_fast = fast_kernels or plan.predictor != "lorenzo1d"
     fast = _make_fast_compress(plan, model, nc) if use_fast else None
     progress = {"next": 0}
+    # DSDs are immutable descriptors: build them once, not per block.
+    inbox, fabin = Mem1dDsd("inbox"), FabinDsd(c_recv, extent=block_size)
 
     def recv(ctx: TaskContext) -> None:
-        ctx.mov32(
-            Mem1dDsd("inbox"),
-            FabinDsd(c_recv, extent=block_size),
-            on_complete=c_go,
-        )
+        ctx.mov32(inbox, fabin, on_complete=c_go)
 
     def compute(ctx: TaskContext) -> None:
         idx = my[progress["next"]]
@@ -506,6 +786,9 @@ def _lower_relay(
     relay_overhead = max(
         0.0, model.relay_block_cycles(block_size) - block_size
     )
+    inbox = Mem1dDsd("inbox")
+    fabin = FabinDsd(c_recv, extent=block_size)
+    fabout = FaboutDsd(c_send, extent=block_size)
 
     def relay(ctx: TaskContext) -> None:
         rnd = box["round"]
@@ -522,12 +805,7 @@ def _lower_relay(
             # injection when the forward fires; spend only C1's
             # router/queueing overhead here so the per-block relay cost
             # totals exactly C1.
-            ctx.mov32(
-                FaboutDsd(c_send, extent=block_size),
-                FabinDsd(c_recv, extent=block_size),
-                on_complete=c_recv,
-                relay=True,
-            )
+            ctx.mov32(fabout, fabin, on_complete=c_recv, relay=True)
             ctx.spend(relay_overhead, relay=True)
             nc.blocks_relayed += 1
             nc.wavelets_sent += block_size
@@ -537,11 +815,7 @@ def _lower_relay(
                 box["relayed"] = 0
         elif own is not None:
             # This PE's own block of the round (Fig 9 lines 21-23).
-            ctx.mov32(
-                Mem1dDsd("inbox"),
-                FabinDsd(c_recv, extent=block_size),
-                on_complete=c_go,
-            )
+            ctx.mov32(inbox, fabin, on_complete=c_go)
         else:  # pragma: no cover - unreachable by construction
             box["round"] += 1
             box["relayed"] = 0
@@ -568,17 +842,11 @@ def _lower_relay(
 
     else:
         c_out = cmap[node.out] if node.out is not None else None
-        run_group = _make_run_group(
-            node.group, c_out, my, box, plan, model, outputs, nc
+        make = _make_fused_group if fast_kernels else _make_stepped_group
+        consume = make(
+            node.group, "inbox", True, c_out, my, box, plan, model, outputs,
+            nc,
         )
-
-        def consume(ctx: TaskContext) -> None:
-            state = PipelineState(
-                phase="raw",
-                block_size=block_size,
-                values=ctx.buffer("inbox").copy(),
-            )
-            run_group(ctx, state)
 
     def compute(ctx: TaskContext) -> None:
         consume(ctx)
@@ -608,6 +876,7 @@ def _lower_stage(
     model: CycleModel,
     outputs: ProgramOutputs,
     nc: NodeCounters,
+    fast_kernels: bool,
 ) -> None:
     """One compression stage group, with an optional raw-relay side duty."""
     block_size = plan.block_size
@@ -617,29 +886,21 @@ def _lower_stage(
     extent = block_size if node.first else plan.state_len
     my = list(node.blocks)
     box = {"done": 0}
-    run_group = _make_run_group(
-        node.group, c_send, my, box, plan, model, outputs, nc
+    make = _make_fused_group if fast_kernels else _make_stepped_group
+    run_group = make(
+        node.group, "stage_in", node.first, c_send, my, box, plan, model,
+        outputs, nc,
     )
 
-    def recv(ctx: TaskContext) -> None:
-        ctx.mov32(
-            Mem1dDsd("stage_in"),
-            FabinDsd(c_recv, extent=extent),
-            on_complete=c_go,
-        )
+    stage_in, fabin = Mem1dDsd("stage_in"), FabinDsd(c_recv, extent=extent)
 
-    def load_state(ctx: TaskContext) -> PipelineState:
-        raw = ctx.buffer("stage_in")
-        if node.first:
-            return PipelineState(
-                phase="raw", block_size=block_size, values=raw.copy()
-            )
-        return PipelineState.from_array(raw)
+    def recv(ctx: TaskContext) -> None:
+        ctx.mov32(stage_in, fabin, on_complete=c_go)
 
     if node.relay is None:
 
         def compute(ctx: TaskContext) -> None:
-            run_group(ctx, load_state(ctx))
+            run_group(ctx)
             if box["done"] < len(my):
                 ctx.activate(c_recv)
             else:
@@ -659,13 +920,15 @@ def _lower_stage(
     relay_overhead = max(
         0.0, model.relay_block_cycles(block_size) - block_size
     )
+    raw_out = FaboutDsd(c_send_raw, extent=block_size)
+    raw_in = FabinDsd(c_recv_raw, extent=block_size)
 
     def raw_relay(ctx: TaskContext) -> None:
         if rbox["relayed"] >= total:
             return
         ctx.mov32(
-            FaboutDsd(c_send_raw, extent=block_size),
-            FabinDsd(c_recv_raw, extent=block_size),
+            raw_out,
+            raw_in,
             on_complete=(c_recv_raw if rbox["relayed"] + 1 < total else None),
             relay=True,
         )
@@ -675,7 +938,7 @@ def _lower_stage(
         rbox["relayed"] += 1
 
     def compute(ctx: TaskContext) -> None:
-        run_group(ctx, load_state(ctx))
+        run_group(ctx)
         if box["done"] < len(my):
             ctx.activate(c_recv)
         # Never halts: a raw relay for an eastern pipeline may still be in
@@ -704,10 +967,16 @@ def _make_decompress_process(
     outputs: DecompressOutputs,
     nc: NodeCounters,
 ):
-    """One reverse stage group: run, then emit the block or forward state."""
+    """One reverse stage group stepped through the state machine.
+
+    The fused decode kernel's oracle: ``process(ctx, state)`` runs a
+    :class:`DecompressState`, then emits the block or forwards the state.
+    """
     eps = plan.eps
-    block_size = plan.block_size
     state_len = plan.state_len
+    emit = _make_emit(
+        out_color, rearm_color, my, box, plan, model, outputs.blocks, nc
+    )
 
     def process(ctx: TaskContext, state: DecompressState) -> None:
         for stage in group:
@@ -728,22 +997,181 @@ def _make_decompress_process(
             state = run_decompress_substage(stage, state, eps)
             ctx.spend(stage.cycles)
             nc.add_stage(stage.name, stage.cycles)
-        idx = my[box["done"]]
-        box["done"] += 1
         if out_color is None:
-            outputs.blocks[idx] = finalize_decompressed(state)
-            nc.blocks_emitted += 1
+            emit(ctx, finalize_decompressed(state))
         else:
-            vec = state.to_array()
-            padded = np.zeros(state_len, dtype=np.float64)
-            padded[: vec.size] = vec
-            ctx.spend(model.forward_block_cycles(block_size))
-            ctx.send(out_color, padded)
-            nc.wavelets_sent += wavelet_count(padded)
-        if box["done"] < len(my):
-            ctx.activate(rearm_color)
-        else:
-            ctx.halt()
+            emit(ctx, _padded(state.to_array(), state_len))
+
+    return process
+
+
+_NO_WORDS = np.zeros(0, dtype=np.uint32)
+
+
+def _record_entry(fl: int, words: np.ndarray | None, block_size: int):
+    """A received record as the fused decode's entry state.
+
+    ``(phase, block size, fl, bits_done, values, sign bytes, plane words)``,
+    exactly what :meth:`DecompressState.from_record` holds.
+    """
+    if fl == 0 or words is None:
+        return (
+            "signed",  # nothing to unshuffle or sign-restore
+            block_size,
+            0,
+            0,
+            np.zeros(block_size, dtype=np.float64),
+            np.zeros(block_size // 8, dtype=np.uint8),
+            _NO_WORDS,
+        )
+    words = words.astype(np.uint32)
+    sign_words = block_size // 32
+    return (
+        "encoded",
+        block_size,
+        fl,
+        0,
+        np.zeros(block_size, dtype=np.float64),
+        words[:sign_words].view(np.uint8),
+        words[sign_words:],
+    )
+
+
+def _wire_entry(arr: np.ndarray):
+    """A received state vector as the fused decode's entry state, read in
+    place with :meth:`DecompressState.from_array`'s layout."""
+    phase, block_size, fl, bits_done = decode_state_header(arr)
+    at = 4 + block_size + block_size // 8
+    return (
+        phase,
+        block_size,
+        fl,
+        bits_done,
+        arr[4 : 4 + block_size],
+        arr[4 + block_size : at].astype(np.uint8),
+        arr[at : at + fl * (block_size // 32)].astype(np.uint32),
+    )
+
+
+def _make_fused_decode(
+    group,
+    out_color: Color | None,
+    rearm_color: Color,
+    my: list[int],
+    box: dict,
+    plan: MappingPlan,
+    model: CycleModel,
+    outputs: DecompressOutputs,
+    nc: NodeCounters,
+):
+    """One reverse stage group as a single fused kernel.
+
+    ``process(ctx, entry)`` takes the tuple :func:`_record_entry` or
+    :func:`_wire_entry` builds and matches :func:`_make_decompress_process`
+    exactly. The group's control flow depends only on the entry phase and
+    the block's fixed length, so it is run once symbolically per (phase,
+    fl) — charges, dispatch skips and the phase-order error included — and
+    each block then applies the result: its live bit planes unpacked in
+    one call, the sign restore, prefix sum and de-quantization as whole
+    vectors, and the outgoing state written straight into a ``state_len``
+    vector in the ``DecompressState.to_array`` layout.
+    """
+    _split_group(group, _DECODE_TAIL, "unshuffle_bit_", bits_first=True)
+    two_eps = 2.0 * plan.eps
+    state_len = plan.state_len
+    dispatch = model.task_dispatch
+    emit = _make_emit(
+        out_color, rearm_color, my, box, plan, model, outputs.blocks, nc
+    )
+
+    @functools.cache
+    def program(phase: str, fl: int):
+        """``(spend, items, error, lo, hi, sign, prefix, dequant, phase)``:
+        the charges up to the end (or the failing sub-stage), the stepped
+        path's CompressionError message or None, the live bits
+        ``lo..hi-1``, which whole-vector steps run, and the exit phase."""
+        items = []
+        lo = hi = -1
+        sign = prefix = dequant = False
+        error = None
+        for stage in group:
+            name = stage.name
+            if name.startswith("unshuffle_bit_"):
+                k = int(name.rsplit("_", 1)[1])
+                if k >= fl or phase == "signed":
+                    items.append((name, dispatch))
+                    continue
+                if phase not in ("encoded", "mags"):
+                    error = f"{name} applied to {phase}"
+                    break
+                lo = k if lo < 0 else lo
+                hi = k + 1
+                phase = "mags"
+            elif name == "sign_restore":
+                if fl == 0:
+                    items.append((name, dispatch))
+                    continue
+                if phase not in ("encoded", "mags", "signed"):
+                    error = f"sign_restore applied to {phase}"
+                    break
+                sign = True
+                phase = "signed"
+            elif name == "prefix_sum":
+                if phase != "signed":
+                    error = f"prefix_sum applied to {phase}"
+                    break
+                prefix = True
+                phase = "codes"
+            else:  # dequant_mult (_split_group admits nothing else)
+                if phase != "codes":
+                    error = f"dequant_mult applied to {phase}"
+                    break
+                dequant = True
+                phase = "values"
+            items.append((name, stage.cycles))
+        return (
+            *_batched(items), error, lo, hi, sign, prefix, dequant, phase
+        )
+
+    def process(ctx: TaskContext, entry) -> None:
+        phase, bs, fl, bits, values, signs, planes = entry
+        spend, items, error, lo, hi, sign, prefix, dequant, phase = program(
+            phase, fl
+        )
+        ctx.spend(spend)
+        nc.add_stages(items)
+        if error is not None:
+            raise CompressionError(error)
+        if hi > lo:
+            words = bs // 32
+            planes_bits = np.unpackbits(
+                planes[lo * words : hi * words]
+                .reshape(hi - lo, words)
+                .view(np.uint8),
+                axis=-1,
+                bitorder="little",
+            )
+            # One add per plane, in bit order: the stepped path's exact
+            # float64 accumulation.
+            for k, plane in zip(range(lo, hi), planes_bits):
+                values = values + plane * float(1 << k)
+            bits += hi - lo
+        if sign:
+            negs = np.unpackbits(signs, bitorder="little").astype(bool)
+            values = np.where(negs, -values, values)
+        if prefix:
+            values = np.cumsum(values.astype(np.int64)).astype(np.float64)
+        if dequant:
+            values = values * two_eps
+        if out_color is None:
+            if phase != "values":
+                raise CompressionError(
+                    f"block not fully decompressed (phase {phase!r})"
+                )
+            emit(ctx, values.astype(np.float32))
+            return
+        header = (DECODE_PHASES.index(phase), bs, fl, bits)
+        emit(ctx, _wire_vector(state_len, header, (values, signs, planes)))
 
     return process
 
@@ -757,6 +1185,7 @@ def _lower_header(
     model: CycleModel,
     outputs: DecompressOutputs,
     nc: NodeCounters,
+    fast_kernels: bool,
 ) -> None:
     """Two-phase header/body receive, then whole-block decode or group 0."""
     block_size = plan.block_size
@@ -769,22 +1198,34 @@ def _lower_header(
     box = {"done": 0}
 
     if node.group is None:
+        zero_flag = model.zero_flag.cycles(block_size)
+
+        def stage_costs(fl: int) -> tuple[tuple[str, float], ...]:
+            stages = decompression_substages(fl, block_size, model)
+            if fl:
+                return tuple((s.name, s.cycles) for s in stages)
+            # Zero path: flag + dequant only.
+            return tuple(
+                (s.name, s.cycles)
+                for s in stages
+                if s.name.startswith("dequant")
+            ) + (("zero_flag", zero_flag),)
+
+        accounting = functools.cache(lambda fl: _batched(stage_costs(fl)))
 
         def decode_and_emit(
             ctx: TaskContext, fl: int, words: np.ndarray | None
         ) -> None:
             idx = my[box["done"]]
             box["done"] += 1
-            zero = fl == 0
-            for stage in decompression_substages(fl, block_size, model):
-                if zero and not stage.name.startswith("dequant"):
-                    continue  # zero path: flag + dequant only
-                ctx.spend(stage.cycles)
-                nc.add_stage(stage.name, stage.cycles)
-            if zero:
-                cost = model.zero_flag.cycles(block_size)
-                ctx.spend(cost)
-                nc.add_stage("zero_flag", cost)
+            if fast_kernels:
+                spend, items = accounting(fl)
+                ctx.spend(spend)
+                nc.add_stages(items)
+            else:
+                for name, cost in stage_costs(fl):
+                    ctx.spend(cost)
+                    nc.add_stage(name, cost)
             outputs.blocks[idx] = decode_block_from_words(
                 fl, words, eps, block_size
             )
@@ -796,20 +1237,24 @@ def _lower_header(
 
     else:
         c_send = cmap[node.send] if node.send is not None else None
-        process = _make_decompress_process(
+        make, enter = (
+            (_make_fused_decode, _record_entry)
+            if fast_kernels
+            else (_make_decompress_process, DecompressState.from_record)
+        )
+        process = make(
             node.group, c_send, c_in, my, box, plan, model, outputs, nc
         )
 
         def decode_and_emit(
             ctx: TaskContext, fl: int, words: np.ndarray | None
         ) -> None:
-            state = DecompressState.from_record(fl, words, block_size)
-            process(ctx, state)
+            process(ctx, enter(fl, words, block_size))
+
+    hdr, fabin = Mem1dDsd("hdr"), FabinDsd(c_in, extent=1)
 
     def recv_header(ctx: TaskContext) -> None:
-        ctx.mov32(
-            Mem1dDsd("hdr"), FabinDsd(c_in, extent=1), on_complete=c_hdr
-        )
+        ctx.mov32(hdr, fabin, on_complete=c_hdr)
 
     def on_header(ctx: TaskContext) -> None:
         fl = int(ctx.buffer("hdr")[0])
@@ -848,6 +1293,7 @@ def _lower_decompress_stage(
     model: CycleModel,
     outputs: DecompressOutputs,
     nc: NodeCounters,
+    fast_kernels: bool,
 ) -> None:
     """A non-head decompression pipeline PE: receive state, run group."""
     c_recv = cmap[node.recv]
@@ -856,19 +1302,22 @@ def _lower_decompress_stage(
     state_len = plan.state_len
     my = list(node.blocks)
     box = {"done": 0}
-    process = _make_decompress_process(
+    make, enter = (
+        (_make_fused_decode, _wire_entry)
+        if fast_kernels
+        else (_make_decompress_process, DecompressState.from_array)
+    )
+    process = make(
         node.group, c_send, c_recv, my, box, plan, model, outputs, nc
     )
 
+    stage_in, fabin = Mem1dDsd("stage_in"), FabinDsd(c_recv, extent=state_len)
+
     def recv_state(ctx: TaskContext) -> None:
-        ctx.mov32(
-            Mem1dDsd("stage_in"),
-            FabinDsd(c_recv, extent=state_len),
-            on_complete=c_go,
-        )
+        ctx.mov32(stage_in, fabin, on_complete=c_go)
 
     def on_state(ctx: TaskContext) -> None:
-        process(ctx, DecompressState.from_array(ctx.buffer("stage_in")))
+        process(ctx, enter(ctx.buffer("stage_in")))
 
     pe.bind_task(c_recv, Task("recv_state", recv_state))
     pe.bind_task(c_go, Task("on_state", on_state))

@@ -16,8 +16,9 @@ The kernels run on the real data: the records they emit are asserted
 byte-identical to the NumPy reference compressor, and compute cycles are
 charged per sub-stage from the calibrated cost model, so the same
 simulation also yields the timing behaviour of Figs 7/10. The stepped
-machine is also the named oracle for the fused whole-block kernel of
-:mod:`repro.core.lower`.
+machine is also the named oracle for the fused kernels of
+:mod:`repro.core.lower` (whole-block and per stage group), which read and
+write the same serialized state layout through :func:`state_header`.
 
 Pipeline state between PEs is serialized into a single float64 array (the
 fabric moves wavelets, not Python objects); float64 carries the int64
@@ -37,7 +38,7 @@ from repro.wse.cost import CycleModel
 
 # --- pipeline state ------------------------------------------------------------------
 
-_PHASES = (
+PHASES = (
     "raw",        # float values, pre-quantization pending
     "scaled",     # after Multiplication (value / 2 eps)
     "codes",      # after Addition (+0.5, floor): integer codes
@@ -64,15 +65,15 @@ class PipelineState:
 
     def to_array(self) -> np.ndarray:
         """Serialize into one float64 vector for fabric transport."""
-        if self.phase not in _PHASES:
+        if self.phase not in PHASES:
             raise CompressionError(
                 f"cannot serialize pipeline state in unknown phase "
-                f"{self.phase!r} (expected one of {_PHASES})"
+                f"{self.phase!r} (expected one of {PHASES})"
             )
         sign_bytes = self.block_size // 8
         header = np.array(
             [
-                _PHASES.index(self.phase),
+                PHASES.index(self.phase),
                 self.block_size,
                 -1 if self.max_mag is None else self.max_mag,
                 -1 if self.fl is None else self.fl,
@@ -95,58 +96,12 @@ class PipelineState:
         """Deserialize a fabric-transported state vector.
 
         Corrupted or truncated vectors raise :class:`CompressionError`
-        naming the offending header value — on the device a bad forward
-        would silently decode garbage, here it fails loudly.
+        naming the offending header value (see :func:`state_header`).
         """
         arr = np.asarray(arr)
-        if arr.ndim != 1 or arr.size < 5:
-            raise CompressionError(
-                f"pipeline state vector needs at least the 5-word header, "
-                f"got shape {arr.shape}"
-            )
-        raw_phase = float(arr[0])
-        if (
-            not np.isfinite(raw_phase)
-            or not raw_phase.is_integer()
-            or not 0 <= int(raw_phase) < len(_PHASES)
-        ):
-            raise CompressionError(
-                f"pipeline state header has invalid phase index {raw_phase!r} "
-                f"(expected 0..{len(_PHASES) - 1})"
-            )
-        raw_bs = float(arr[1])
-        if (
-            not np.isfinite(raw_bs)
-            or not raw_bs.is_integer()
-            or int(raw_bs) <= 0
-            or int(raw_bs) % 8
-        ):
-            raise CompressionError(
-                f"pipeline state header has invalid block size {raw_bs!r} "
-                f"(expected a positive multiple of 8)"
-            )
-        raw_bits = float(arr[4])
-        if (
-            not np.isfinite(raw_bits)
-            or not raw_bits.is_integer()
-            or int(raw_bits) < 0
-        ):
-            raise CompressionError(
-                f"pipeline state header has invalid bits_done {raw_bits!r}"
-            )
-        phase = _PHASES[int(raw_phase)]
-        block_size = int(raw_bs)
-        max_mag = int(arr[2])
-        fl = int(arr[3])
-        bits_done = int(raw_bits)
+        phase_idx, block_size, max_mag, fl, bits_done = state_header(arr)
+        phase = PHASES[phase_idx]
         sign_bytes = block_size // 8
-        needed = 5 + block_size + sign_bytes + bits_done * sign_bytes
-        if arr.size < needed:
-            raise CompressionError(
-                f"pipeline state vector truncated: phase {phase!r} with "
-                f"block size {block_size} and {bits_done} shuffled planes "
-                f"needs {needed} words, got {arr.size}"
-            )
         pos = 5
         values = arr[pos : pos + block_size].copy()
         pos += block_size
@@ -161,11 +116,68 @@ class PipelineState:
             block_size=block_size,
             values=values,
             signs=signs if phase in ("mags", "maxed", "lengthed", "encoded") else None,
-            max_mag=None if max_mag < 0 else max_mag,
-            fl=None if fl < 0 else fl,
+            max_mag=max_mag,
+            fl=fl,
             shuffled=shuffled,
             bits_done=bits_done,
         )
+
+
+def state_header(
+    arr: np.ndarray,
+) -> tuple[int, int, int | None, int | None, int]:
+    """Validate a serialized state's 5-word header.
+
+    Returns ``(phase index, block size, max_mag, fl, bits_done)``, with
+    ``None`` for a negative ``max_mag`` or ``fl`` (not yet computed).
+    Corrupted or truncated vectors raise :class:`CompressionError` naming
+    the offending header value — on the device a bad forward would
+    silently decode garbage, here it fails loudly. Both
+    :meth:`PipelineState.from_array` and the fused stage-group kernels of
+    :mod:`repro.core.lower` read states through here.
+    """
+    if arr.ndim != 1 or arr.size < 5:
+        raise CompressionError(
+            f"pipeline state vector needs at least the 5-word header, "
+            f"got shape {arr.shape}"
+        )
+    # float.is_integer() is False for inf and NaN, so each test below also
+    # rejects non-finite words.
+    raw_phase, raw_bs, _, _, raw_bits = map(float, arr[:5].tolist())
+    if not (raw_phase.is_integer() and 0 <= raw_phase < len(PHASES)):
+        raise CompressionError(
+            f"pipeline state header has invalid phase index {raw_phase!r} "
+            f"(expected 0..{len(PHASES) - 1})"
+        )
+    if not (raw_bs.is_integer() and raw_bs > 0 and raw_bs % 8 == 0):
+        raise CompressionError(
+            f"pipeline state header has invalid block size {raw_bs!r} "
+            f"(expected a positive multiple of 8)"
+        )
+    if not (raw_bits.is_integer() and raw_bits >= 0):
+        raise CompressionError(
+            f"pipeline state header has invalid bits_done {raw_bits!r}"
+        )
+    phase_idx = int(raw_phase)
+    block_size = int(raw_bs)
+    max_mag = int(arr[2])
+    fl = int(arr[3])
+    bits_done = int(raw_bits)
+    sign_bytes = block_size // 8
+    needed = 5 + block_size + sign_bytes + bits_done * sign_bytes
+    if arr.size < needed:
+        raise CompressionError(
+            f"pipeline state vector truncated: phase {PHASES[phase_idx]!r} "
+            f"with block size {block_size} and {bits_done} shuffled planes "
+            f"needs {needed} words, got {arr.size}"
+        )
+    return (
+        phase_idx,
+        block_size,
+        None if max_mag < 0 else max_mag,
+        None if fl < 0 else fl,
+        bits_done,
+    )
 
 
 def run_substage(
@@ -219,6 +231,8 @@ def run_substage(
     elif name.startswith("shuffle_bit_"):
         if state.phase not in ("lengthed", "encoded"):
             raise CompressionError(f"{name} applied to {state.phase}")
+        if state.fl is None:
+            raise CompressionError(f"{name} applied to a block with no length")
         k = int(name.rsplit("_", 1)[1])
         if k < state.fl:
             mags = state.values.astype(np.int64)

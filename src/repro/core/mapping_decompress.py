@@ -19,6 +19,9 @@ Record-to-wavelet packing (CereSZ's 32-bit message rule, block size 32):
 * word 0: the fixed length (the 4-byte little-endian header);
 * word 1: the 4 sign bytes (absent when fl = 0);
 * words 2..fl+1: one 4-byte bit-plane group each (paper Fig 8).
+
+A larger block size ``bs`` (a multiple of 32) widens the sign group and
+every bit plane to ``bs // 32`` words each.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def decode_block_from_words(
 
 # --- pipeline-parallel decompression (Algorithm 1 over reverse sub-stages) ---
 
-_D_PHASES = ("encoded", "mags", "signed", "codes", "values")
+DECODE_PHASES = ("encoded", "mags", "signed", "codes", "values")
 
 
 @dataclass
@@ -122,13 +125,13 @@ class DecompressState:
     fl: int
     values: np.ndarray  # mags -> residuals -> codes -> float values
     signs: np.ndarray  # uint8 sign bytes (block_size / 8)
-    planes: np.ndarray  # uint32 bit-plane words, fl entries
+    planes: np.ndarray  # uint32 bit-plane words, block_size / 32 per plane
     bits_done: int = 0
 
     def to_array(self) -> np.ndarray:
         header = np.array(
             [
-                _D_PHASES.index(self.phase),
+                DECODE_PHASES.index(self.phase),
                 self.block_size,
                 self.fl,
                 self.bits_done,
@@ -146,17 +149,14 @@ class DecompressState:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "DecompressState":
-        phase = _D_PHASES[int(arr[0])]
-        block_size = int(arr[1])
-        fl = int(arr[2])
-        bits_done = int(arr[3])
+        phase, block_size, fl, bits_done = decode_state_header(arr)
         pos = 4
         values = arr[pos : pos + block_size].copy()
         pos += block_size
         sign_bytes = block_size // 8
         signs = arr[pos : pos + sign_bytes].astype(np.uint8)
         pos += sign_bytes
-        planes = arr[pos : pos + fl].astype(np.uint32)
+        planes = arr[pos : pos + fl * (block_size // 32)].astype(np.uint32)
         return cls(
             phase=phase,
             block_size=block_size,
@@ -193,6 +193,16 @@ class DecompressState:
         )
 
 
+def decode_state_header(arr: np.ndarray) -> tuple[str, int, int, int]:
+    """A serialized decode state's 4-word header: (phase, bs, fl, bits_done).
+
+    Shared by :meth:`DecompressState.from_array` and the fused decode
+    stage-group kernels of :mod:`repro.core.lower`.
+    """
+    phase, block_size, fl, bits_done = arr[:4].tolist()
+    return DECODE_PHASES[int(phase)], int(block_size), int(fl), int(bits_done)
+
+
 def run_decompress_substage(
     stage, state: DecompressState, eps: float
 ) -> DecompressState:
@@ -203,9 +213,12 @@ def run_decompress_substage(
             raise CompressionError(f"{name} applied to {state.phase}")
         k = int(name.rsplit("_", 1)[1])
         if k < state.fl:
-            plane = int(state.planes[k])
+            words = state.block_size // 32  # one plane spans block_size bits
             plane_bytes = np.frombuffer(
-                np.uint32(plane).tobytes(), dtype=np.uint8
+                state.planes[k * words : (k + 1) * words]
+                .astype(np.uint32)
+                .tobytes(),
+                dtype=np.uint8,
             )
             bits = np.unpackbits(plane_bytes, bitorder="little").astype(
                 np.int64

@@ -1340,7 +1340,8 @@ def plan_pipeline_decompress(
         )
     packed = records_to_words(body, num_blocks, block_size)
     max_fl = max((int(h[0]) for h, _ in packed), default=0)
-    state_len = 4 + block_size + block_size // 8 + max_fl
+    # Header, values, sign bytes, and max_fl bit planes of block_size bits.
+    state_len = 4 + block_size + block_size // 8 + max_fl * (block_size // 32)
     routes: list[RouteSpec] = []
     nodes: list[Node] = []
     for row in range(rows):

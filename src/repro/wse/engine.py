@@ -23,11 +23,11 @@ Arrays handed to the fabric belong to the fabric from the moment the
 transfer is issued: senders must not mutate a sent array afterwards, and
 receivers copy into their own buffers at delivery time (``_match`` writes
 through the destination DSD). The engine therefore copies a payload **at
-most once**, on the fabout side, and only when the source buffer stays
-live after the send (a task could legally reuse it). Transmit scratch
-buffers registered via :meth:`Engine.note_scratch` are freed the moment
-the transfer captures them, so their payloads move with zero copies; pure
-relays (fabout <- fabin) forward the in-flight array itself.
+most once**: a ``mov32`` from a registered buffer (fabout <- mem1d) copies
+the window, because the buffer stays live and a task could legally reuse
+it. :meth:`TaskContext.send` hands its array straight to the fabric after
+the SRAM capacity check, with zero copies, and pure relays (fabout <-
+fabin) forward the in-flight array itself.
 
 Event-queue invariants
 ----------------------
@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,13 +106,13 @@ class _PendingRelay:
     charge_relay: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class _Event:
     kind: str
     pe: ProcessingElement | None = None
     color_id: int = -1
     data: np.ndarray | None = None
-    payload: dict = field(default_factory=dict)
+    fault: object = None  # the armed fault of a "fault" event
 
 
 class Engine:
@@ -139,10 +139,8 @@ class Engine:
         self.max_queue_depth = 0
         self._queue: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
-        self._ids = itertools.count()
         self._recv: dict[tuple[int, int, int], deque[_PendingRecv]] = {}
         self._relay: dict[tuple[int, int, int], deque[_PendingRelay]] = {}
-        self._scratch: dict[tuple[int, int], list[str]] = {}
         self._events_processed = 0
         self._now = 0.0
         #: Optional fault injector (see :mod:`repro.faults`). ``_faulted``
@@ -163,9 +161,6 @@ class Engine:
     @property
     def events_processed(self) -> int:
         return self._events_processed
-
-    def fresh_id(self) -> int:
-        return next(self._ids)
 
     def inject(
         self,
@@ -215,11 +210,7 @@ class Engine:
 
     def schedule_fault(self, fault, at: float) -> None:
         """Arm a timed fault (PE halt, SRAM bit flip) at cycle ``at``."""
-        self._push(at, _Event("fault", payload={"fault": fault}))
-
-    def note_scratch(self, pe: ProcessingElement, name: str) -> None:
-        """Mark ``name`` as a transmit scratch buffer to free on send."""
-        self._scratch.setdefault(pe.coord, []).append(name)
+        self._push(at, _Event("fault", fault=fault))
 
     def submit_transfer(
         self,
@@ -242,22 +233,13 @@ class Engine:
             if pe.inbox.get(src.color.id):
                 self._push(now, _Event("match", pe, src.color.id))
         elif isinstance(dst, FaboutDsd) and isinstance(src, Mem1dDsd):
-            view = src.resolve(pe.buffers)
-            names = self._scratch.get(pe.coord)
-            if names and src.buffer in names:
-                # Transmit scratch: the buffer is freed right after the send
-                # captures it, so ownership transfers to the fabric and no
-                # defensive copy is needed (see the ownership rule above).
-                data = view
-            else:
-                data = np.array(view, copy=True)
+            data = np.array(src.resolve(pe.buffers), copy=True)
             if data.size != dst.extent:
                 raise TaskError(
                     f"PE{pe.coord}: fabout extent {dst.extent} != source "
                     f"window size {data.size}"
                 )
             self._send(pe, dst.color, data, now, on_complete, relay)
-            self._free_scratch(pe, src.buffer)
         elif isinstance(dst, FaboutDsd) and isinstance(src, FabinDsd):
             key = (pe.row, pe.col, src.color.id)
             self._relay.setdefault(key, deque()).append(
@@ -428,7 +410,7 @@ class Engine:
         elif event.kind == "task":
             self._run_task(event.pe, time)
         elif event.kind == "fault":
-            self.faults.apply_timed(self, event.payload["fault"], time)
+            self.faults.apply_timed(self, event.fault, time)
         else:  # pragma: no cover - defensive
             raise TaskError(f"unknown event kind {event.kind!r}")
 
@@ -438,20 +420,16 @@ class Engine:
         while True:
             relays = self._relay.get(key)
             recvs = self._recv.get(key)
-            # Relays posted before receives are matched first in posting order.
-            candidates: list[tuple[float, str]] = []
-            if relays:
-                candidates.append((relays[0].posted_at, "relay"))
-            if recvs:
-                candidates.append((recvs[0].posted_at, "recv"))
-            if not candidates:
+            if not relays and not recvs:
                 return
             data = pe.take_delivery(color_id)
             if data is None:
                 return
-            candidates.sort()
-            _, which = candidates[0]
-            if which == "relay":
+            # The earlier-posted descriptor matches first; a receive wins a
+            # tie with a relay.
+            if relays and (
+                not recvs or relays[0].posted_at < recvs[0].posted_at
+            ):
                 pending = relays[0]
                 if data.size != pending.extent:
                     raise (_Misframe if self._faulted else TaskError)(
@@ -554,9 +532,3 @@ class Engine:
             )
         if pe.pending and not pe.halted:
             self._schedule_task(pe, pe.busy_until)
-
-    def _free_scratch(self, pe: ProcessingElement, name: str) -> None:
-        names = self._scratch.get(pe.coord)
-        if names and name in names:
-            names.remove(name)
-            pe.free_buffer(name)

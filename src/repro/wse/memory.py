@@ -46,13 +46,21 @@ class SramAllocator:
         """
         if nbytes < 0:
             raise ValueError(f"negative allocation for {name!r}")
-        current = self._allocs.get(name, 0)
-        if self.used - current + nbytes > self.capacity:
+        self.require(name, nbytes, reclaim=self._allocs.get(name, 0))
+        self._allocs[name] = nbytes
+
+    def require(self, name: str, nbytes: int, *, reclaim: int = 0) -> None:
+        """Raise :class:`MemoryError_` unless ``nbytes`` more would fit.
+
+        ``reclaim`` bytes are returned first (a resize gives back the old
+        size). Transient buffers that never outlive one operation — a
+        task's transmit array — are checked here without being recorded.
+        """
+        if self.used - reclaim + nbytes > self.capacity:
             raise MemoryError_(
                 f"PE SRAM overflow allocating {name!r}: need {nbytes} B, "
-                f"{self.free + current} B free of {self.capacity} B"
+                f"{self.free + reclaim} B free of {self.capacity} B"
             )
-        self._allocs[name] = nbytes
 
     def release(self, name: str) -> None:
         if name not in self._allocs:

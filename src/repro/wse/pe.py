@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import TaskError
 from repro.wse.color import Color
-from repro.wse.dsd import Dsd, FabinDsd, FaboutDsd, Mem1dDsd
+from repro.wse.dsd import Dsd, FabinDsd, Mem1dDsd
 from repro.wse.memory import SramAllocator
 from repro.wse.router import Router
 
@@ -243,18 +243,18 @@ class TaskContext:
         on_complete: Color | None = None,
         relay: bool = False,
     ) -> None:
-        """Convenience: send a whole array on ``color`` from a scratch DSD."""
-        name = f"__tx_{color.id}_{self._engine.fresh_id()}"
-        self._pe.alloc_buffer(name, np.asarray(array))
-        # Register the scratch buffer first: the engine frees it as soon as
-        # the transfer below captures the data.
-        self._engine.note_scratch(self._pe, name)
-        self.mov32(
-            FaboutDsd(color=color, extent=_extent_of(array)),
-            Mem1dDsd(buffer=name),
-            on_complete=on_complete,
-            relay=relay,
-        )
+        """Convenience: send a whole array on ``color``.
+
+        The array must fit in this PE's free SRAM (it is the transmit
+        buffer), but it is never registered: it belongs to the fabric from
+        this call on (the payload ownership rule in :mod:`repro.wse.engine`),
+        so the caller must not mutate it afterwards.
+        """
+        data = np.ascontiguousarray(array)
+        if data.size == 0:
+            raise TaskError(f"PE{self.coord}: send of an empty array on {color}")
+        self._pe.sram.require(f"__tx_{color.id}", data.nbytes)
+        self._engine._send(self._pe, color, data, self.now, on_complete, relay)
 
     def recv(self, color: Color, extent: int, into: str, on_complete: Color) -> None:
         """Convenience: receive ``extent`` wavelets into buffer ``into``."""
@@ -267,9 +267,3 @@ class TaskContext:
     def halt(self) -> None:
         """Stop scheduling tasks on this PE (end of program)."""
         self._pe.halted = True
-
-
-def _extent_of(array: np.ndarray) -> int:
-    # DSD extents count *elements*; the engine charges fabric time in
-    # wavelets (a float64 element costs two 32-bit wavelets).
-    return int(np.asarray(array).size)

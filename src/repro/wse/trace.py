@@ -63,9 +63,9 @@ class NodeCounters:
     def add_stages(self, items: tuple[tuple[str, float], ...]) -> None:
         """Bulk :meth:`add_stage` for precomputed per-block stage plans.
 
-        The fused whole-block kernels account a block's full stage list in
-        one call instead of one per sub-stage; the accumulated totals are
-        identical.
+        The fused kernels account a block's stage list (the whole
+        algorithm, or one pipeline stage group) in one call instead of one
+        per sub-stage; the accumulated totals are identical.
         """
         sc = self.stage_cycles
         for name, cycles in items:

@@ -1,0 +1,330 @@
+"""Fused stage-group kernels against the stepped sub-stage machines.
+
+``repro.core.lower`` runs every pipelined stage group through one fused
+kernel; the stepped machines (``run_substage`` and
+``run_decompress_substage`` over ``PipelineState`` and
+``DecompressState``) are its oracle. These tests chain both over random
+contiguous splits of the sub-stage list, hop by hop, in both directions.
+Every hop must forward the same wire vector and charge the same cycles and
+accounting items (the task-dispatch charges of idle shuffle and unshuffle
+bits and of a zero block's sign restore included), and the tail must emit
+the same record or decoded values.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.lower import (
+    _encode_record,
+    _make_decompress_process,
+    _make_fused_decode,
+    _make_fused_group,
+    _make_stepped_group,
+    _record_entry,
+    _wire_entry,
+    lower_plan,
+)
+from repro.core.mapping import ProgramOutputs
+from repro.core.mapping_decompress import (
+    DecompressOutputs,
+    DecompressState,
+    decode_block_from_words,
+)
+from repro.core.plan import plan_pipeline
+from repro.core.predictors import get_predictor
+from repro.core.schedule import StageDistribution
+from repro.core.stages import compression_substages, decompression_substages
+from repro.errors import CompressionError, ScheduleError
+from repro.wse.color import Color
+from repro.wse.cost import PAPER_CYCLE_MODEL
+from repro.wse.engine import Engine
+from repro.wse.fabric import Fabric
+from repro.wse.trace import NodeCounters
+
+#: 2 eps = 1, so integer-valued blocks quantize to themselves exactly.
+EPS = 0.5
+OUT = Color(1, "fwd")
+REARM = Color(2, "rearm")
+
+
+class _Ctx:
+    """The part of TaskContext a stage-group kernel touches, recorded."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.cycles = 0
+        self.sent: list[np.ndarray] = []
+
+    def buffer(self, name: str) -> np.ndarray:
+        return self.buffers[name]
+
+    def spend(self, cycles, *, relay: bool = False) -> None:
+        self.cycles += int(round(cycles))
+
+    def send(self, color, array) -> None:
+        self.sent.append(array)
+
+    def activate(self, color) -> None:
+        pass
+
+    def halt(self) -> None:
+        pass
+
+
+class _Counters(NodeCounters):
+    """NodeCounters that also log every accounting item, in order."""
+
+    def __init__(self):
+        super().__init__(label="group", kind="stage", row=0, col=0)
+        self.items: list[tuple[str, float]] = []
+
+    def add_stage(self, stage_name, cycles):
+        self.items.append((stage_name, cycles))
+        super().add_stage(stage_name, cycles)
+
+    def add_stages(self, items):
+        self.items.extend(items)
+        super().add_stages(items)
+
+
+def _block(block_size: int, fl: int, seed: int) -> np.ndarray:
+    """Integer codes whose largest Lorenzo residual has exactly ``fl`` bits."""
+    rng = np.random.default_rng(seed)
+    top = (1 << fl) - 1
+    residuals = rng.integers(-top, top + 1, size=block_size)
+    residuals[rng.integers(block_size)] = top * rng.choice((-1, 1))
+    return np.cumsum(residuals).astype(np.float64)
+
+
+@st.composite
+def _groups(draw, stages):
+    """A random contiguous split of ``stages`` into non-empty groups."""
+    n = len(stages)
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    return [tuple(stages[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _compress_hop(make, group, src, first, last, plan, ctx, nc):
+    """One compression hop: the forwarded vector, or the tail's record."""
+    outputs = ProgramOutputs()
+    ctx.buffers["stage_in"] = src
+    run = make(
+        group, "stage_in", first, None if last else OUT, [0], {"done": 0},
+        plan, PAPER_CYCLE_MODEL, outputs, nc,
+    )
+    run(ctx)
+    return outputs.records[0] if last else ctx.sent[0]
+
+
+def _decode_hop(make, group, entry, last, plan, ctx, nc):
+    """One decode hop: the forwarded vector, or the tail's values."""
+    outputs = DecompressOutputs()
+    process = make(
+        group, None if last else OUT, REARM, [0], {"done": 0}, plan,
+        PAPER_CYCLE_MODEL, outputs, nc,
+    )
+    process(ctx, entry)
+    return outputs.blocks[0] if last else ctx.sent[0]
+
+
+def _outcome(hop, *args):
+    """A hop's result, cycles and items — or the CompressionError it raised
+    with what it charged before raising."""
+    ctx, nc = _Ctx(), _Counters()
+    try:
+        result = hop(*args, ctx, nc)
+    except CompressionError as exc:
+        return ("error", str(exc), ctx.cycles, nc.items), None
+    return ("ok", _bits(result), ctx.cycles, nc.items), result
+
+
+def _compress_chain(make, groups, values, plan):
+    hops = []
+    src = values
+    for i, group in enumerate(groups):
+        last = i == len(groups) - 1
+        hop, src = _outcome(
+            _compress_hop, make, group, src.copy(), i == 0, last, plan
+        )
+        hops.append(hop)
+        if src is None:
+            break
+    return hops
+
+
+def _decode_chain(make, from_record, from_wire, groups, fl, words, plan):
+    hops = []
+    entry = from_record(fl, words, plan.block_size)
+    for i, group in enumerate(groups):
+        last = i == len(groups) - 1
+        hop, result = _outcome(_decode_hop, make, group, entry, last, plan)
+        hops.append(hop)
+        if result is None:
+            break
+        if not last:
+            entry = from_wire(result.copy())
+    return hops
+
+
+def _bits(result) -> bytes:
+    return result if isinstance(result, bytes) else result.tobytes()
+
+
+def _record(values: np.ndarray) -> tuple[bytes, int, np.ndarray | None]:
+    record, fl = _encode_record(values, EPS, get_predictor("lorenzo1d"))
+    words = np.frombuffer(record[4:], dtype=np.uint32).copy() if fl else None
+    return record, fl, words
+
+
+def _compress_plan(block_size: int, planned: int):
+    sign_bytes = block_size // 8
+    return SimpleNamespace(
+        eps=EPS,
+        block_size=block_size,
+        state_len=5 + block_size + sign_bytes * (1 + planned),
+    )
+
+
+def _decode_plan(block_size: int, max_fl: int):
+    return SimpleNamespace(
+        eps=EPS,
+        block_size=block_size,
+        state_len=4 + block_size + block_size // 8
+        + max_fl * (block_size // 32),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    block_size=st.sampled_from([32, 64]),
+    fl=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compress_groups_match_stepped(data, block_size, fl, seed):
+    # Planned shuffle bits may fall short of or exceed the block's own
+    # fixed length: short plans leave planes unshuffled, long ones idle.
+    planned = data.draw(st.integers(0, 21), label="planned bits")
+    stages = compression_substages(planned, block_size)
+    groups = data.draw(_groups(stages), label="groups")
+    values = _block(block_size, fl, seed)
+    plan = _compress_plan(block_size, planned)
+    stepped = _compress_chain(_make_stepped_group, groups, values, plan)
+    fused = _compress_chain(_make_fused_group, groups, values, plan)
+    assert fused == stepped
+    if planned >= fl:
+        assert stepped[-1][:2] == ("ok", _record(values)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    block_size=st.sampled_from([32, 64]),
+    fl=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_groups_match_stepped(data, block_size, fl, seed):
+    # The plan sizes its unshuffle bits for the stream's largest fl, so
+    # this block's bits beyond its own fl are planned but idle.
+    max_fl = fl + data.draw(st.integers(0, 3), label="extra planned bits")
+    stages = decompression_substages(max_fl, block_size)
+    groups = data.draw(_groups(stages), label="groups")
+    _, fl, words = _record(_block(block_size, fl, seed))
+    plan = _decode_plan(block_size, max_fl)
+    stepped = _decode_chain(
+        _make_decompress_process,
+        DecompressState.from_record,
+        DecompressState.from_array,
+        groups, fl, words, plan,
+    )
+    fused = _decode_chain(
+        _make_fused_decode, _record_entry, _wire_entry, groups, fl, words,
+        plan,
+    )
+    assert fused == stepped
+    expected = decode_block_from_words(fl, words, EPS, block_size)
+    assert stepped[-1][:2] == ("ok", expected.tobytes())
+
+
+#: Header words a bit flip could leave in the phase slot.
+PHASE_WORDS = [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5, np.nan]
+
+
+@pytest.mark.parametrize("length", [2, 3, 5])
+@pytest.mark.parametrize("phase_word", PHASE_WORDS)
+def test_corrupt_compress_phase_fails_like_stepped(length, phase_word):
+    """A state arriving in the wrong phase fails the fused kernel with the
+    stepped path's header check or phase-order error, or (when the phase is
+    still legal for the group) forwards the identical vector."""
+    stages = compression_substages(8, 32)
+    n = len(stages)
+    bounds = [round(i * n / length) for i in range(length + 1)]
+    groups = [tuple(stages[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    plan = _compress_plan(32, 8)
+    _, vec = _outcome(
+        _compress_hop, _make_stepped_group, groups[0], _block(32, 8, 1),
+        True, False, plan,
+    )
+    vec[0] = phase_word
+    stepped, fused = (
+        _outcome(
+            _compress_hop, make, groups[1], vec.copy(), False, length == 2,
+            plan,
+        )[0]
+        for make in (_make_stepped_group, _make_fused_group)
+    )
+    assert fused == stepped
+
+
+@pytest.mark.parametrize("length", [2, 3, 6])
+@pytest.mark.parametrize("phase_word", [0.0, 1.0, 2.0, 3.0, 4.0, -1.0])
+@pytest.mark.parametrize("fl", [0, 5, 8])
+def test_corrupt_decode_phase_fails_like_stepped(length, phase_word, fl):
+    """The decode counterpart; with fl 5 of 8 planned bits, a group's idle
+    unshuffles are charged before its sign restore fails."""
+    stages = decompression_substages(8, 32)
+    n = len(stages)
+    bounds = [round(i * n / length) for i in range(length + 1)]
+    groups = [tuple(stages[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    plan = _decode_plan(32, 8)
+    _, fl, words = _record(_block(32, fl, 2))
+    _, vec = _outcome(
+        _decode_hop, _make_decompress_process, groups[0],
+        DecompressState.from_record(fl, words, 32), False, plan,
+    )
+    vec[0] = phase_word
+    stepped, fused = (
+        _outcome(
+            _decode_hop, make, groups[1], enter(vec.copy()), length == 2,
+            plan,
+        )[0]
+        for make, enter in (
+            (_make_decompress_process, DecompressState.from_array),
+            (_make_fused_decode, _wire_entry),
+        )
+    )
+    assert fused == stepped
+
+
+def test_non_contiguous_group_is_rejected_at_lowering():
+    """The fused kernels need Algorithm 1's contiguous groups; a plan that
+    reorders sub-stages fails at lowering, and only the stepped oracle
+    will run it."""
+    stages = compression_substages(2, 32)
+    dist = StageDistribution(
+        groups=(tuple(stages[:6]) + (stages[7],), (stages[6],))
+    )
+    blocks = np.cumsum(np.ones((2, 32)), axis=1)
+    for fast_kernels in (True, False):
+        plan = plan_pipeline(blocks, EPS, dist, rows=1, cols=2)
+        fabric = Fabric(1, 2)
+        if fast_kernels:
+            with pytest.raises(ScheduleError, match="contiguous"):
+                lower_plan(plan, fabric, Engine(fabric))
+        else:
+            lower_plan(plan, fabric, Engine(fabric), fast_kernels=False)

@@ -1,23 +1,27 @@
 """Execution-mode equivalence of the simulator.
 
 The performance layer must be invisible in results: row-parallel
-simulation with ``jobs > 1``, observed runs, and the fused whole-block
-kernels have to reproduce the serial run and the stepped sub-stage
-machine (the fused kernel's named oracle) cycle for cycle and byte for
-byte. These tests sweep the plan matrix and compare makespans, compressed
-bytes, per-PE traces, and per-stage counter breakdowns, and pin the exact
-event count the engine's event-queue slimming yields for each strategy.
+simulation with ``jobs > 1``, observed runs, and the fused kernels
+(whole-block and per stage group, in both directions) have to reproduce
+the serial run and the stepped sub-stage machines (the fused kernels'
+named oracle) cycle for cycle and bit for bit. These tests sweep the plan
+matrix — every compression strategy plus the rows and pipeline decode
+mappings — and compare makespans, compressed bytes or decoded values,
+per-PE traces, and per-stage counter breakdowns, and pin the exact event
+count the engine's event-queue slimming yields for each plan.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import BLOCK_SIZE
-from repro.core.lower import lower_plan
+from repro.core.lower import host_block_records, lower_plan
 from repro.core.plan import (
     plan_multi_pipeline,
     plan_pipeline,
+    plan_pipeline_decompress,
     plan_row_parallel,
+    plan_row_parallel_decompress,
     plan_staged_multi_pipeline,
     row_chunks,
     row_partitionable,
@@ -25,7 +29,7 @@ from repro.core.plan import (
 )
 from repro.core.schedule import distribute_substages
 from repro.core.simulate import simulate_plan
-from repro.core.stages import compression_substages
+from repro.core.stages import compression_substages, decompression_substages
 from repro.core.wse_compressor import WSECereSZ
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -36,8 +40,16 @@ EPS = 0.01
 
 #: Exact engine events of the 13-block matrix. The naive schedule (one task
 #: event per activation, one match probe per deliver and per posted
-#: receive) made 91/273/165/258; these pins catch a return to it.
-EXACT_EVENTS = {"rows": 78, "pipeline": 234, "multi": 138, "staged": 214}
+#: receive) made 91/273/165/258 for the compression plans; these pins catch
+#: a return to it.
+EXACT_EVENTS = {
+    "rows": 78,
+    "pipeline": 234,
+    "multi": 138,
+    "staged": 214,
+    "rows-decompress": 130,
+    "pipeline-decompress": 286,
+}
 
 
 def _blocks(num_blocks: int, seed: int = 11) -> np.ndarray:
@@ -52,6 +64,8 @@ def _distribution(length: int):
 
 
 def _plan(strategy: str, blocks: np.ndarray):
+    if strategy.endswith("-decompress"):
+        return _decompress_plan(strategy, blocks)
     if strategy == "rows":
         return plan_row_parallel(blocks, EPS, rows=3, cols=1)
     if strategy == "pipeline":
@@ -63,7 +77,27 @@ def _plan(strategy: str, blocks: np.ndarray):
     )
 
 
+def _decompress_plan(strategy: str, blocks: np.ndarray):
+    """Decode the wafer records of ``blocks`` (rows 3x1, pipeline 2x3 L=3)."""
+    n = blocks.shape[0]
+    records = host_block_records(blocks, EPS, range(n))
+    body = b"".join(records[i] for i in range(n))
+    if strategy == "rows-decompress":
+        return plan_row_parallel_decompress(body, n, EPS, rows=3, cols=1)
+    max_fl = max(int.from_bytes(r[:4], "little") for r in records.values())
+    dist = distribute_substages(decompression_substages(max_fl), 3)
+    return plan_pipeline_decompress(body, n, EPS, dist, rows=2, cols=3)
+
+
+def _result(outputs, plan) -> bytes:
+    """Compressed bytes, or the decoded values' bits, of a finished run."""
+    if plan.direction == "compress":
+        return outputs.stream(plan.num_blocks)
+    return outputs.assemble(plan.num_blocks, plan.block_size).tobytes()
+
+
 STRATEGIES = ["rows", "pipeline", "multi", "staged"]
+PLANS = STRATEGIES + ["rows-decompress", "pipeline-decompress"]
 
 
 def _trace_rows(trace):
@@ -82,15 +116,16 @@ def _counter_rows(trace):
     ]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", PLANS)
 class TestExecutionModeEquivalence:
     def test_parallel_matches_serial(self, strategy):
         blocks = _blocks(13)  # non-divisible across every mesh above
-        serial = simulate_plan(_plan(strategy, blocks))
+        plan = _plan(strategy, blocks)
+        serial = simulate_plan(plan)
         parallel = simulate_plan(_plan(strategy, blocks), jobs=2)
         assert parallel.partitions == 2
-        assert (
-            serial.outputs.stream(13) == parallel.outputs.stream(13)
+        assert _result(serial.outputs, plan) == _result(
+            parallel.outputs, plan
         )
         assert (
             serial.report.makespan_cycles == parallel.report.makespan_cycles
@@ -144,13 +179,16 @@ class TestExecutionModeEquivalence:
     def test_observed_run_is_byte_identical(self, strategy):
         """Tracing and metrics must never perturb simulation results."""
         blocks = _blocks(13)
-        plain = simulate_plan(_plan(strategy, blocks))
+        plan = _plan(strategy, blocks)
+        plain = simulate_plan(plan)
         observed = simulate_plan(
             _plan(strategy, blocks),
             tracer=Tracer(level="timeline"),
             metrics=MetricsRegistry(),
         )
-        assert plain.outputs.stream(13) == observed.outputs.stream(13)
+        assert _result(plain.outputs, plan) == _result(
+            observed.outputs, plan
+        )
         assert (
             plain.report.makespan_cycles == observed.report.makespan_cycles
         )
@@ -159,7 +197,7 @@ class TestExecutionModeEquivalence:
         )
 
     def test_fused_matches_stepped(self, strategy):
-        """The fused whole-block kernel against its stepped oracle."""
+        """The fused kernels against their stepped oracle."""
         runs = []
         for fast_kernels in (False, True):
             plan = _plan(strategy, _blocks(13))
@@ -168,9 +206,10 @@ class TestExecutionModeEquivalence:
             lowered = lower_plan(
                 plan, fabric, engine, fast_kernels=fast_kernels
             )
-            runs.append((lowered.outputs, engine.run()))
+            report = engine.run()
+            runs.append((_result(lowered.outputs, plan), report))
         (stepped, s_rep), (fused, f_rep) = runs
-        assert stepped.stream(13) == fused.stream(13)
+        assert stepped == fused
         assert s_rep.makespan_cycles == f_rep.makespan_cycles
         assert s_rep.tasks_run == f_rep.tasks_run
         assert s_rep.events_processed == f_rep.events_processed

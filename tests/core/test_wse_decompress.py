@@ -181,3 +181,22 @@ class TestPipelineDecompression:
             np.abs(out.astype(np.float64) - mixed_field.astype(np.float64))
         )
         assert err <= stream.eps
+
+
+class TestWideBlocks:
+    """Above block size 32 one bit plane spans ``block_size // 32`` words;
+    the pipelined decode must carry and unshuffle every word of it."""
+
+    @pytest.mark.parametrize("block_size", [64, 128])
+    @pytest.mark.parametrize("strategy", ["rows", "pipeline"])
+    def test_decode_matches_reference(self, strategy, block_size):
+        rng = np.random.default_rng(0)
+        data = np.cumsum(rng.standard_normal(1024)).astype(np.float32)
+        codec = CereSZ(block_size=block_size)
+        stream = codec.compress(data, rel=1e-3).stream
+        extra = {"pipeline_length": 2} if strategy == "pipeline" else {}
+        sim = WSECereSZ(
+            rows=2, cols=4, strategy=strategy, block_size=block_size, **extra
+        )
+        out, _ = sim.decompress_on_wafer(stream)
+        assert np.array_equal(out, codec.decompress(stream))

@@ -6,7 +6,9 @@ wafer simulator under each mapping strategy in event and hybrid mode, a
 self-healed wafer run, and replication-composed tiling — and asserts
 identical bytes. Every decoder (fused host, sharded, wafer rows and
 pipeline) must reproduce the reference decode bit for bit and honour the
-error bound.
+error bound. The pipeline arm draws its length and block size, so its
+stage-group boundaries fall after every kind of sub-stage in both
+directions.
 """
 
 import numpy as np
@@ -23,7 +25,6 @@ REFERENCE = CereSZ(fast=False)
 
 WAFERS = {
     "rows": dict(rows=2, cols=1, strategy="rows"),
-    "pipeline": dict(rows=2, cols=4, strategy="pipeline", pipeline_length=4),
     "multi": dict(rows=2, cols=4, strategy="multi"),
     "staged": dict(rows=2, cols=4, strategy="multi", pipeline_length=2),
 }
@@ -43,8 +44,15 @@ walks = st.builds(_walk, st.integers(1, 700), st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=walks, rel=st.sampled_from([1e-2, 1e-3, 1e-4]))
-def test_every_path_matches_the_reference(data, rel):
+@given(
+    data=walks,
+    rel=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    pipeline_length=st.integers(1, 8),
+    block_size=st.sampled_from([32, 64]),
+)
+def test_every_path_matches_the_reference(
+    data, rel, pipeline_length, block_size
+):
     ref = REFERENCE.compress(data, rel=rel)
     expected = REFERENCE.decompress(ref.stream)
     assert check_error_bound(data, expected, ref.eps)
@@ -70,6 +78,16 @@ def test_every_path_matches_the_reference(data, rel):
         for mode in ("event", "hybrid"):
             run = WSECereSZ(mode=mode, **kw).compress(data, rel=rel)
             assert run.stream == ref.stream, (name, mode)
+    pipeline = dict(
+        rows=2, cols=8, strategy="pipeline",
+        pipeline_length=pipeline_length, block_size=block_size,
+    )
+    piped_ref = CereSZ(fast=False, block_size=block_size).compress(
+        data, rel=rel
+    )
+    for mode in ("event", "hybrid"):
+        run = WSECereSZ(mode=mode, **pipeline).compress(data, rel=rel)
+        assert run.stream == piped_ref.stream, ("pipeline", mode)
     healed = WSECereSZ(
         rows=2, cols=1, strategy="rows", spare_rows=1, on_fault="repair",
         faults=HALTED_ROW0,
@@ -77,9 +95,10 @@ def test_every_path_matches_the_reference(data, rel):
     assert healed.repair.outcome == "repaired"
     assert healed.stream == ref.stream
 
-    for name in ("rows", "pipeline"):
-        back, _ = WSECereSZ(**WAFERS[name]).decompress_on_wafer(ref.stream)
-        assert np.array_equal(back, expected), name
+    back, _ = WSECereSZ(**WAFERS["rows"]).decompress_on_wafer(ref.stream)
+    assert np.array_equal(back, expected)
+    back, _ = WSECereSZ(**pipeline).decompress_on_wafer(piped_ref.stream)
+    assert np.array_equal(back, REFERENCE.decompress(piped_ref.stream))
 
     row = data[: data.size // BLOCK_SIZE * BLOCK_SIZE]
     if row.size and np.ptp(row) > 0:
