@@ -39,12 +39,15 @@ compress path is the production-style usage.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
 
 from repro import CereSZ, __version__
 from repro.core.predictors import predictor_names
+from repro.core.simulate import SIM_MODES
+from repro.core.wse_compressor import STRATEGIES, WSECereSZ
 from repro.datasets import generate_field, get_dataset, load_f32, save_f32
 from repro.metrics.errorbound import max_abs_error
 
@@ -239,28 +242,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="narrow dataset/field coverage for a fast smoke run",
     )
 
-    p = sub.add_parser(
-        "simulate", aliases=["sim"], help="compress on the WSE simulator"
+    # The flags sim and plan share. Each flag of sim and plan that mirrors
+    # a WSECereSZ keyword takes that keyword's default.
+    lib = {
+        k: v.default
+        for k, v in inspect.signature(WSECereSZ).parameters.items()
+    }
+    mesh = argparse.ArgumentParser(add_help=False)
+    mesh.add_argument("input")
+    mesh.add_argument("--rows", type=int, default=lib["rows"])
+    mesh.add_argument("--cols", type=int, default=lib["cols"])
+    mesh.add_argument(
+        "--strategy", choices=STRATEGIES, default=lib["strategy"]
     )
-    p.add_argument("input")
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument(
-        "--strategy", choices=("rows", "pipeline", "multi"), default="multi"
+    mesh.add_argument(
+        "--pipeline-length", type=int, default=lib["pipeline_length"]
     )
-    p.add_argument("--pipeline-length", type=int, default=1)
-    p.add_argument(
-        "--predictor", choices=predictor_names(), default="lorenzo1d",
+    mesh.add_argument(
+        "--predictor", choices=predictor_names(), default=lib["predictor"],
         help="block-local predictor to lower onto the mesh (whole-array "
         "predictors are rejected with their locality contract)",
     )
-    p.add_argument("--rel", type=float, default=1e-3)
-    p.add_argument(
+    mesh.add_argument("--rel", type=float, default=1e-3)
+    mesh.add_argument(
         "--limit-blocks", type=int, default=64,
-        help="simulate only the first N blocks (event-level sim is slow)",
+        help="use only the first N blocks (event-level sim is slow)",
+    )
+    p = sub.add_parser(
+        "simulate", aliases=["sim"], parents=[mesh],
+        help="compress on the WSE simulator",
     )
     p.add_argument(
-        "--mode", choices=("event", "hybrid"), default="event",
+        "--mode", choices=SIM_MODES, default=lib["mode"],
         help="'event' simulates every PE; 'hybrid' event-simulates one "
         "representative per homogeneous row class and replicates the "
         "rest analytically (cycle-exact, orders of magnitude faster at "
@@ -273,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "never materialized)",
     )
     p.add_argument(
-        "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
+        "--jobs", type=_jobs_arg, default=lib["jobs"], metavar="N|auto",
         help="row-parallel worker processes, or 'auto' to size to the "
         "host (results identical for any value)",
     )
@@ -294,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         "off otherwise)",
     )
     p.add_argument(
-        "--sample-every", type=int, default=1,
-        help="keep every Nth task per PE in the timeline (default 1 = all)",
+        "--sample-every", type=int, default=lib["sample_every"],
+        help="keep every Nth task per PE in the timeline "
+        "(default %(default)s)",
     )
     p.add_argument(
         "--inject-faults", metavar="SPEC",
@@ -315,21 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--on-fault", choices=("raise", "repair", "fallback"),
-        default="raise",
+        default=lib["on_fault"],
         help="stall handling: 'raise' fails the run (default); 'repair' "
         "remaps condemned rows onto spares or a shrunk replan and "
         "retries; 'fallback' routes their blocks through the host fast "
         "path immediately",
     )
     p.add_argument(
-        "--max-repairs", type=int, default=2,
+        "--max-repairs", type=int, default=lib["max_repairs"],
         help="bound on wafer-side repair attempts before degrading to "
-        "the host fallback (default 2)",
+        "the host fallback (default %(default)s)",
     )
     p.add_argument(
-        "--spare-rows", type=int, default=0,
+        "--spare-rows", type=int, default=lib["spare_rows"],
         help="grow the mesh by N idle spare rows for repairs to remap "
-        "condemned rows onto (default 0)",
+        "condemned rows onto (default %(default)s)",
     )
     p.add_argument(
         "--repair-report", metavar="OUT.json",
@@ -373,26 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every compared metric, not just regressions",
     )
 
-    p = sub.add_parser(
-        "plan",
+    sub.add_parser(
+        "plan", parents=[mesh],
         help="print the mapping plan a simulate run would lower (no sim)",
-    )
-    p.add_argument("input")
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument(
-        "--strategy", choices=("rows", "pipeline", "multi"), default="multi"
-    )
-    p.add_argument("--pipeline-length", type=int, default=1)
-    p.add_argument(
-        "--predictor", choices=predictor_names(), default="lorenzo1d",
-        help="block-local predictor to place in the plan (whole-array "
-        "predictors are rejected with their locality contract)",
-    )
-    p.add_argument("--rel", type=float, default=1e-3)
-    p.add_argument(
-        "--limit-blocks", type=int, default=64,
-        help="plan only the first N blocks",
     )
     return parser
 

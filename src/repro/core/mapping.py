@@ -129,7 +129,7 @@ def state_header(
     """Validate a serialized state's 5-word header.
 
     Returns ``(phase index, block size, max_mag, fl, bits_done)``, with
-    ``None`` for a negative ``max_mag`` or ``fl`` (not yet computed).
+    ``None`` for a ``max_mag`` or ``fl`` word of -1 (not yet computed).
     Corrupted or truncated vectors raise :class:`CompressionError` naming
     the offending header value — on the device a bad forward would
     silently decode garbage, here it fails loudly. Both
@@ -143,7 +143,9 @@ def state_header(
         )
     # float.is_integer() is False for inf and NaN, so each test below also
     # rejects non-finite words.
-    raw_phase, raw_bs, _, _, raw_bits = map(float, arr[:5].tolist())
+    raw_phase, raw_bs, raw_mag, raw_fl, raw_bits = map(
+        float, arr[:5].tolist()
+    )
     if not (raw_phase.is_integer() and 0 <= raw_phase < len(PHASES)):
         raise CompressionError(
             f"pipeline state header has invalid phase index {raw_phase!r} "
@@ -158,10 +160,21 @@ def state_header(
         raise CompressionError(
             f"pipeline state header has invalid bits_done {raw_bits!r}"
         )
+    # -1 marks a word not yet computed; anything else must be a count.
+    if not (raw_mag == -1.0 or (raw_mag.is_integer() and raw_mag >= 0)):
+        raise CompressionError(
+            f"pipeline state header has invalid max_mag {raw_mag!r} "
+            f"(expected -1 or a non-negative integer)"
+        )
+    if not (raw_fl == -1.0 or (raw_fl.is_integer() and raw_fl >= 0)):
+        raise CompressionError(
+            f"pipeline state header has invalid fl {raw_fl!r} "
+            f"(expected -1 or a non-negative integer)"
+        )
     phase_idx = int(raw_phase)
     block_size = int(raw_bs)
-    max_mag = int(arr[2])
-    fl = int(arr[3])
+    max_mag = int(raw_mag)
+    fl = int(raw_fl)
     bits_done = int(raw_bits)
     sign_bytes = block_size // 8
     needed = 5 + block_size + sign_bytes + bits_done * sign_bytes

@@ -197,10 +197,43 @@ def decode_state_header(arr: np.ndarray) -> tuple[str, int, int, int]:
     """A serialized decode state's 4-word header: (phase, bs, fl, bits_done).
 
     Shared by :meth:`DecompressState.from_array` and the fused decode
-    stage-group kernels of :mod:`repro.core.lower`.
+    stage-group kernels of :mod:`repro.core.lower`. Validated like the
+    compress side's :func:`repro.core.mapping.state_header`: a corrupted
+    or truncated vector raises :class:`CompressionError` naming the
+    offending header word.
     """
-    phase, block_size, fl, bits_done = arr[:4].tolist()
-    return DECODE_PHASES[int(phase)], int(block_size), int(fl), int(bits_done)
+    if arr.ndim != 1 or arr.size < 4:
+        raise CompressionError(
+            f"decode state vector needs at least the 4-word header, got "
+            f"shape {arr.shape}"
+        )
+    # float.is_integer() is False for inf and NaN, so each test below also
+    # rejects non-finite words.
+    raw_phase, raw_bs, raw_fl, raw_bits = map(float, arr[:4].tolist())
+    if not (raw_phase.is_integer() and 0 <= raw_phase < len(DECODE_PHASES)):
+        raise CompressionError(
+            f"decode state header has invalid phase index {raw_phase!r} "
+            f"(expected 0..{len(DECODE_PHASES) - 1})"
+        )
+    if not (raw_bs.is_integer() and raw_bs > 0 and raw_bs % 32 == 0):
+        raise CompressionError(
+            f"decode state header has invalid block size {raw_bs!r} "
+            f"(expected a positive multiple of 32)"
+        )
+    if not (raw_fl.is_integer() and raw_fl >= 0):
+        raise CompressionError(f"decode state header has invalid fl {raw_fl!r}")
+    if not (raw_bits.is_integer() and raw_bits >= 0):
+        raise CompressionError(
+            f"decode state header has invalid bits_done {raw_bits!r}"
+        )
+    block_size, fl = int(raw_bs), int(raw_fl)
+    needed = 4 + block_size + block_size // 8 + fl * (block_size // 32)
+    if arr.size < needed:
+        raise CompressionError(
+            f"decode state vector truncated: block size {block_size} with "
+            f"fl {fl} needs {needed} words, got {arr.size}"
+        )
+    return DECODE_PHASES[int(raw_phase)], block_size, fl, int(raw_bits)
 
 
 def run_decompress_substage(

@@ -38,9 +38,12 @@ the block-local residual *encode*, emitting one plain CSZ1 stream that
 is byte-identical for every ``jobs=`` value (see
 :func:`_compress_predicted_sharded`).
 
-Workers run in threads: the hot kernels are NumPy calls that release the
-GIL, and threads avoid pickling multi-megabyte streams across process
-boundaries.
+Workers run in threads by default: the hot kernels are NumPy calls that
+release the GIL, and threads avoid pickling multi-megabyte streams across
+process boundaries. Every set of workers here and in the simulator
+(:mod:`repro.core.simulate`) runs on one pool, :func:`run_pool_resilient`:
+inline for one worker, threads or processes otherwise, with an optional
+watchdog and retry budget.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ import random
 import struct
 import time
 from concurrent.futures import (
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as _FutureTimeout,
 )
@@ -110,26 +112,6 @@ def _shard_bounds(n: int, shard_elements: int) -> list[tuple[int, int]]:
     ]
 
 
-def run_pool(fn, items, jobs: int, *, processes: bool = False) -> list:
-    """Map ``fn`` over ``items`` preserving order; inline when jobs == 1.
-
-    ``processes=False`` (the shard engine's mode) uses threads — right for
-    GIL-releasing NumPy kernels on shared memory. ``processes=True`` uses a
-    process pool — required for pure-Python work like the WSE simulator,
-    where threads serialize on the GIL; ``fn`` and the items must then be
-    picklable module-level objects.
-    """
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool_cls = ProcessPoolExecutor if processes else ThreadPoolExecutor
-    with pool_cls(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _run_pool(fn, items, jobs: int) -> list:
-    return run_pool(fn, items, jobs)
-
-
 def run_pool_resilient(
     fn,
     items,
@@ -143,13 +125,19 @@ def run_pool_resilient(
     salvage: bool = False,
     metrics=None,
 ):
-    """Map ``fn`` over ``items`` with a watchdog and bounded retries.
+    """Map ``fn`` over ``items`` preserving order, with optional watchdog
+    and bounded retries; inline when ``jobs == 1`` or there is one item.
 
-    The resilient sibling of :func:`run_pool`: every item gets up to
-    ``1 + retries`` attempts; between retry waves the pool sleeps an
-    exponentially growing, deterministically jittered backoff
-    (``backoff * 2**wave``, jitter seeded by ``jitter_seed`` so runs are
-    reproducible). ``timeout`` arms the per-item watchdog:
+    ``processes=False`` (the shard engine's mode) uses threads — right for
+    GIL-releasing NumPy kernels on shared memory. ``processes=True`` uses a
+    process pool — required for pure-Python work like the WSE simulator,
+    where threads serialize on the GIL; ``fn`` and the items must then be
+    picklable module-level objects.
+
+    Every item gets up to ``1 + retries`` attempts; between retry waves
+    the pool sleeps an exponentially growing, deterministically jittered
+    backoff (``backoff * 2**wave``, jitter seeded by ``jitter_seed`` so
+    runs are reproducible). ``timeout`` arms the per-item watchdog:
 
     - ``processes=True`` — a hung worker is *killed* (the whole
       ``multiprocessing.Pool`` is terminated and rebuilt; completed
@@ -164,7 +152,12 @@ def run_pool_resilient(
     :class:`repro.faults.report.ShardFailure` for exactly those items. With
     ``salvage=False`` (default) any terminal failure raises a
     :class:`repro.errors.WorkerError` naming the first failed shard, its
-    attempt count, and every other failure.
+    attempt count, and every other failure. With ``retries=0`` and
+    ``salvage=False`` there is nothing to retry or salvage, so the first
+    worker exception (in item order) propagates unchanged instead — a
+    :class:`~repro.errors.ContainerError` from a corrupt shard keeps its
+    type and fields whichever pool ran it. A watchdog timeout is not a
+    worker exception and still raises :class:`WorkerError`.
     """
     from repro.faults.report import ShardFailure
 
@@ -176,6 +169,7 @@ def run_pool_resilient(
     failures: dict[int, ShardFailure] = {}
     if retries < 0:
         raise CompressionError(f"retries must be >= 0, got {retries}")
+    propagate = retries == 0 and not salvage
     rng = random.Random(jitter_seed)
     pending = list(range(n))
     wave = 0
@@ -232,6 +226,8 @@ def run_pool_resilient(
                         pool.terminate()
                         killed = True
                     except Exception as exc:
+                        if propagate:
+                            raise
                         _record_failure(
                             i, "error", f"{type(exc).__name__}: {exc}"
                         )
@@ -240,23 +236,27 @@ def run_pool_resilient(
                 pool.join()
         elif jobs > 1 and len(batch) > 1 and not processes:
             pool = ThreadPoolExecutor(max_workers=min(jobs, len(batch)))
-            futures = [(i, pool.submit(fn, items[i])) for i in batch]
-            for i, fut in futures:
-                try:
-                    results[i] = fut.result(timeout)
-                    done[i] = True
-                    failures.pop(i, None)
-                except _FutureTimeout:
-                    fut.cancel()
-                    _record_failure(
-                        i, "timeout",
-                        f"worker exceeded {timeout}s (thread abandoned)",
-                    )
-                except Exception as exc:
-                    _record_failure(
-                        i, "error", f"{type(exc).__name__}: {exc}"
-                    )
-            pool.shutdown(wait=False, cancel_futures=True)
+            try:
+                futures = [(i, pool.submit(fn, items[i])) for i in batch]
+                for i, fut in futures:
+                    try:
+                        results[i] = fut.result(timeout)
+                        done[i] = True
+                        failures.pop(i, None)
+                    except _FutureTimeout:
+                        fut.cancel()
+                        _record_failure(
+                            i, "timeout",
+                            f"worker exceeded {timeout}s (thread abandoned)",
+                        )
+                    except Exception as exc:
+                        if propagate:
+                            raise
+                        _record_failure(
+                            i, "error", f"{type(exc).__name__}: {exc}"
+                        )
+            finally:
+                pool.shutdown(wait=False, cancel_futures=True)
         else:
             # Inline: no watchdog possible, but retries still apply.
             for i in batch:
@@ -265,6 +265,8 @@ def run_pool_resilient(
                     done[i] = True
                     failures.pop(i, None)
                 except Exception as exc:
+                    if propagate:
+                        raise
                     _record_failure(
                         i, "error", f"{type(exc).__name__}: {exc}"
                     )
@@ -350,14 +352,11 @@ def _compress_predicted_sharded(
     work = [
         (blocks[b0:b1], codec.header_width, codec.fast) for b0, b1 in ranges
     ]
-    if timeout is not None or retries > 0 or processes:
-        results, _ = run_pool_resilient(
-            _encode_range_worker, work, jobs,
-            processes=processes, timeout=timeout, retries=retries,
-            metrics=metrics,
-        )
-    else:
-        results = run_pool(_encode_range_worker, work, jobs)
+    results, _ = run_pool_resilient(
+        _encode_range_worker, work, jobs,
+        processes=processes, timeout=timeout, retries=retries,
+        metrics=metrics,
+    )
     fl = (
         np.concatenate([r[0] for r in results])
         if results
@@ -433,12 +432,13 @@ def compress_sharded(
     CRC, per-shard element count recorded for salvage) around v3 shard
     streams; the default stays bit-identical to the legacy v1 container.
 
-    ``timeout=`` / ``retries=`` engage :func:`run_pool_resilient`: each
-    shard gets a watchdog and a bounded retry budget, and exhaustion
+    Shards run on :func:`run_pool_resilient`: ``timeout=`` gives each a
+    watchdog and ``retries=`` a bounded retry budget, whose exhaustion
     raises a structured :class:`repro.errors.WorkerError` (compression
-    never salvages — a container missing a shard would be data loss).
-    ``processes=True`` runs workers in processes so the watchdog can
-    actually kill a hung one.
+    never salvages — a container missing a shard would be data loss);
+    with the default ``retries=0`` a worker's own error propagates
+    unchanged. ``processes=True`` runs workers in processes so the
+    watchdog can actually kill a hung one.
     """
     from repro.core.compressor import CereSZ
 
@@ -478,26 +478,15 @@ def compress_sharded(
     bounds = _shard_bounds(flat.size, shard_elements)
     jobs = resolve_jobs(jobs)
 
-    if timeout is not None or retries > 0 or processes:
-        work = [
-            (codec, flat[lo:hi], bound, index, checksum, crc_group)
-            for lo, hi in bounds
-        ]
-        results, _ = run_pool_resilient(
-            _compress_shard_worker, work, jobs,
-            processes=processes, timeout=timeout, retries=retries,
-            metrics=metrics,
-        )
-    else:
-
-        def _one(span: tuple[int, int]):
-            lo, hi = span
-            return codec.compress(
-                flat[lo:hi], eps=bound, index=index,
-                checksum=checksum, crc_group=crc_group,
-            )
-
-        results = _run_pool(_one, bounds, jobs)
+    work = [
+        (codec, flat[lo:hi], bound, index, checksum, crc_group)
+        for lo, hi in bounds
+    ]
+    results, _ = run_pool_resilient(
+        _compress_shard_worker, work, jobs,
+        processes=processes, timeout=timeout, retries=retries,
+        metrics=metrics,
+    )
 
     from repro.core.compressor import CompressionResult
 
@@ -700,8 +689,10 @@ def decompress_sharded(
     ``metrics`` records the same host-side counters as
     :func:`compress_sharded`, labeled ``direction=decompress``.
 
-    ``timeout=`` / ``retries=`` arm the resilient pool (see
-    :func:`run_pool_resilient`). ``salvage=True`` additionally converts
+    Shards decode on :func:`run_pool_resilient`, which ``timeout=``,
+    ``retries=`` and ``processes=`` configure; with none of them a
+    corrupt shard's :class:`repro.errors.ContainerError` propagates
+    unchanged. ``salvage=True`` instead converts
     terminal worker failures into zero-filled shard spans instead of a
     :class:`repro.errors.WorkerError` — one dead worker costs its shard,
     not the whole decompression (``salvage.shards_lost`` is counted on
@@ -714,21 +705,13 @@ def decompress_sharded(
     shape, is_f64, _eps, spans = read_shard_table(stream)
     jobs = resolve_jobs(jobs)
 
-    failures = ()
-    if timeout is not None or retries > 0 or processes or salvage:
-        work = [(codec, bytes(stream[lo:hi])) for lo, hi in spans]
-        parts, failures = run_pool_resilient(
-            _decompress_shard_worker, work, jobs,
-            processes=processes, timeout=timeout, retries=retries,
-            salvage=salvage, metrics=metrics,
-        )
-    else:
-
-        def _one(span: tuple[int, int]) -> np.ndarray:
-            lo, hi = span
-            return codec.decompress(stream[lo:hi]).reshape(-1)
-
-        parts = _run_pool(_one, spans, jobs)
+    parts, failures = run_pool_resilient(
+        _decompress_shard_worker,
+        [(codec, bytes(stream[lo:hi])) for lo, hi in spans],
+        jobs,
+        processes=processes, timeout=timeout, retries=retries,
+        salvage=salvage, metrics=metrics,
+    )
     if failures:
         from repro.core.decompressor import _shard_element_counts
 

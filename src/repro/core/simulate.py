@@ -1,12 +1,19 @@
-"""Plan simulation entry point: serial, or row-parallel across processes.
+"""Plan simulation: serial, row-parallel, replicated, and self-healing.
 
-One function, :func:`simulate_plan`, owns the fabric/engine/lowering
-boilerplate every simulation shares. When asked for ``jobs > 1`` it checks
-whether the plan's rows are provably independent
+Each job here has one path. :func:`simulate_plan` runs a plan and owns
+the fabric/engine/lowering boilerplate every simulation shares;
+:func:`simulate_with_repair` wraps it from outside with the fault-recovery
+loop; :func:`_compose` builds every replicated result (hybrid runs and
+:func:`simulate_replicated` alike); and :func:`_run_partitions` runs every
+set of workers on the one process pool,
+:func:`repro.core.parallel.run_pool_resilient`.
+
+When asked for ``jobs > 1``, :func:`simulate_plan` checks whether the
+plan's rows are provably independent
 (:func:`repro.core.plan.row_partitionable` — every route moves data
 east/west/ramp only, so no wavelet ever crosses a row boundary), cuts the
 plan into per-row-group sub-plans, simulates each partition in its own
-process on the shard-engine pool, and merges the results:
+process, and merges the results:
 
 * block records/outputs: disjoint dict union (each block is emitted by
   exactly one row);
@@ -21,7 +28,9 @@ against the serial run — asserted over the whole plan matrix by
 ``tests/core/test_simulate_parallel.py``. Plans that do route across rows
 (none of the current strategies do) or single-row plans silently fall back
 to the serial path, which is itself the single-process fallback when
-``jobs=1``.
+``jobs=1``. The row-parallel merge stays separate from :func:`_compose`:
+its partitions keep full-mesh coordinates, so faults and FaultReports
+keep theirs.
 
 Processes, not threads: the simulator is pure Python, so a thread pool
 would serialize on the GIL. Workers receive the (picklable) sub-plan and
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -65,7 +75,7 @@ from repro.errors import (
 from repro.faults.plan import FaultPlan
 from repro.core.mapping import ProgramOutputs
 from repro.core.mapping_decompress import DecompressOutputs
-from repro.core.parallel import run_pool, run_pool_resilient
+from repro.core.parallel import run_pool_resilient
 from repro.core.plan import (
     MappingPlan,
     partition_classes,
@@ -180,9 +190,9 @@ def _partition_worker(
 
     Returns ``("ok", outputs, report, tracer, snapshot)`` or
     ``("err", exception, snapshot)``. Failures are *returned*, never
-    raised: raising through ``pool.map`` loses the structured exception
-    behind ``RemoteTraceback`` noise, and would discard the metrics the
-    failed partition already gathered.
+    raised: the pool would retry a raised failure as if the pool had
+    broken, and it would discard the metrics the failed partition
+    already gathered.
     """
     plan, model, trace_cfg, want_metrics, faults = args
     tracer = (
@@ -231,6 +241,28 @@ def _auto_jobs(plan: MappingPlan) -> int:
     return max(1, min(cpus, plan.rows // _AUTO_MIN_ROWS_PER_WORKER))
 
 
+def _trace_cfg(tracer: Tracer | None) -> tuple[str, int] | None:
+    if tracer is not None and tracer.enabled:
+        return (tracer.level, tracer.sample_every)
+    return None
+
+
+def _run_partitions(items, jobs: int, owners, metrics) -> list:
+    """Run :func:`_partition_worker` over ``items`` and unwrap the results.
+
+    ``jobs > 1`` fans the items out over the resilient process pool
+    (inline otherwise); pool-infrastructure failures are retried there,
+    while simulation failures come back as values and are re-raised by
+    :func:`_raise_partition_failures`, tagged with the rows in
+    ``owners``. Returns ``(outputs, report, tracer, snapshot)`` per item.
+    """
+    results, _ = run_pool_resilient(
+        _partition_worker, items, jobs, processes=True
+    )
+    _raise_partition_failures(results, owners, metrics)
+    return [r[1:] for r in results]
+
+
 def simulate_plan(
     plan: MappingPlan,
     *,
@@ -240,12 +272,6 @@ def simulate_plan(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     faults: FaultPlan | None = None,
-    on_fault: str = "raise",
-    max_repairs: int = 2,
-    replan=None,
-    verify=None,
-    host_fallback=None,
-    ledger=None,
     progress=None,
 ) -> SimulatedRun:
     """Execute ``plan`` and return its outputs and simulation report.
@@ -281,71 +307,14 @@ def simulate_plan(
     raises :class:`DeadlockError` carrying a structured
     :class:`repro.faults.FaultReport`; with ``jobs > 1`` the originating
     shard id and rows are prefixed to the message and reports from all
-    failed partitions are merged.
+    failed partitions are merged. Recovering from that stall is not a
+    mode of this function: :func:`simulate_with_repair` wraps it.
 
-    ``on_fault`` selects what happens to that stall: ``"raise"`` (default)
-    propagates the :class:`DeadlockError`; ``"repair"`` and ``"fallback"``
-    delegate to :func:`simulate_with_repair`, the bounded self-healing
-    retry loop (``max_repairs``, ``replan``, ``verify`` and
-    ``host_fallback`` parameterize it — see its docstring).
-
-    ``ledger=`` opts the run into the run ledger (a path, ``True``, or a
-    :class:`repro.obs.ledger.Ledger`): one provenance-stamped RunRecord
-    with the resolved plan knobs, wall time, makespan, and the metrics
-    snapshot. ``progress=`` (a :class:`repro.obs.log.ProgressReporter`
-    or ``True``) emits periodic rows-done/ETA lines during hybrid
-    composition — the only phase long enough to need them. Both default
-    off at the cost of one branch each.
+    ``progress=`` (a :class:`repro.obs.log.ProgressReporter` or ``True``)
+    emits periodic rows-done/ETA lines during hybrid composition — the
+    only phase long enough to need them. It defaults off at the cost of
+    one branch.
     """
-    if on_fault not in ("raise", "repair", "fallback"):
-        raise ValueError(
-            f"on_fault must be 'raise', 'repair' or 'fallback', "
-            f"got {on_fault!r}"
-        )
-    if faults is not None and on_fault != "raise":
-        return simulate_with_repair(
-            plan, faults=faults, on_fault=on_fault, max_repairs=max_repairs,
-            replan=replan, verify=verify, host_fallback=host_fallback,
-            model=model, jobs=jobs, mode=mode, tracer=tracer,
-            metrics=metrics, ledger=ledger, progress=progress,
-        )
-    if ledger is not None:
-        import time as _time
-
-        from repro.obs import ledger as _ledger_mod
-
-        t0 = _time.perf_counter()
-        run = simulate_plan(
-            plan, model=model, jobs=jobs, mode=mode, tracer=tracer,
-            metrics=metrics, faults=faults, progress=progress,
-        )
-        wall = _time.perf_counter() - t0
-        _ledger_mod.emit(
-            ledger,
-            "sim",
-            "simulate_plan",
-            {
-                "op": "sim",
-                "strategy": plan.strategy,
-                "rows": plan.rows,
-                "cols": plan.cols,
-                "num_blocks": plan.num_blocks,
-                "direction": plan.direction,
-                "mode": mode,
-                "jobs": jobs,
-                "faults": faults is not None,
-            },
-            timings={
-                "wall_s": wall,
-                "makespan_cycles": float(run.report.makespan_cycles),
-            },
-            values={
-                "sim_events": float(run.report.events_processed),
-                "sim_tasks": float(run.report.tasks_run),
-            },
-            metrics=metrics,
-        )
-        return run
     if progress is True:
         from repro.obs.log import ProgressReporter
 
@@ -378,8 +347,7 @@ def simulate_plan(
             chunks = row_chunks(plan.rows, jobs)
             trace_cfg = _trace_cfg(tracer)
             with _span(tracer, "simulate", jobs=len(subs), rows=plan.rows):
-                results = run_pool(
-                    _partition_worker,
+                results = _run_partitions(
                     [
                         (sub, model, trace_cfg, metrics is not None,
                          faults.for_rows(rows) if faults is not None
@@ -387,12 +355,10 @@ def simulate_plan(
                         for sub, rows in zip(subs, chunks)
                     ],
                     len(subs),
-                    processes=True,
+                    chunks,
+                    metrics,
                 )
-                _raise_partition_failures(results, chunks, metrics)
-                return _merge(
-                    plan, chunks, [r[1:] for r in results], tracer, metrics
-                )
+                return _merge(plan, chunks, results, tracer, metrics)
     with _span(tracer, "simulate", jobs=1, rows=plan.rows):
         try:
             outputs, report, fabric, engine = _simulate_one(
@@ -437,8 +403,9 @@ def simulate_with_repair(
 ) -> SimulatedRun:
     """Run ``plan`` under ``faults``, repairing the mapping until it works.
 
-    The self-healing orchestrator: each round simulates the current plan
-    and, when the run stalls (:class:`DeadlockError`), completes without
+    The self-healing orchestrator wraps :func:`simulate_plan` from
+    outside: each round simulates the current plan with it and, when the
+    run stalls (:class:`DeadlockError`), completes without
     a record or output for every planned block (a PE halted after its
     last receive matched), or fails ``verify`` (silent corruption — SRAM
     flips), classifies the fault plan against the current mapping
@@ -471,6 +438,11 @@ def simulate_with_repair(
     :attr:`~SimulatedRun.repair` report. Every decision derives from the
     fault plan and mapping plans alone — never from engine state — so the
     RepairReport is identical for ``jobs=1`` and ``jobs=N``.
+
+    ``ledger=`` (a path, ``True``, or a :class:`repro.obs.ledger.Ledger`)
+    records the loop: one ``sim.repair`` RunRecord per plan rewrite and
+    one ``simulate_plan`` RunRecord per attempt that completes, with the
+    attempt's plan knobs, wall time, makespan, and metrics snapshot.
     """
     from repro.faults.repair import (
         RepairReport,
@@ -502,7 +474,7 @@ def simulate_with_repair(
     fallback_mode = on_fault == "fallback"
     last_fault_report = None
 
-    def _partial_report(outcome: str) -> "RepairReport":
+    def _report(outcome: str, verified=None) -> "RepairReport":
         return RepairReport(
             outcome=outcome,
             attempts=attempts,
@@ -511,6 +483,7 @@ def simulate_with_repair(
             repairs=tuple(repairs),
             tolerated=tolerated,
             fallback_blocks=tuple(sorted(fallback_blocks)),
+            verified=verified,
             seed=faults.seed,
         )
 
@@ -518,17 +491,17 @@ def simulate_with_repair(
         raise RepairError(
             message,
             fault_report=last_fault_report,
-            repair_report=_partial_report("exhausted"),
+            repair_report=_report("exhausted"),
         )
 
-    def _emit_attempt(action: str, bad_rows) -> None:
-        if ledger is None:
-            return
-        from repro.obs import ledger as _ledger_mod
+    def _emit(name: str, config: dict, **fields) -> None:
+        if ledger is not None:
+            from repro.obs import ledger as _ledger_mod
 
-        _ledger_mod.emit(
-            ledger,
-            "sim",
+            _ledger_mod.emit(ledger, "sim", name, config, **fields)
+
+    def _emit_attempt(action: str, bad_rows) -> None:
+        _emit(
             "sim.repair",
             {
                 "op": "repair",
@@ -546,17 +519,40 @@ def simulate_with_repair(
     # the loop is bounded by the mesh height; the +2 covers the initial
     # run and one final post-repair run.
     for _ in range(plan.rows + 2):
+        t0 = time.perf_counter()
         try:
             run = simulate_plan(
                 current, model=model, jobs=jobs, mode=mode, tracer=tracer,
-                metrics=metrics, faults=faults, ledger=ledger,
-                progress=progress,
+                metrics=metrics, faults=faults, progress=progress,
             )
         except DeadlockError as exc:
             last_fault_report = exc.report
             run = None
             ok = False
         else:
+            _emit(
+                "simulate_plan",
+                {
+                    "op": "sim",
+                    "strategy": current.strategy,
+                    "rows": current.rows,
+                    "cols": current.cols,
+                    "num_blocks": current.num_blocks,
+                    "direction": current.direction,
+                    "mode": mode,
+                    "jobs": jobs,
+                    "faults": True,
+                },
+                timings={
+                    "wall_s": time.perf_counter() - t0,
+                    "makespan_cycles": float(run.report.makespan_cycles),
+                },
+                values={
+                    "sim_events": float(run.report.events_processed),
+                    "sim_tasks": float(run.report.tasks_run),
+                },
+                metrics=metrics,
+            )
             if host_records:
                 run.outputs.records.update(host_records)
             # A PE halted after its last receive matched leaves nothing
@@ -575,16 +571,8 @@ def simulate_with_repair(
                 outcome = "fallback"
             elif repairs:
                 outcome = "repaired"
-            report = RepairReport(
-                outcome=outcome,
-                attempts=attempts,
-                unusable_rows=tuple(sorted(all_bad)),
-                spare_rows_used=tuple(sorted(spare_used)),
-                repairs=tuple(repairs),
-                tolerated=tolerated,
-                fallback_blocks=tuple(sorted(fallback_blocks)),
-                verified=(True if verify is not None else None),
-                seed=faults.seed,
+            report = _report(
+                outcome, verified=(True if verify is not None else None)
             )
             if metrics is not None:
                 collect_repair_metrics(metrics, report)
@@ -789,12 +777,6 @@ def _merge(
 # --- hybrid (hierarchical) simulation --------------------------------------------------
 
 
-def _trace_cfg(tracer: Tracer | None) -> tuple[str, int] | None:
-    if tracer is not None and tracer.enabled:
-        return (tracer.level, tracer.sample_every)
-    return None
-
-
 def _simulate_hybrid(
     plan: MappingPlan,
     *,
@@ -810,141 +792,143 @@ def _simulate_hybrid(
     (:func:`repro.core.plan.row_subplan`), so the event-driven cost is
     proportional to the number of *distinct* rows, not the mesh height —
     a homogeneous 750-row wafer costs one row plus composition. Classes
-    fan out over the resilient process pool when ``jobs > 1``; simulation
-    failures keep their structured error path (same handling as the
-    row-parallel shards), pool infrastructure failures are retried.
+    fan out over the process pool when ``jobs > 1``, with the same
+    structured error path as the row-parallel shards.
     """
     classes = partition_classes(plan)
     emit_seqs = row_emit_sequences(plan)
     cfg = _trace_cfg(tracer)
-    items = [
-        (row_subplan(plan, rep), model, cfg, metrics is not None, None)
-        for rep, _ in classes
-    ]
     with _span(
         tracer, "simulate.hybrid", classes=len(classes), rows=plan.rows
     ):
-        if jobs > 1 and len(items) > 1:
-            results, _ = run_pool_resilient(
-                _partition_worker, items, jobs, processes=True
-            )
-        else:
-            results = [_partition_worker(item) for item in items]
-        _raise_partition_failures(
-            results, [members for _, members in classes], metrics
+        results = _run_partitions(
+            [
+                (row_subplan(plan, rep), model, cfg, metrics is not None,
+                 None)
+                for rep, _ in classes
+            ],
+            jobs,
+            [members for _, members in classes],
+            metrics,
         )
-        return _compose_hybrid(
-            plan, classes, emit_seqs, [r[1:] for r in results], tracer,
-            metrics, progress=progress,
+        return _compose(
+            plan.direction,
+            [
+                (result, emit_seqs[rep], [(m, emit_seqs[m]) for m in members])
+                for result, (rep, members) in zip(results, classes)
+            ],
+            tracer,
+            metrics,
+            progress,
+            partitions=len(classes),
+            row_classes=tuple(
+                (rep, len(members)) for rep, members in classes
+            ),
         )
 
 
-def _replica_records(plan, outputs, rep_seq, rep_outputs):
-    """Emit-ordered record values of one representative, plus the stores."""
-    if plan.direction == "compress":
-        rep_records = rep_outputs.records
-        store = outputs.records
-    else:
-        rep_records = rep_outputs.blocks
-        store = outputs.blocks
-    if set(rep_records) != set(rep_seq):
-        raise ScheduleError(
-            "hybrid composition: representative emitted blocks "
-            "disagree with the plan's emit sequence (internal invariant)"
-        )
-    return [rep_records[idx] for idx in rep_seq], store
-
-
-def _compose_hybrid(
-    plan: MappingPlan,
-    classes: list[tuple[int, tuple[int, ...]]],
-    emit_seqs: list[tuple[int, ...]],
-    results: list,
+def _compose(
+    direction: str,
+    reps: list,
     tracer: Tracer | None,
     metrics: MetricsRegistry | None,
-    progress=None,
+    progress,
+    *,
+    partitions: int,
+    row_classes: tuple[tuple[int, int], ...],
 ) -> SimulatedRun:
-    """Compose a full-mesh result from per-class representative runs.
+    """Compose a full-mesh result from representative runs by replication.
 
-    Everything scales exactly: records map position-for-position through
-    the emit sequences, traces/counters are the representative's with the
-    row coordinate rewritten (merged by reference in row-major order, the
-    serial run's recording order, and built on first read), events/tasks
-    multiply by class size, the makespan is the max over classes
+    ``reps`` holds, per representative, ``(result, rep_seq, copies)``: its
+    run (``(outputs, report, tracer, snapshot)``), its block indices in
+    emit order, and one ``(row_offset, block indices)`` pair per copy,
+    the indices position-aligned with ``rep_seq``. Hybrid runs pass one
+    representative row per class and one copy per member row;
+    :func:`simulate_replicated` passes the whole template and one copy
+    per tile.
+
+    Everything scales exactly: records map position-for-position, traces
+    and counters are the representative's with the row coordinate
+    shifted (merged by reference in row-major order, the serial run's
+    recording order, and built on first read), events/tasks multiply by
+    copy count, the makespan is the max over representatives
     (replication cannot change a row's finish time), and metric
-    counters/histograms scale linearly
-    while gauges are replication-invariant. The known inexactness is the
-    same as for row-parallel runs: ``sim.engine.queue_depth.max`` (heap
-    depth depends on how rows share one event heap) and the *ordering* of
-    sampled timeline events (multiset-equal to the serial capture).
+    counters/histograms scale linearly while gauges are
+    replication-invariant. The known inexactness is the same as for
+    row-parallel runs: ``sim.engine.queue_depth.max`` (heap depth depends
+    on how rows share one event heap) and the *ordering* of sampled
+    timeline events (multiset-equal to the serial capture).
     """
     outputs: ProgramOutputs | DecompressOutputs
-    outputs = (
-        ProgramOutputs() if plan.direction == "compress"
-        else DecompressOutputs()
-    )
-    class_of: dict[int, int] = {}
-    for ci, (_, members) in enumerate(classes):
-        for row in members:
-            class_of[row] = ci
-    for ci, (rep, members) in enumerate(classes):
-        rep_vals, store = _replica_records(
-            plan, outputs, emit_seqs[rep], results[ci][0]
+    if direction == "compress":
+        outputs = ProgramOutputs()
+        store = outputs.records
+    else:
+        outputs = DecompressOutputs()
+        store = outputs.blocks
+    for (rep_outputs, *_), rep_seq, copies in reps:
+        rep_records = (
+            rep_outputs.records if direction == "compress"
+            else rep_outputs.blocks
         )
-        for member in members:
-            seq = emit_seqs[member]
-            if len(seq) != len(rep_vals):
+        if set(rep_records) != set(rep_seq):
+            raise ScheduleError(
+                "replica composition: representative emitted blocks "
+                "disagree with the plan's emit sequence (internal invariant)"
+            )
+        values = [rep_records[idx] for idx in rep_seq]
+        for _, seq in copies:
+            if len(seq) != len(values):
                 raise ScheduleError(
-                    "hybrid composition: member row emit count diverges "
-                    "from its representative (internal invariant)"
+                    "replica composition: copy emit count diverges from "
+                    "its representative (internal invariant)"
                 )
-            for idx, val in zip(seq, rep_vals):
-                store[idx] = val
+            store.update(zip(seq, values))
     trace = TraceRecorder()
-    for row in range(plan.rows):
-        trace.merge_replica(results[class_of[row]][1].trace, row)
+    placements = sorted(
+        (offset, ci)
+        for ci, (_, _, copies) in enumerate(reps)
+        for offset, _ in copies
+    )
+    for done, (offset, ci) in enumerate(placements, 1):
+        trace.merge_replica(reps[ci][0][1].trace, offset)
         if progress is not None:
-            progress.update(row + 1, phase="compose")
+            progress.update(done, phase="compose")
     trace.events_processed = sum(
-        len(members) * results[ci][1].trace.events_processed
-        for ci, (_, members) in enumerate(classes)
+        len(copies) * result[1].trace.events_processed
+        for result, _, copies in reps
     )
     if tracer is not None:
-        for ci, (_, members) in enumerate(classes):
-            part_tracer = results[ci][2]
-            if part_tracer is None:
+        for ci, (result, _, copies) in enumerate(reps):
+            if result[2] is None:
                 continue
-            for j, member in enumerate(members):
+            for j, (offset, _) in enumerate(copies):
                 tracer.merge_replica(
-                    part_tracer, member, spans=(j == 0), tid=ci + 1
+                    result[2], offset, spans=(j == 0), tid=ci + 1
                 )
     if metrics is not None:
-        for ci, (_, members) in enumerate(classes):
-            snap = results[ci][3]
-            if snap:
-                metrics.merge_scaled(snap, len(members))
+        for result, _, copies in reps:
+            if result[3]:
+                metrics.merge_scaled(result[3], len(copies))
         # Trace-derived metrics come from the composed recorder, exactly
         # as the row-parallel merge does it.
         collect_trace_metrics(metrics, trace)
     report = SimulationReport(
-        makespan_cycles=max(r[1].makespan_cycles for r in results),
+        makespan_cycles=max(r[1].makespan_cycles for r, _, _ in reps),
         events_processed=trace.events_processed,
         tasks_run=sum(
-            len(members) * results[ci][1].tasks_run
-            for ci, (_, members) in enumerate(classes)
+            len(copies) * result[1].tasks_run for result, _, copies in reps
         ),
         trace=trace,
     )
     return SimulatedRun(
         outputs=outputs,
         report=report,
-        partitions=len(classes),
+        partitions=partitions,
         tracer=tracer,
         metrics=metrics,
         mode="hybrid",
-        row_classes=tuple(
-            (rep, len(members)) for rep, members in classes
-        ),
+        row_classes=row_classes,
     )
 
 
@@ -966,11 +950,12 @@ def simulate_replicated(
     rows ``[k*R, (k+1)*R)`` with block indices shifted by
     ``k * template.num_blocks``, exactly the layout
     :func:`repro.core.plan.replicate_rows` materializes (the equivalence
-    is asserted at small scale by the hybrid test suite). Composition
-    semantics match :func:`simulate_plan(mode="hybrid")
-    <simulate_plan>`; the composed stream equals the template's stream
-    tiled ``copies`` times. Trace rows merge by reference, O(1) per copy
-    until the report's ``traces``/``node_counters`` are first read.
+    is asserted at small scale by the hybrid test suite). Composition is
+    :func:`simulate_plan(mode="hybrid") <simulate_plan>`'s, with each
+    copy's block indices passed as a ``range``; the composed stream
+    equals the template's stream tiled ``copies`` times. Trace rows merge
+    by reference, O(1) per copy until the report's
+    ``traces``/``node_counters`` are first read.
     """
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
@@ -985,59 +970,27 @@ def simulate_replicated(
             f"template with strategy {template.strategy!r} routes across "
             f"rows and cannot be replicated"
         )
-    with _span(
-        tracer, "simulate.replicated", copies=copies, rows=template.rows
-    ):
-        result = _partition_worker(
-            (template, model, _trace_cfg(tracer), metrics is not None, None)
+    rows, num = template.rows, template.num_blocks
+    with _span(tracer, "simulate.replicated", copies=copies, rows=rows):
+        (result,) = _run_partitions(
+            [(template, model, _trace_cfg(tracer), metrics is not None, None)],
+            1,
+            [tuple(range(rows))],
+            metrics,
         )
-        _raise_partition_failures(
-            [result], [tuple(range(template.rows))], metrics
-        )
-        _, rep_outputs, rep_report, part_tracer, snap = result
-        outputs: ProgramOutputs | DecompressOutputs
-        outputs = (
-            ProgramOutputs() if template.direction == "compress"
-            else DecompressOutputs()
-        )
-        if template.direction == "compress":
-            rep_records, store = rep_outputs.records, outputs.records
-        else:
-            rep_records, store = rep_outputs.blocks, outputs.blocks
-        num = template.num_blocks
-        for k in range(copies):
-            shift = k * num
-            for idx, val in rep_records.items():
-                store[idx + shift] = val
-        trace = TraceRecorder()
-        for k in range(copies):
-            trace.merge_replica(rep_report.trace, k * template.rows)
-            if progress is not None:
-                progress.update(k + 1, phase="compose")
-        trace.events_processed = copies * rep_report.trace.events_processed
-        if tracer is not None and part_tracer is not None:
-            for k in range(copies):
-                tracer.merge_replica(
-                    part_tracer, k * template.rows, spans=(k == 0), tid=1
+        return _compose(
+            template.direction,
+            [
+                (
+                    result,
+                    range(num),
+                    [(k * rows, range(k * num, (k + 1) * num))
+                     for k in range(copies)],
                 )
-        if metrics is not None:
-            if snap:
-                metrics.merge_scaled(snap, copies)
-            collect_trace_metrics(metrics, trace)
-        report = SimulationReport(
-            makespan_cycles=rep_report.makespan_cycles,
-            events_processed=trace.events_processed,
-            tasks_run=copies * rep_report.tasks_run,
-            trace=trace,
+            ],
+            tracer,
+            metrics,
+            progress,
+            partitions=1,
+            row_classes=tuple((row, copies) for row in range(rows)),
         )
-    return SimulatedRun(
-        outputs=outputs,
-        report=report,
-        partitions=1,
-        tracer=tracer,
-        metrics=metrics,
-        mode="hybrid",
-        row_classes=tuple(
-            (row, copies) for row in range(template.rows)
-        ),
-    )

@@ -39,7 +39,12 @@ from repro.core.plan import (
 )
 from repro.core.quantize import prequantize_verified
 from repro.core.schedule import distribute_substages, estimate_fixed_length
-from repro.core.simulate import SIM_MODES, simulate_plan, simulate_replicated
+from repro.core.simulate import (
+    SIM_MODES,
+    simulate_plan,
+    simulate_replicated,
+    simulate_with_repair,
+)
 from repro.core.stages import compression_substages, decompression_substages
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TRACE_LEVELS, Tracer
@@ -206,14 +211,81 @@ class WSECereSZ:
         # per-run ProgressReporter sized to the composition loop.
         return True if self.progress else None
 
-    @property
-    def _repair_ledger(self):
-        # Thread the run ledger into the self-healing retry loop so each
-        # repair attempt leaves a provenance record; plain runs keep their
-        # single codec-level record.
+    def _simulate(self, plan: MappingPlan, tracer, metrics, **repair):
+        """Run ``plan``, grown by the spare rows, through the one entry
+        point this config needs.
+
+        Injected faults with ``on_fault`` other than ``"raise"`` go through
+        :func:`~repro.core.simulate.simulate_with_repair` (with the
+        ``replan``/``verify``/``host_fallback`` callbacks in ``repair``,
+        and the run ledger, so each attempt leaves a record); every other
+        run is one :func:`~repro.core.simulate.simulate_plan` call.
+        """
+        run_kw = dict(
+            model=self.model, jobs=self.jobs, mode=self.mode, tracer=tracer,
+            metrics=metrics, faults=self.faults, progress=self._progress,
+        )
+        plan = expand_mesh(plan, self.spare_rows)
         if self.faults is not None and self.on_fault != "raise":
-            return self.ledger
-        return None
+            return simulate_with_repair(
+                plan, on_fault=self.on_fault, max_repairs=self.max_repairs,
+                ledger=self.ledger, **repair, **run_kw,
+            )
+        return simulate_plan(plan, **run_kw)
+
+    def _bound(self, values: np.ndarray, eps, rel) -> float:
+        """The absolute error bound, or the constant-field refusal."""
+        bound = self._reference.resolve_error_bound(values, eps, rel)
+        if bound is None:
+            raise CompressionError(
+                "constant fields bypass the wafer (stored exactly by the "
+                "host); use the reference CereSZ for them"
+            )
+        return bound
+
+    def _result(
+        self, run, shape: tuple[int, ...], num_blocks: int, eps_eff: float,
+        bound: float, t0: float, *, tiled: bool = False,
+    ) -> WSECompressionResult:
+        """Frame a compress run's records as a reference-format stream,
+        append its RunRecord (ledger on only), and wrap both."""
+        header = make_header(
+            shape,
+            eps_eff,
+            header_width=self._reference.header_width,
+            block_size=self.block_size,
+            predictor=self.predictor,
+        )
+        n = int(np.prod(shape, dtype=np.int64))
+        result = CompressionResult(
+            stream=header.pack() + run.outputs.stream(num_blocks),
+            eps=bound,
+            original_bytes=n * 4,
+            shape=shape,
+            fixed_lengths=np.zeros(0, dtype=np.int64),
+            zero_block_fraction=0.0,
+        )
+        if self.ledger is not None:
+            config = {"eps": bound, "shape": list(shape)}
+            if tiled:
+                config["tile_rows"] = True
+            self._emit_ledger(
+                "compress",
+                wall_s=time.perf_counter() - t0,
+                run=run,
+                metrics=run.metrics,
+                config_extra=config,
+                values={
+                    "compression_ratio": result.original_bytes
+                    / len(result.stream),
+                    "compressed_bytes": float(len(result.stream)),
+                },
+            )
+        return WSECompressionResult(
+            result=result, report=run.report, tracer=run.tracer,
+            metrics=run.metrics, mode=run.mode, row_classes=run.row_classes,
+            repair=run.repair,
+        )
 
     def _emit_ledger(
         self, op, *, wall_s, run, metrics, config_extra=None, values=None
@@ -281,18 +353,13 @@ class WSECereSZ:
         arr = np.asarray(data)
         if tile_rows:
             return self._compress_tiled(arr, eps, rel)
-        bound = self._reference.resolve_error_bound(arr, eps, rel)
-        if bound is None:
-            raise CompressionError(
-                "constant fields bypass the wafer (stored exactly by the "
-                "host); use the reference CereSZ for them"
-            )
+        bound = self._bound(arr, eps, rel)
         tracer, metrics = self._observers()
         t0 = time.perf_counter() if self.ledger is not None else 0.0
         # Quantize on the host only to learn eps_eff; the wafer kernels
         # redo the arithmetic from the raw floats.
         _, eps_eff = prequantize_verified(arr, bound)
-        raw_blocks, n = partition_blocks(
+        raw_blocks, _ = partition_blocks(
             arr.astype(np.float64), self.block_size
         )
 
@@ -301,52 +368,14 @@ class WSECereSZ:
                 plan = self._compress_plan(raw_blocks, eps_eff)
         else:
             plan = self._compress_plan(raw_blocks, eps_eff)
-        plan = expand_mesh(plan, self.spare_rows)
-        run = simulate_plan(
-            plan, model=self.model, jobs=self.jobs, mode=self.mode,
-            tracer=tracer, metrics=metrics, faults=self.faults,
-            on_fault=self.on_fault, max_repairs=self.max_repairs,
+        run = self._simulate(
+            plan, tracer, metrics,
             replan=lambda n: self._compress_plan(raw_blocks, eps_eff, rows=n),
             verify=self._make_verify(raw_blocks, eps_eff),
             host_fallback=self._make_host_fallback(raw_blocks, eps_eff),
-            ledger=self._repair_ledger,
-            progress=self._progress,
         )
-        outputs, report = run.outputs, run.report
-
-        body = outputs.stream(raw_blocks.shape[0])
-        header = make_header(
-            arr.shape,
-            eps_eff,
-            header_width=self._reference.header_width,
-            block_size=self.block_size,
-            predictor=self.predictor,
-        )
-        stream = header.pack() + body
-        result = CompressionResult(
-            stream=stream,
-            eps=bound,
-            original_bytes=n * 4,
-            shape=tuple(arr.shape),
-            fixed_lengths=np.zeros(0, dtype=np.int64),
-            zero_block_fraction=0.0,
-        )
-        if self.ledger is not None:
-            self._emit_ledger(
-                "compress",
-                wall_s=time.perf_counter() - t0,
-                run=run,
-                metrics=metrics,
-                config_extra={"eps": bound, "shape": list(arr.shape)},
-                values={
-                    "compression_ratio": result.original_bytes
-                    / len(result.stream),
-                    "compressed_bytes": float(len(result.stream)),
-                },
-            )
-        return WSECompressionResult(
-            result=result, report=report, tracer=tracer, metrics=metrics,
-            mode=run.mode, row_classes=run.row_classes, repair=run.repair,
+        return self._result(
+            run, tuple(arr.shape), raw_blocks.shape[0], eps_eff, bound, t0
         )
 
     def _make_verify(self, raw_blocks: np.ndarray, eps_eff: float):
@@ -380,15 +409,19 @@ class WSECereSZ:
 
         Every record is audited against the error bound before it is
         accepted — the fallback must meet the same ``eps`` contract the
-        wafer path proves by stream equality.
+        wafer path proves by stream equality. Block ``b`` encodes raw
+        block ``b % len(raw_blocks)``: in a tiled run, global block ``b``
+        is row ``b // num`` running the template's block ``b % num``.
         """
+        num = raw_blocks.shape[0]
 
         def host_fallback(blocks) -> dict[int, bytes]:
+            local = sorted({int(b) % num for b in blocks})
             records = host_block_records(
-                raw_blocks, eps_eff, blocks, predictor=self.predictor,
+                raw_blocks, eps_eff, local, predictor=self.predictor,
             )
-            self._audit_bound(raw_blocks, eps_eff, blocks)
-            return records
+            self._audit_bound(raw_blocks, eps_eff, local)
+            return {int(b): records[int(b) % num] for b in blocks}
 
         return host_fallback
 
@@ -424,12 +457,7 @@ class WSECereSZ:
                 f"{flat.size} values"
             )
         row_values = flat[:n_row]
-        bound = self._reference.resolve_error_bound(row_values, eps, rel)
-        if bound is None:
-            raise CompressionError(
-                "constant fields bypass the wafer (stored exactly by the "
-                "host); use the reference CereSZ for them"
-            )
+        bound = self._bound(row_values, eps, rel)
         tracer, metrics = self._observers()
         t0 = time.perf_counter() if self.ledger is not None else 0.0
         _, eps_eff = prequantize_verified(row_values, bound)
@@ -444,74 +472,18 @@ class WSECereSZ:
         if self.faults is not None:
             # Faults target specific rows, which replication cannot
             # honor; materialize the full plan and event-simulate it.
-            num = raw_blocks.shape[0]
-
-            def _tiled_fallback(blocks) -> dict[int, bytes]:
-                # Global block b is row b // num running the template's
-                # block b % num — encode the template block, key globally.
-                recs = host_block_records(
-                    raw_blocks, eps_eff,
-                    sorted({int(b) % num for b in blocks}),
-                    predictor=self.predictor,
-                )
-                self._audit_bound(
-                    raw_blocks, eps_eff, sorted({int(b) % num for b in blocks})
-                )
-                return {int(b): recs[int(b) % num] for b in blocks}
-
-            run = simulate_plan(
-                expand_mesh(replicate_rows(template, self.rows),
-                            self.spare_rows),
-                model=self.model, jobs=self.jobs,
-                tracer=tracer, metrics=metrics, faults=self.faults,
-                on_fault=self.on_fault, max_repairs=self.max_repairs,
-                host_fallback=_tiled_fallback,
-                ledger=self._repair_ledger,
-                progress=self._progress,
+            run = self._simulate(
+                replicate_rows(template, self.rows), tracer, metrics,
+                host_fallback=self._make_host_fallback(raw_blocks, eps_eff),
             )
         else:
             run = simulate_replicated(
                 template, self.rows, model=self.model,
                 tracer=tracer, metrics=metrics, progress=self._progress,
             )
-        total_blocks = raw_blocks.shape[0] * self.rows
-        body = run.outputs.stream(total_blocks)
-        header = make_header(
-            (self.rows * n_row,),
-            eps_eff,
-            header_width=self._reference.header_width,
-            block_size=self.block_size,
-            predictor=self.predictor,
-        )
-        result = CompressionResult(
-            stream=header.pack() + body,
-            eps=bound,
-            original_bytes=self.rows * n_row * 4,
-            shape=(self.rows * n_row,),
-            fixed_lengths=np.zeros(0, dtype=np.int64),
-            zero_block_fraction=0.0,
-        )
-        if self.ledger is not None:
-            self._emit_ledger(
-                "compress",
-                wall_s=time.perf_counter() - t0,
-                run=run,
-                metrics=metrics,
-                config_extra={
-                    "eps": bound,
-                    "shape": [self.rows * n_row],
-                    "tile_rows": True,
-                },
-                values={
-                    "compression_ratio": result.original_bytes
-                    / len(result.stream),
-                    "compressed_bytes": float(len(result.stream)),
-                },
-            )
-        return WSECompressionResult(
-            result=result, report=run.report, tracer=tracer,
-            metrics=metrics, mode=run.mode, row_classes=run.row_classes,
-            repair=run.repair,
+        return self._result(
+            run, (self.rows * n_row,), raw_blocks.shape[0] * self.rows,
+            eps_eff, bound, t0, tiled=True,
         )
 
     def decompress(self, stream: bytes) -> np.ndarray:
@@ -601,16 +573,8 @@ class WSECereSZ:
                 cols=self.cols,
                 block_size=header.block_size,
             )
-        run = simulate_plan(
-            expand_mesh(plan, self.spare_rows),
-            model=self.model, jobs=self.jobs, mode=self.mode,
-            tracer=tracer, metrics=metrics, faults=self.faults,
-            on_fault=self.on_fault, max_repairs=self.max_repairs,
-            ledger=self._repair_ledger,
-            progress=self._progress,
-        )
-        outputs, report = run.outputs, run.report
-        blocks = outputs.assemble(header.num_blocks, header.block_size)
+        run = self._simulate(plan, tracer, metrics)
+        blocks = run.outputs.assemble(header.num_blocks, header.block_size)
         flat = blocks.reshape(-1)[: header.num_elements]
         if self.ledger is not None:
             self._emit_ledger(
@@ -624,7 +588,7 @@ class WSECereSZ:
                 },
                 values={"output_bytes": float(flat.nbytes)},
             )
-        return flat.reshape(header.shape), report
+        return flat.reshape(header.shape), run.report
 
     def plan_for(
         self,
@@ -640,13 +604,7 @@ class WSECereSZ:
         run (the ``ceresz plan`` subcommand).
         """
         arr = np.asarray(data)
-        bound = self._reference.resolve_error_bound(arr, eps, rel)
-        if bound is None:
-            raise CompressionError(
-                "constant fields bypass the wafer (stored exactly by the "
-                "host); use the reference CereSZ for them"
-            )
-        _, eps_eff = prequantize_verified(arr, bound)
+        _, eps_eff = prequantize_verified(arr, self._bound(arr, eps, rel))
         raw_blocks, _ = partition_blocks(
             arr.astype(np.float64), self.block_size
         )

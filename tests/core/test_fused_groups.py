@@ -28,7 +28,7 @@ from repro.core.lower import (
     _wire_entry,
     lower_plan,
 )
-from repro.core.mapping import ProgramOutputs
+from repro.core.mapping import PipelineState, ProgramOutputs
 from repro.core.mapping_decompress import (
     DecompressOutputs,
     DecompressState,
@@ -130,6 +130,12 @@ def _decode_hop(make, group, entry, last, plan, ctx, nc):
     )
     process(ctx, entry)
     return outputs.blocks[0] if last else ctx.sent[0]
+
+
+def _entered_hop(make, group, enter, vec, last, plan, ctx, nc):
+    """A decode hop that first reads its entry state from a wire vector,
+    so a header the reader rejects counts as the hop's outcome."""
+    return _decode_hop(make, group, enter(vec), last, plan, ctx, nc)
 
 
 def _outcome(hop, *args):
@@ -282,11 +288,14 @@ def test_corrupt_compress_phase_fails_like_stepped(length, phase_word):
 
 
 @pytest.mark.parametrize("length", [2, 3, 6])
-@pytest.mark.parametrize("phase_word", [0.0, 1.0, 2.0, 3.0, 4.0, -1.0])
+@pytest.mark.parametrize(
+    "phase_word", [0.0, 1.0, 2.0, 3.0, 4.0, -1.0, 2.5, 7.0, np.nan]
+)
 @pytest.mark.parametrize("fl", [0, 5, 8])
 def test_corrupt_decode_phase_fails_like_stepped(length, phase_word, fl):
     """The decode counterpart; with fl 5 of 8 planned bits, a group's idle
-    unshuffles are charged before its sign restore fails."""
+    unshuffles are charged before its sign restore fails. A phase word
+    that names no decode phase fails both readers' header check."""
     stages = decompression_substages(8, 32)
     n = len(stages)
     bounds = [round(i * n / length) for i in range(length + 1)]
@@ -300,7 +309,7 @@ def test_corrupt_decode_phase_fails_like_stepped(length, phase_word, fl):
     vec[0] = phase_word
     stepped, fused = (
         _outcome(
-            _decode_hop, make, groups[1], enter(vec.copy()), length == 2,
+            _entered_hop, make, groups[1], enter, vec.copy(), length == 2,
             plan,
         )[0]
         for make, enter in (
@@ -309,6 +318,49 @@ def test_corrupt_decode_phase_fails_like_stepped(length, phase_word, fl):
         )
     )
     assert fused == stepped
+    if phase_word not in (0.0, 1.0, 2.0, 3.0, 4.0):
+        assert stepped[0] == "error"
+        assert "invalid phase index" in stepped[1]
+
+
+def _flip(word: float, bit: int) -> float:
+    """``word`` with one bit of its float64 encoding flipped."""
+    raw = np.array([word]).view(np.uint64) ^ np.uint64(1 << bit)
+    return float(raw.view(np.float64)[0])
+
+
+#: Count words a flip or a bad forward could leave: bit 62 of a
+#: not-yet-computed -1.0 is -inf; NaN and 2.5 are not integers.
+COUNT_WORDS = [_flip(-1.0, 62), np.nan, 2.5]
+
+
+@pytest.mark.parametrize("word, name", [(2, "max_mag"), (3, "fl")])
+@pytest.mark.parametrize("value", COUNT_WORDS)
+def test_corrupt_count_word_fails_like_stepped(word, name, value):
+    """A max_mag or fl word that is neither -1 (not yet computed) nor a
+    non-negative integer fails ``PipelineState.from_array`` and both
+    stage-group kernels with the same ``CompressionError``, before any
+    charge."""
+    stages = compression_substages(8, 32)
+    groups = [tuple(stages[:2]), tuple(stages[2:])]
+    plan = _compress_plan(32, 8)
+    _, vec = _outcome(
+        _compress_hop, _make_stepped_group, groups[0], _block(32, 8, 1),
+        True, False, plan,
+    )
+    assert vec[2] == vec[3] == -1.0  # neither computed yet
+    vec[word] = value
+    with pytest.raises(CompressionError, match=f"invalid {name}"):
+        PipelineState.from_array(vec.copy())
+    stepped, fused = (
+        _outcome(
+            _compress_hop, make, groups[1], vec.copy(), False, True, plan
+        )[0]
+        for make in (_make_stepped_group, _make_fused_group)
+    )
+    assert fused == stepped
+    assert stepped[0] == "error" and f"invalid {name}" in stepped[1]
+    assert stepped[2:] == (0, [])
 
 
 def test_non_contiguous_group_is_rejected_at_lowering():

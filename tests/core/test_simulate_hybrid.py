@@ -273,6 +273,29 @@ class TestReplication:
             materialized.report.trace
         )
 
+    @pytest.mark.parametrize("mode", ["replicated", "hybrid"])
+    def test_composer_checks_the_representative_emitted_blocks(
+        self, mode, monkeypatch
+    ):
+        """Both composition paths refuse a representative that lost a
+        block, instead of composing a stream with holes."""
+        import repro.core.simulate as simulate
+
+        real = simulate._simulate_one
+
+        def lossy(*args):
+            outputs, report, fabric, engine = real(*args)
+            outputs.records.pop(min(outputs.records))
+            return outputs, report, fabric, engine
+
+        monkeypatch.setattr(simulate, "_simulate_one", lossy)
+        template = plan_multi_pipeline(_blocks(4), EPS, rows=1, cols=4)
+        with pytest.raises(ScheduleError, match="emitted blocks"):
+            if mode == "replicated":
+                simulate_replicated(template, 3)
+            else:
+                simulate_plan(replicate_rows(template, 3), mode="hybrid")
+
     def test_replicate_rows_rejects_bad_input(self):
         template = plan_multi_pipeline(_blocks(4), EPS, rows=1, cols=4)
         with pytest.raises(ScheduleError):

@@ -16,9 +16,10 @@ from repro.core.compressor import CereSZ
 from repro.core.parallel import (
     compress_sharded,
     decompress_sharded,
+    read_shard_table,
     run_pool_resilient,
 )
-from repro.errors import CompressionError, WorkerError
+from repro.errors import CompressionError, ContainerError, WorkerError
 from repro.faults.report import ShardFailure
 from repro.obs.metrics import MetricsRegistry
 
@@ -199,3 +200,28 @@ class TestShardedEndToEnd:
         plain = CereSZ().decompress(stream)
         resilient = decompress_sharded(stream, timeout=60, retries=2)
         assert np.array_equal(resilient, plain)
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            dict(jobs=1),
+            dict(jobs=2),
+            dict(jobs=2, processes=True),
+            dict(jobs=2, timeout=30),
+        ],
+        ids=["inline", "threads", "processes", "watchdog"],
+    )
+    def test_corrupt_shard_raises_the_same_error_on_any_pool(self, pool):
+        """With retries=0 and no salvage there is nothing to retry, so the
+        worker's ContainerError propagates unchanged, whichever pool runs
+        the shards."""
+        data = self._data()
+        stream = compress_sharded(
+            data, eps=EPS, shard_elements=10_000, checksum=True
+        ).stream
+        _, _, _, spans = read_shard_table(stream)
+        bad = bytearray(stream)
+        bad[spans[1][1] - 1] ^= 0xFF  # last record byte of shard 1
+        with pytest.raises(ContainerError) as exc_info:
+            decompress_sharded(bytes(bad), **pool)
+        assert exc_info.value.groups == (4,)

@@ -155,6 +155,23 @@ class TestHostFallback:
         assert rep.fallback_blocks == tuple(range(16))
 
 
+class TestTiledFallback:
+    def test_tiled_fallback_encodes_template_blocks(self):
+        # Under faults tile_rows materializes the replicated plan; global
+        # block b of a condemned row is the template's block b % 4.
+        row = _field(4 * 32)
+        faults = FaultPlan(seed=1, faults=(PEHalt(row=1, col=0, at_cycle=5),))
+        clean = WSECereSZ(3, 4, strategy="rows").compress(
+            row, eps=EPS, tile_rows=True
+        )
+        healed = WSECereSZ(
+            3, 4, strategy="rows", faults=faults, on_fault="fallback"
+        ).compress(row, eps=EPS, tile_rows=True)
+        assert healed.repair.outcome == "fallback"
+        assert healed.repair.fallback_blocks == (4, 5, 6, 7)
+        assert healed.stream == clean.stream
+
+
 class TestExhaustion:
     def test_repair_error_when_no_fallback_possible(self):
         # simulate_with_repair with neither spares, replan, nor a host
@@ -359,6 +376,37 @@ class TestRepairMetricsAndLedger:
         final = records[-1]
         assert final["name"] == "wse.compress"
         assert final["config"]["repair_outcome"] == "repaired"
+
+        # The exact record sequence, for a remap and a fallback run: the
+        # stalled first attempt leaves no record, the rewrite one, the
+        # attempt that completes one, and the codec its own.
+        expected = [
+            ("sim", "sim.repair", [
+                "action", "attempt", "bad_rows", "fault_seed",
+                "max_repairs", "on_fault", "op",
+            ]),
+            ("sim", "simulate_plan", [
+                "cols", "direction", "faults", "jobs", "mode",
+                "num_blocks", "op", "rows", "strategy",
+            ]),
+            ("sim", "wse.compress", [
+                "block_size", "cols", "eps", "faults", "jobs", "mode",
+                "on_fault", "op", "pipeline_length", "predictor",
+                "repair_outcome", "rows", "shape", "spare_rows", "strategy",
+            ]),
+        ]
+        fallback_path = tmp_path / "fallback.jsonl"
+        _healing_codec(
+            plan, on_fault="fallback", ledger=fallback_path
+        ).compress(_field(), eps=EPS)
+        for ledger_path in (path, fallback_path):
+            records = [
+                json.loads(line)
+                for line in ledger_path.read_text().splitlines()
+            ]
+            assert [
+                (r["kind"], r["name"], sorted(r["config"])) for r in records
+            ] == expected
 
 
 class TestPlanRewriteHelpers:

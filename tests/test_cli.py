@@ -34,6 +34,30 @@ class TestParser:
         )
         assert args.shape == (4, 5, 6)
 
+    @pytest.mark.parametrize("command", ["sim", "simulate", "plan"])
+    def test_mesh_flags_default_to_the_library(self, command):
+        """Every sim/plan flag that mirrors a WSECereSZ keyword has that
+        keyword's default. --trace-level is exempt: its default is derived
+        from --trace."""
+        import inspect
+
+        from repro.core.wse_compressor import WSECereSZ
+
+        library = {
+            name: param.default
+            for name, param in inspect.signature(WSECereSZ).parameters.items()
+        }
+        args = vars(build_parser().parse_args([command, "in.f32"]))
+        mirrored = sorted(set(args) & set(library) - {"trace_level"})
+        assert {"rows", "cols", "strategy", "pipeline_length",
+                "predictor"} <= set(mirrored)
+        if command != "plan":
+            assert {"mode", "jobs", "sample_every", "on_fault",
+                    "max_repairs", "spare_rows", "ledger",
+                    "progress"} <= set(mirrored)
+        for name in mirrored:
+            assert args[name] == library[name], name
+
 
 class TestCompressDecompress:
     def test_round_trip(self, tmp_path, field_file, capsys):
