@@ -7,45 +7,17 @@ running the actual Fig 9 relay program on a 1-row mesh (QMCPack data).
 
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.figures import (
-    fig10_relay_and_execution,
-    plan_placement_summary,
-)
+from benchmarks.conftest import run_artifact
+from repro.harness.figures import plan_placement_summary
 from repro.wse.cost import PAPER_CYCLE_MODEL
 
 
 def test_fig10(benchmark, record_result):
-    profile = run_once(benchmark, fig10_relay_and_execution)
-    text_a = format_table(
-        ["TC (cols)", "relay/PE (Eq.2: TC*C1)", "relay/PE (simulated)", "blocks relayed"],
-        list(
-            zip(
-                profile.cols_swept,
-                [round(x) for x in profile.relay_cycles_analytic],
-                [round(x) for x in profile.relay_cycles_simulated],
-                profile.blocks_relayed,
-            )
-        ),
-        title="Fig 10a: Relay time per PE vs number of columns (QMCPack)",
-    )
-    text_b = format_table(
-        ["pipeline length", "execution cycles per PE (Eq.3)"],
-        list(
-            zip(
-                profile.pipeline_lengths,
-                [round(x) for x in profile.execution_cycles_per_pe],
-            )
-        ),
-        title="Fig 10b: Execution time per PE vs pipeline length",
-    )
+    profile, text = run_artifact(benchmark, "fig10")
     placement = plan_placement_summary(
         strategy="multi", rows=1, cols=4, blocks=8
     )
-    record_result(
-        "fig10_relay_profile", text_a + "\n\n" + text_b + "\n\n" + placement
-    )
+    record_result("fig10_relay_profile", text + "\n\n" + placement)
     assert "strategy=multi" in placement
 
     # The Fig 9 relay schedule: 2 rounds, PE i forwards TC-1-i blocks each.

@@ -7,37 +7,15 @@ CereSZ wins everywhere; the speedup over cuSZp sits in the 2.43x-10.98x
 band; SZ stays under 1 GB/s; throughput falls as the bound tightens.
 """
 
-import numpy as np
-
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.figures import fig11_compression_throughput
-
-PAPER_AVERAGE = 457.35  # GB/s, paper Observation 1
-PAPER_SPEEDUP = 4.97
+from benchmarks.conftest import run_artifact
+from repro.harness.figures import average_gbs
 
 
 def test_fig11(benchmark, record_result):
-    bars = run_once(benchmark, fig11_compression_throughput)
-    text = format_table(
-        ["Dataset", "REL", "Compressor", "GB/s"],
-        [
-            [b.dataset, f"{b.rel:g}", b.compressor,
-             f"{b.throughput_gbs:.2f}"]
-            for b in bars
-        ],
-        title="Fig 11: Compression throughput (GB/s)",
-    )
-    ceresz = [b.throughput_gbs for b in bars if b.compressor == "CereSZ"]
-    cuszp = [b.throughput_gbs for b in bars if b.compressor == "cuSZp"]
-    avg = float(np.mean(ceresz))
-    speedup = avg / float(np.mean(cuszp))
-    footer = (
-        f"\nCereSZ average: {avg:.2f} GB/s "
-        f"(paper: {PAPER_AVERAGE}); speedup over cuSZp {speedup:.2f}x "
-        f"(paper: {PAPER_SPEEDUP}x)"
-    )
-    record_result("fig11_compression_throughput", text + footer)
+    bars, text = run_artifact(benchmark, "fig11")
+    record_result("fig11_compression_throughput", text)
+    avg = average_gbs(bars, "CereSZ")
+    speedup = avg / average_gbs(bars, "cuSZp")
 
     groups = {}
     for b in bars:

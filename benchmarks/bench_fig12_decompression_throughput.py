@@ -7,35 +7,15 @@ headers pre-record the fixed length.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.figures import (
-    fig11_compression_throughput,
-    fig12_decompression_throughput,
-)
-
-PAPER_AVERAGE = 581.31
+from benchmarks.conftest import run_artifact
+from repro.harness.figures import average_gbs, fig11_compression_throughput
 
 
 def test_fig12(benchmark, record_result):
-    bars = run_once(benchmark, fig12_decompression_throughput)
-    text = format_table(
-        ["Dataset", "REL", "Compressor", "GB/s"],
-        [
-            [b.dataset, f"{b.rel:g}", b.compressor,
-             f"{b.throughput_gbs:.2f}"]
-            for b in bars
-        ],
-        title="Fig 12: Decompression throughput (GB/s)",
-    )
-    ceresz = [b.throughput_gbs for b in bars if b.compressor == "CereSZ"]
-    avg = float(np.mean(ceresz))
-    record_result(
-        "fig12_decompression_throughput",
-        text + f"\nCereSZ average: {avg:.2f} GB/s (paper: {PAPER_AVERAGE})",
-    )
+    bars, text = run_artifact(benchmark, "fig12")
+    record_result("fig12_decompression_throughput", text)
 
-    assert 350 <= avg <= 1100
+    assert 350 <= average_gbs(bars, "CereSZ") <= 1100
     # Decompression beats compression per configuration (Figs 11 vs 12).
     comp = {
         (b.dataset, b.rel): b.throughput_gbs

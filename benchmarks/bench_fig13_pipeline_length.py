@@ -6,24 +6,12 @@ The bottleneck group used here comes from the *actual* Algorithm 1
 distribution at each length.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.figures import (
-    fig13_pipeline_lengths,
-    plan_placement_summary,
-)
+from benchmarks.conftest import run_artifact
+from repro.harness.figures import plan_placement_summary
 
 
 def test_fig13(benchmark, record_result):
-    points = run_once(benchmark, fig13_pipeline_lengths)
-    text = format_table(
-        ["Dataset", "Pipeline", "GB/s"],
-        [
-            [p.dataset, f"{p.pipeline_length}-PE", f"{p.throughput_gbs:.1f}"]
-            for p in points
-        ],
-        title="Fig 13: Compression throughput vs pipeline length (REL 1e-4)",
-    )
+    points, text = run_artifact(benchmark, "fig13")
     placement = plan_placement_summary(
         strategy="multi", rows=1, cols=4, pipeline_length=2, blocks=8
     )

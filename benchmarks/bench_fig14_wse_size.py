@@ -15,10 +15,10 @@ Two reproductions of the same figure:
   cannot reach in bench-able time.
 """
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_artifact, run_once
 from repro.config import WSE_USABLE_COLS, WSE_USABLE_ROWS
 from repro.harness import format_table
-from repro.harness.figures import fig14_wse_sizes, fig14_wse_sizes_simulated
+from repro.harness.figures import fig14_wse_sizes_simulated
 
 #: Wall-clock ceiling for the single most expensive simulated point (the
 #: full wafer). Generous for shared CI runners; a quiet box does it in
@@ -32,15 +32,7 @@ BEYOND_WAFER = (2 * WSE_USABLE_ROWS, WSE_USABLE_COLS)
 
 
 def test_fig14(benchmark, record_result):
-    points = run_once(benchmark, fig14_wse_sizes)
-    text = format_table(
-        ["Dataset", "WSE size", "GB/s"],
-        [
-            [p.dataset, f"{p.rows}x{p.cols}", f"{p.throughput_gbs:.2f}"]
-            for p in points
-        ],
-        title="Fig 14: Compression throughput vs WSE size (REL 1e-4)",
-    )
+    points, text = run_artifact(benchmark, "fig14")
     record_result("fig14_wse_size", text)
 
     for dataset in {p.dataset for p in points}:

@@ -7,27 +7,14 @@ analytic for uniform quantization noise, which is why it reproduces
 exactly on synthetic data.
 """
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_artifact
 from repro.baselines.base import get_compressor
 from repro.datasets import generate_field
-from repro.harness.figures import fig15_quality
 from repro.metrics.visualize import error_map, slice_of, write_pgm
 
 
 def test_fig15(benchmark, record_result, results_dir):
-    q = run_once(benchmark, fig15_quality)
-    text = "\n".join(
-        [
-            "Fig 15: CereSZ vs cuSZp quality on NYX velocity_x (REL 1e-4)",
-            f"  reconstructions identical : {q.reconstructions_identical}",
-            f"  PSNR  CereSZ {q.ceresz_psnr:.2f} dB | cuSZp "
-            f"{q.cuszp_psnr:.2f} dB | paper {q.paper_psnr} dB",
-            f"  SSIM  CereSZ {q.ceresz_ssim:.6f} | cuSZp "
-            f"{q.cuszp_ssim:.6f} | paper {q.paper_ssim}",
-            f"  ratio CereSZ {q.ceresz_ratio:.2f} | cuSZp "
-            f"{q.cuszp_ratio:.2f} | paper 3.10 vs 3.35",
-        ]
-    )
+    q, text = run_artifact(benchmark, "fig15")
     record_result("fig15_quality", text)
 
     # Emit the visual comparison itself: middle slice of velocity_x,

@@ -4,19 +4,12 @@ The paper's point: rows run independently, so throughput is exactly linear
 in the row count.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness.figures import fig7_row_scaling, plan_placement_summary
-from repro.harness.report import ascii_bar_chart
+from benchmarks.conftest import run_artifact
+from repro.harness.figures import plan_placement_summary
 
 
 def test_fig7(benchmark, record_result):
-    points = run_once(benchmark, fig7_row_scaling)
-    text = ascii_bar_chart(
-        [f"{p.rows:4d} rows" for p in points],
-        [p.throughput_mbs for p in points],
-        unit=" MB/s",
-        title="Fig 7: Compression throughput vs PE rows (NYX temperature)",
-    )
+    points, text = run_artifact(benchmark, "fig7")
     placement = plan_placement_summary(
         strategy="rows", rows=4, cols=1, dataset="NYX"
     )

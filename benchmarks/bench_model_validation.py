@@ -6,20 +6,11 @@ strategies run on small meshes with real data and real kernels; makespans
 must track the Eq. 2-4 prediction.
 """
 
-import numpy as np
-
-from benchmarks.conftest import run_once
-from repro.perf.validate import validate_against_simulator, validation_report
-
-
-def _run():
-    rng = np.random.default_rng(0)
-    data = np.cumsum(rng.normal(size=32 * 64)).astype(np.float32)
-    return validate_against_simulator(data=data, eps=0.05)
+from benchmarks.conftest import run_artifact
 
 
 def test_model_validation(benchmark, record_result):
-    points = run_once(benchmark, _run)
-    record_result("model_validation", validation_report(points))
+    points, text = run_artifact(benchmark, "model_validation")
+    record_result("model_validation", text)
     for p in points:
         assert p.relative_gap < 0.15, (p.strategy, p.rows, p.cols)

@@ -26,20 +26,13 @@ from benchmarks._benchlib import (  # noqa: E402
     emit_bench_record,
     get_logger,
 )
-from benchmarks.conftest import RESULTS_DIR, run_once  # noqa: E402
-from repro.harness.observations import all_observations  # noqa: E402
+from benchmarks.conftest import RESULTS_DIR, run_artifact  # noqa: E402
+from repro.harness.observations import (  # noqa: E402
+    all_observations,
+    render_observations,
+)
 
 LOG = get_logger("bench.observations")
-
-
-def render(verdicts) -> str:
-    lines = []
-    for v in verdicts:
-        lines.append(f"Observation {v.observation}: "
-                     f"{'HOLDS' if v.holds else 'FAILS'}")
-        lines.append(f"  claim   : {v.claim}")
-        lines.append(f"  evidence: {v.evidence}")
-    return "\n".join(lines)
 
 
 def build_payload(verdicts) -> dict:
@@ -65,8 +58,8 @@ def write_json(payload: dict, path) -> None:
 
 
 def test_observations(benchmark, record_result, results_dir):
-    verdicts = run_once(benchmark, all_observations)
-    record_result("observations", render(verdicts))
+    verdicts, text = run_artifact(benchmark, "observations")
+    record_result("observations", text)
     write_json(build_payload(verdicts), results_dir / "observations.json")
     for v in verdicts:
         assert v.holds, (v.observation, v.evidence)
@@ -95,7 +88,7 @@ def main(argv=None) -> int:
     verdicts = all_observations()
     wall_s = time.perf_counter() - t0
 
-    report = render(verdicts)
+    report = render_observations(verdicts)
     print(report)
     payload = build_payload(verdicts)
 

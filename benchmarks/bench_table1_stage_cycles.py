@@ -6,23 +6,11 @@ calibrated cycle model evaluated at the fixed lengths measured on the
 synthetic datasets.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.tables import table1_stage_cycles
+from benchmarks.conftest import run_artifact
 
 
 def test_table1(benchmark, record_result):
-    rows = run_once(benchmark, table1_stage_cycles)
-    text = format_table(
-        ["Dataset", "fl", "Pre-Quant.", "Loren. Pred.", "FL Encd.",
-         "paper (PQ/LP/FL)"],
-        [
-            [r.dataset, r.fixed_length, round(r.prequant), round(r.lorenzo),
-             round(r.fl_encode), r.paper]
-            for r in rows
-        ],
-        title="Table 1: Execution cycles for three steps (one data block)",
-    )
+    rows, text = run_artifact(benchmark, "table1")
     record_result("table1_stage_cycles", text)
     for r in rows:
         assert r.fl_encode > r.prequant > r.lorenzo  # Table 1's ordering

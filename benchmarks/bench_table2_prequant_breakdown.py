@@ -4,23 +4,11 @@ Paper: Multiplication ~5063-5081 cycles (~80% of pre-quantization),
 Addition ~1033-1049.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.tables import table2_prequant_breakdown
+from benchmarks.conftest import run_artifact
 
 
 def test_table2(benchmark, record_result):
-    rows = run_once(benchmark, table2_prequant_breakdown)
-    text = format_table(
-        ["Dataset", "Pre-Quant.", "Multiplication", "Addition",
-         "paper (PQ/Mult/Add)"],
-        [
-            [r.dataset, round(r.prequant), round(r.multiplication),
-             round(r.addition), r.paper]
-            for r in rows
-        ],
-        title="Table 2: Breakdown cycles for Pre-Quantization",
-    )
+    rows, text = run_artifact(benchmark, "table2")
     record_result("table2_prequant_breakdown", text)
     for r in rows:
         assert r.multiplication + r.addition == r.prequant

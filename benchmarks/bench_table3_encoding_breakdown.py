@@ -4,24 +4,11 @@ Paper: fixed sub-stages ~1030-1390 cycles, Bit-shuffle ~1977 cycles per
 effective bit (33609/17 = 25675/13 = 23694/12).
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.tables import table3_encoding_breakdown
+from benchmarks.conftest import run_artifact
 
 
 def test_table3(benchmark, record_result):
-    rows = run_once(benchmark, table3_encoding_breakdown)
-    text = format_table(
-        ["Dataset", "fl", "FL Encd.", "Sign", "Max", "GetLength",
-         "Bit-shuffle", "paper (FL/S/M/GL/BS)"],
-        [
-            [r.dataset, r.fixed_length, round(r.fl_encode), round(r.sign),
-             round(r.max), round(r.get_length), round(r.bit_shuffle),
-             r.paper]
-            for r in rows
-        ],
-        title="Table 3: Breakdown cycles for Fixed-Length Encoding",
-    )
+    rows, text = run_artifact(benchmark, "table3")
     record_result("table3_encoding_breakdown", text)
     per_bit = {round(r.bit_shuffle / r.fixed_length, 3) for r in rows}
     assert len(per_bit) == 1  # uniform per-bit cost, the paper's observation

@@ -1,22 +1,10 @@
 """Table 4: the dataset inventory (paper dims + synthetic stand-in dims)."""
 
-from benchmarks.conftest import run_once
-from repro.harness import format_table
-from repro.harness.tables import table4_datasets
+from benchmarks.conftest import run_artifact
 
 
 def test_table4(benchmark, record_result):
-    rows = run_once(benchmark, table4_datasets)
-    text = format_table(
-        ["Dataset", "No. of Fields", "Dim. per Field (paper)",
-         "Dim. per Field (synthetic)", "Domain"],
-        [
-            [r["dataset"], r["num_fields"], r["paper_shape"],
-             r["synthetic_shape"], r["domain"]]
-            for r in rows
-        ],
-        title="Table 4: Datasets for evaluating CereSZ",
-    )
+    rows, text = run_artifact(benchmark, "table4")
     record_result("table4_datasets", text)
     assert len(rows) == 6
     assert sum(r["num_fields"] for r in rows) == 79 + 13 + 2 + 6 + 36 + 6

@@ -13,42 +13,16 @@ asserted below:
 
 from collections import defaultdict
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_artifact, run_once
 from repro.harness import format_table
 from repro.harness.tables import (
-    table5_compression_ratio,
+    PAPER_TABLE5_CERESZ_AVG,
     table5_predictor_comparison,
 )
 
-#: Paper Table 5 averages for side-by-side printing (CereSZ rows).
-PAPER_CERESZ_AVG = {
-    ("CESM-ATM", 1e-2): 8.73, ("CESM-ATM", 1e-3): 6.49, ("CESM-ATM", 1e-4): 5.11,
-    ("HACC", 1e-2): 6.82, ("HACC", 1e-3): 4.05, ("HACC", 1e-4): 2.83,
-    ("Hurricane", 1e-2): 17.10, ("Hurricane", 1e-3): 12.57, ("Hurricane", 1e-4): 9.64,
-    ("NYX", 1e-2): 20.22, ("NYX", 1e-3): 14.05, ("NYX", 1e-4): 9.61,
-    ("QMCPack", 1e-2): 14.63, ("QMCPack", 1e-3): 7.16, ("QMCPack", 1e-4): 4.23,
-    ("RTM", 1e-2): 23.46, ("RTM", 1e-3): 17.73, ("RTM", 1e-4): 12.87,
-}
-
 
 def test_table5(benchmark, record_result):
-    rows = run_once(benchmark, table5_compression_ratio)
-    lines = []
-    for r in rows:
-        paper = (
-            PAPER_CERESZ_AVG.get((r.dataset, r.rel), "")
-            if r.compressor == "CereSZ"
-            else ""
-        )
-        lines.append(
-            [r.compressor, r.dataset, f"{r.rel:g}",
-             f"{r.min:.2f}~{r.max:.2f}", f"{r.avg:.2f}", paper]
-        )
-    text = format_table(
-        ["Compressor", "Dataset", "REL", "range", "avg", "paper avg"],
-        lines,
-        title="Table 5: Compression ratio (measured streams, synthetic data)",
-    )
+    rows, text = run_artifact(benchmark, "table5")
     record_result("table5_compression_ratio", text)
 
     by_key = {(r.compressor, r.dataset, r.rel): r for r in rows}
@@ -77,7 +51,7 @@ def test_table5(benchmark, record_result):
         assert all(x >= y for x, y in zip(avgs, avgs[1:]))
 
     # CereSZ averages within 2x of the paper's on every cell (shape match).
-    for (dataset, rel), paper_avg in PAPER_CERESZ_AVG.items():
+    for (dataset, rel), paper_avg in PAPER_TABLE5_CERESZ_AVG.items():
         ours = by_key[("CereSZ", dataset, rel)].avg
         assert 0.4 <= ours / paper_avg <= 2.5, (dataset, rel, ours, paper_avg)
 

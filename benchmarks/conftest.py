@@ -2,9 +2,10 @@
 
 Every bench regenerates one paper table or figure: it times the harness
 function once (``benchmark.pedantic`` with a single round — these are
-experiment runs, not microbenchmarks) and writes the paper-style rendering
-to ``benchmarks/results/<name>.txt`` so the regenerated artifacts survive
-the run. Kernel microbenchmarks (``bench_kernels.py``) use the default
+experiment runs, not microbenchmarks) and writes the artifact's one
+rendering (``repro.harness.ARTIFACTS``) to
+``benchmarks/results/<name>.txt`` so the regenerated artifacts survive the
+run. Kernel microbenchmarks (``bench_kernels.py``) use the default
 repeated timing.
 """
 
@@ -37,3 +38,12 @@ def record_result(results_dir):
 def run_once(benchmark, fn, *args, **kwargs):
     """Time an experiment harness exactly once (no warmup repetitions)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def run_artifact(benchmark, name: str):
+    """Time one harness artifact's compute once; return its data and text."""
+    from repro.harness import ARTIFACTS
+
+    compute, render = ARTIFACTS[name]
+    data = run_once(benchmark, compute)
+    return data, render(data)

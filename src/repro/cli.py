@@ -32,8 +32,9 @@ Subcommands::
                       [--kind K] [--gate] [--verbose]
                       # regression report over the run ledger
 
-Tables and figures print in the same layout the benchmarks log; the
-compress path is the production-style usage.
+Tables, figures and audits print ``repro.harness.ARTIFACTS``' one
+rendering of each artifact, the text the benchmarks record; the compress
+path is the production-style usage.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.core.predictors import predictor_names
 from repro.core.simulate import SIM_MODES
 from repro.core.wse_compressor import STRATEGIES, WSECereSZ
 from repro.datasets import generate_field, get_dataset, load_f32, save_f32
-from repro.metrics.errorbound import max_abs_error
 
 
 def _jobs_arg(value: str):
@@ -590,194 +590,16 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from repro.harness import (
-        format_table,
-        table1_stage_cycles,
-        table2_prequant_breakdown,
-        table3_encoding_breakdown,
-        table4_datasets,
-        table5_compression_ratio,
-    )
+    from repro.harness import render_artifact
 
-    n = args.number
-    if n == 1:
-        rows = table1_stage_cycles()
-        print(
-            format_table(
-                ["Dataset", "fl", "Pre-Quant.", "Loren. Pred.", "FL Encd.",
-                 "paper (PQ, LP, FL)"],
-                [
-                    [r.dataset, r.fixed_length, r.prequant, r.lorenzo,
-                     r.fl_encode, r.paper]
-                    for r in rows
-                ],
-                title="Table 1: Execution cycles for three steps",
-            )
-        )
-    elif n == 2:
-        rows = table2_prequant_breakdown()
-        print(
-            format_table(
-                ["Dataset", "Pre-Quant.", "Multiplication", "Addition",
-                 "paper"],
-                [
-                    [r.dataset, r.prequant, r.multiplication, r.addition,
-                     r.paper]
-                    for r in rows
-                ],
-                title="Table 2: Breakdown cycles for Pre-Quantization",
-            )
-        )
-    elif n == 3:
-        rows = table3_encoding_breakdown()
-        print(
-            format_table(
-                ["Dataset", "fl", "FL Encd.", "Sign", "Max", "GetLength",
-                 "Bit-shuffle", "paper"],
-                [
-                    [r.dataset, r.fixed_length, r.fl_encode, r.sign, r.max,
-                     r.get_length, r.bit_shuffle, r.paper]
-                    for r in rows
-                ],
-                title="Table 3: Breakdown cycles for Fixed-Length Encoding",
-            )
-        )
-    elif n == 4:
-        rows = table4_datasets()
-        print(
-            format_table(
-                ["Dataset", "No. of Fields", "Dim. per Field (paper)",
-                 "Dim. per Field (synthetic)", "Domain"],
-                [
-                    [r["dataset"], r["num_fields"], r["paper_shape"],
-                     r["synthetic_shape"], r["domain"]]
-                    for r in rows
-                ],
-                title="Table 4: Datasets for evaluating CereSZ",
-            )
-        )
-    else:
-        rows = table5_compression_ratio()
-        print(
-            format_table(
-                ["Compressor", "Dataset", "REL", "range", "avg", "fields"],
-                [
-                    [r.compressor, r.dataset, f"{r.rel:g}",
-                     f"{r.min:.2f}~{r.max:.2f}", f"{r.avg:.2f}",
-                     r.num_fields]
-                    for r in rows
-                ],
-                title="Table 5: Compression ratio (measured streams)",
-            )
-        )
+    print(render_artifact(f"table{args.number}"))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    from repro.harness import (
-        fig7_row_scaling,
-        fig10_relay_and_execution,
-        fig11_compression_throughput,
-        fig12_decompression_throughput,
-        fig13_pipeline_lengths,
-        fig14_wse_sizes,
-        fig15_quality,
-        format_table,
-    )
-    from repro.harness.report import ascii_bar_chart
+    from repro.harness import render_artifact
 
-    n = args.number
-    if n == 7:
-        points = fig7_row_scaling()
-        print(
-            ascii_bar_chart(
-                [f"{p.rows} rows" for p in points],
-                [p.throughput_mbs for p in points],
-                unit=" MB/s",
-                title="Fig 7: Throughput vs PE rows (NYX temperature)",
-            )
-        )
-    elif n == 10:
-        prof = fig10_relay_and_execution()
-        print(
-            format_table(
-                ["TC (cols)", "relay cycles (Eq.2)", "relay cycles (sim)"],
-                list(
-                    zip(
-                        prof.cols_swept,
-                        prof.relay_cycles_analytic,
-                        prof.relay_cycles_simulated,
-                    )
-                ),
-                title="Fig 10a: Relay time per PE vs columns (QMCPack)",
-            )
-        )
-        print()
-        print(
-            format_table(
-                ["pipeline length", "execution cycles per PE (Eq.3)"],
-                list(
-                    zip(prof.pipeline_lengths, prof.execution_cycles_per_pe)
-                ),
-                title="Fig 10b: Execution time per PE vs pipeline length",
-            )
-        )
-    elif n in (11, 12):
-        bars = (
-            fig11_compression_throughput()
-            if n == 11
-            else fig12_decompression_throughput()
-        )
-        print(
-            format_table(
-                ["Dataset", "REL", "Compressor", "GB/s"],
-                [
-                    [b.dataset, f"{b.rel:g}", b.compressor,
-                     f"{b.throughput_gbs:.2f}"]
-                    for b in bars
-                ],
-                title=f"Fig {n}: "
-                + ("Compression" if n == 11 else "Decompression")
-                + " throughput",
-            )
-        )
-    elif n == 13:
-        points = fig13_pipeline_lengths()
-        print(
-            format_table(
-                ["Dataset", "pipeline", "GB/s"],
-                [
-                    [p.dataset, f"{p.pipeline_length}-PE",
-                     f"{p.throughput_gbs:.1f}"]
-                    for p in points
-                ],
-                title="Fig 13: Compression throughput vs pipeline length "
-                "(REL 1e-4)",
-            )
-        )
-    elif n == 14:
-        points = fig14_wse_sizes()
-        print(
-            format_table(
-                ["Dataset", "WSE size", "GB/s"],
-                [
-                    [p.dataset, f"{p.rows}x{p.cols}",
-                     f"{p.throughput_gbs:.1f}"]
-                    for p in points
-                ],
-                title="Fig 14: Compression throughput vs WSE size (REL 1e-4)",
-            )
-        )
-    else:
-        q = fig15_quality()
-        print("Fig 15: data quality on NYX velocity_x, REL 1e-4")
-        print(f"  reconstructions identical: {q.reconstructions_identical}")
-        print(f"  PSNR: CereSZ {q.ceresz_psnr:.2f} dB, cuSZp "
-              f"{q.cuszp_psnr:.2f} dB (paper: {q.paper_psnr} dB)")
-        print(f"  SSIM: CereSZ {q.ceresz_ssim:.4f}, cuSZp {q.cuszp_ssim:.4f} "
-              f"(paper: {q.paper_ssim})")
-        print(f"  ratio: CereSZ {q.ceresz_ratio:.2f} vs cuSZp "
-              f"{q.cuszp_ratio:.2f} (paper: 3.10 vs 3.35)")
+    print(render_artifact(f"fig{args.number}"))
     return 0
 
 
@@ -815,36 +637,27 @@ def _cmd_unstream(args) -> int:
 
 
 def _cmd_observations(args) -> int:
-    from repro.harness.observations import all_observations
+    from repro.harness import ARTIFACTS
 
-    failures = 0
-    for v in all_observations():
-        status = "HOLDS" if v.holds else "FAILS"
-        print(f"Observation {v.observation}: {status}")
-        print(f"  claim   : {v.claim}")
-        print(f"  evidence: {v.evidence}")
-        failures += 0 if v.holds else 1
-    return failures
+    compute, render = ARTIFACTS["observations"]
+    verdicts = compute()
+    print(render(verdicts))
+    return sum(not v.holds for v in verdicts)
 
 
 def _cmd_validate(args) -> int:
-    from repro.perf.calibration import calibration_report, worst_relative_error
-    from repro.perf.validate import (
-        validate_against_simulator,
-        validation_report,
-    )
+    from repro.harness import ARTIFACTS
+    from repro.perf.calibration import worst_relative_error
 
-    print(calibration_report())
-    worst = worst_relative_error()
-    print(f"\nworst calibration residual: {100 * worst:.2f}%")
-
-    rng = np.random.default_rng(0)
-    data = np.cumsum(rng.normal(size=32 * 48)).astype(np.float32)
-    points = validate_against_simulator(data=data, eps=0.05)
+    compute, render = ARTIFACTS["calibration"]
+    model = compute()
+    print(render(model))
+    compute, render = ARTIFACTS["model_validation"]
+    points = compute()
     print()
-    print(validation_report(points))
+    print(render(points))
     bad = [p for p in points if p.relative_gap > 0.15]
-    return 1 if (worst > 0.015 or bad) else 0
+    return 1 if (worst_relative_error(model) > 0.015 or bad) else 0
 
 
 def _cmd_reproduce(args) -> int:

@@ -299,8 +299,6 @@ class Interpolation(Predictor):
 
 _REGISTRY: dict[str, Predictor] = {}
 _BY_TAG: dict[int, Predictor] = {}
-#: Historical spellings still accepted everywhere a name is.
-PREDICTOR_ALIASES = {"blocked1d": "lorenzo1d"}
 
 
 def register_predictor(predictor: Predictor) -> Predictor:
@@ -313,7 +311,7 @@ def register_predictor(predictor: Predictor) -> Predictor:
         raise CompressionError(
             f"unknown locality {predictor.locality!r} for {predictor.name!r}"
         )
-    if predictor.name in _REGISTRY or predictor.name in PREDICTOR_ALIASES:
+    if predictor.name in _REGISTRY:
         raise CompressionError(f"duplicate predictor name {predictor.name!r}")
     if predictor.tag in _BY_TAG:
         raise CompressionError(f"duplicate predictor tag {predictor.tag}")
@@ -323,12 +321,11 @@ def register_predictor(predictor: Predictor) -> Predictor:
 
 
 def get_predictor(name: str | Predictor) -> Predictor:
-    """Resolve a predictor by name (aliases accepted) or pass one through."""
+    """Resolve a predictor by name or pass one through."""
     if isinstance(name, Predictor):
         return name
-    canonical = PREDICTOR_ALIASES.get(name, name)
     try:
-        return _REGISTRY[canonical]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise CompressionError(

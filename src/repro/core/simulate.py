@@ -87,10 +87,8 @@ from repro.core.plan import (
 )
 from repro.obs.metrics import (
     MetricsRegistry,
-    collect_engine_metrics,
-    collect_fabric_metrics,
-    collect_fault_metrics,
     collect_repair_metrics,
+    collect_run_metrics,
     collect_trace_metrics,
 )
 from repro.obs.tracing import Tracer
@@ -167,9 +165,7 @@ def _simulate_one(
 
 def _collect_worker_metrics(fabric, engine) -> dict:
     metrics = MetricsRegistry()
-    collect_fabric_metrics(metrics, fabric)
-    collect_engine_metrics(metrics, engine)
-    collect_fault_metrics(metrics, engine.faults)
+    collect_run_metrics(metrics, fabric=fabric, engine=engine)
     return metrics.snapshot()
 
 
@@ -367,18 +363,17 @@ def simulate_plan(
         except DeadlockError as exc:
             failed_engine = getattr(exc, "_engine", None)
             if metrics is not None and failed_engine is not None:
-                collect_fabric_metrics(metrics, exc._fabric)
-                collect_engine_metrics(metrics, failed_engine)
-                collect_fault_metrics(metrics, failed_engine.faults)
+                collect_run_metrics(
+                    metrics, fabric=exc._fabric, engine=failed_engine
+                )
             for attr in ("_fabric", "_engine"):
                 if hasattr(exc, attr):
                     delattr(exc, attr)
             raise
     if metrics is not None:
-        collect_fabric_metrics(metrics, fabric)
-        collect_engine_metrics(metrics, engine)
-        collect_fault_metrics(metrics, engine.faults)
-        collect_trace_metrics(metrics, report.trace)
+        collect_run_metrics(
+            metrics, fabric=fabric, engine=engine, trace=report.trace
+        )
     return SimulatedRun(
         outputs=outputs, report=report, tracer=tracer, metrics=metrics
     )
@@ -539,7 +534,7 @@ def simulate_with_repair(
                     "cols": current.cols,
                     "num_blocks": current.num_blocks,
                     "direction": current.direction,
-                    "mode": mode,
+                    "mode": run.mode,
                     "jobs": jobs,
                     "faults": True,
                 },

@@ -300,7 +300,7 @@ class WSECereSZ:
             "cols": self.cols,
             "pipeline_length": self.pipeline_length,
             "block_size": self.block_size,
-            "mode": self.mode,
+            "mode": run.mode,
             "jobs": self.jobs,
             "predictor": self.predictor,
             "faults": self.faults is not None,

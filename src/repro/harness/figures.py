@@ -25,6 +25,8 @@ from repro.core.wse_compressor import WSECereSZ
 from repro.datasets import generate_field, iter_fields
 from repro.datasets.registry import NYX_FIELDS
 from repro.baselines.base import get_compressor
+from repro.harness.report import ascii_bar_chart, format_table
+from repro.harness.tables import DEFAULT_FIELD_LIMITS, REL_BOUNDS
 from repro.metrics.quality import psnr, ssim
 from repro.perf.device import DEVICE_MODELS
 from repro.perf.model import compute_cycles_per_round, relay_cycles_per_round
@@ -37,7 +39,6 @@ from repro.perf.wafer import (
 )
 from repro.wse.cost import PAPER_CYCLE_MODEL
 
-REL_BOUNDS = (1e-2, 1e-3, 1e-4)
 HEADLINE_WAFER = WaferConfig(rows=512, cols=512)
 
 
@@ -101,6 +102,15 @@ def fig7_row_scaling(
     ]
 
 
+def render_fig7(points: list[RowScalingPoint]) -> str:
+    return ascii_bar_chart(
+        [f"{p.rows:4d} rows" for p in points],
+        [p.throughput_mbs for p in points],
+        unit=" MB/s",
+        title="Fig 7: Compression throughput vs PE rows (NYX temperature)",
+    )
+
+
 # --- Fig 10 ---------------------------------------------------------------------------
 
 
@@ -126,7 +136,8 @@ def fig10_relay_and_execution(
     (a) The analytic line is Eq. 2 (``TC * C1``); the simulated points run
     the actual multi-pipeline program on a 1-row mesh and read the head
     PE's relay-cycle counter — the linearity check the paper performs on
-    QMCPack. (b) is Eq. 3 with the actual Algorithm-1 bottleneck.
+    QMCPack. (b) is Eq. 3 with the ideal ``C/pl`` split (Fig 13 uses the
+    actual Algorithm-1 bottleneck).
     """
     arr = generate_field("QMCPack", 0, seed=seed)
     eps = relative_to_absolute(arr, rel)
@@ -150,20 +161,10 @@ def fig10_relay_and_execution(
         relayed.append(result.report.trace.total_blocks_relayed())
 
     block_cycles = workload.mean_cycles("compress", model)
-    execution = []
-    for pl in pipeline_lengths:
-        perf = wafer_throughput(
-            workload, HEADLINE_WAFER, pipeline_length=pl, direction="compress"
-        )
-        execution.append(
-            compute_cycles_per_round(
-                block_cycles,
-                pl,
-                model,
-                bottleneck_fraction=None,
-            )
-        )
-        del perf  # throughput unused here; Fig 13 reports it
+    execution = [
+        compute_cycles_per_round(block_cycles, pl, model)
+        for pl in pipeline_lengths
+    ]
     return RelayProfile(
         cols_swept=list(sim_cols),
         relay_cycles_analytic=analytic,
@@ -172,6 +173,33 @@ def fig10_relay_and_execution(
         pipeline_lengths=list(pipeline_lengths),
         execution_cycles_per_pe=execution,
     )
+
+
+def render_fig10(profile: RelayProfile) -> str:
+    relay = format_table(
+        ["TC (cols)", "relay/PE (Eq.2: TC*C1)", "relay/PE (simulated)",
+         "blocks relayed"],
+        list(
+            zip(
+                profile.cols_swept,
+                [round(x) for x in profile.relay_cycles_analytic],
+                [round(x) for x in profile.relay_cycles_simulated],
+                profile.blocks_relayed,
+            )
+        ),
+        title="Fig 10a: Relay time per PE vs number of columns (QMCPack)",
+    )
+    execution = format_table(
+        ["pipeline length", "execution cycles per PE (Eq.3)"],
+        list(
+            zip(
+                profile.pipeline_lengths,
+                [round(x) for x in profile.execution_cycles_per_pe],
+            )
+        ),
+        title="Fig 10b: Execution time per PE vs pipeline length",
+    )
+    return relay + "\n\n" + execution
 
 
 # --- Figs 11 / 12 -----------------------------------------------------------------------
@@ -188,21 +216,14 @@ class ThroughputBar:
 #: Figs 11-12 compressor order.
 THROUGHPUT_COMPRESSORS = ("SZ", "SZp", "cuSZ", "cuSZp", "CereSZ")
 
-_FIELD_LIMITS = {
-    "CESM-ATM": 8,
-    "Hurricane": 13,
-    "QMCPack": 2,
-    "NYX": 6,
-    "RTM": 10,
-    "HACC": 6,
-}
-
 
 def _throughput_bars(direction: str, datasets, rel_bounds, seed: int):
     bars = []
     for dataset in datasets:
         fields = list(
-            iter_fields(dataset, limit=_FIELD_LIMITS.get(dataset), seed=seed)
+            iter_fields(
+                dataset, limit=DEFAULT_FIELD_LIMITS.get(dataset), seed=seed
+            )
         )
         for rel in rel_bounds:
             workloads = []
@@ -262,6 +283,50 @@ def fig12_decompression_throughput(
     return _throughput_bars("decompress", datasets, rel_bounds, seed)
 
 
+#: The paper's Fig 11/12 headline numbers (Observation 1): CereSZ's average
+#: compression and decompression GB/s and its compression speedup over
+#: cuSZp.
+PAPER_FIG11_AVG_GBS = 457.35
+PAPER_FIG11_SPEEDUP = 4.97
+PAPER_FIG12_AVG_GBS = 581.31
+
+
+def average_gbs(bars: list[ThroughputBar], compressor: str) -> float:
+    """One compressor's mean throughput over every bar of a figure."""
+    return float(
+        np.mean([b.throughput_gbs for b in bars if b.compressor == compressor])
+    )
+
+
+def _throughput_table(bars: list[ThroughputBar], title: str) -> str:
+    return format_table(
+        ["Dataset", "REL", "Compressor", "GB/s"],
+        [
+            [b.dataset, f"{b.rel:g}", b.compressor, f"{b.throughput_gbs:.2f}"]
+            for b in bars
+        ],
+        title=title,
+    )
+
+
+def render_fig11(bars: list[ThroughputBar]) -> str:
+    avg = average_gbs(bars, "CereSZ")
+    speedup = avg / average_gbs(bars, "cuSZp")
+    return (
+        _throughput_table(bars, "Fig 11: Compression throughput (GB/s)")
+        + f"\nCereSZ average: {avg:.2f} GB/s (paper: {PAPER_FIG11_AVG_GBS}); "
+        f"speedup over cuSZp {speedup:.2f}x (paper: {PAPER_FIG11_SPEEDUP}x)"
+    )
+
+
+def render_fig12(bars: list[ThroughputBar]) -> str:
+    return (
+        _throughput_table(bars, "Fig 12: Decompression throughput (GB/s)")
+        + f"\nCereSZ average: {average_gbs(bars, 'CereSZ'):.2f} GB/s "
+        f"(paper: {PAPER_FIG12_AVG_GBS})"
+    )
+
+
 # --- Fig 13 -----------------------------------------------------------------------------
 
 
@@ -297,6 +362,17 @@ def fig13_pipeline_lengths(
     return points
 
 
+def render_fig13(points: list[PipelineLengthPoint]) -> str:
+    return format_table(
+        ["Dataset", "Pipeline", "GB/s"],
+        [
+            [p.dataset, f"{p.pipeline_length}-PE", f"{p.throughput_gbs:.1f}"]
+            for p in points
+        ],
+        title="Fig 13: Compression throughput vs pipeline length (REL 1e-4)",
+    )
+
+
 # --- Fig 14 -----------------------------------------------------------------------------
 
 
@@ -323,7 +399,9 @@ def fig14_wse_sizes(
     points = []
     for dataset in datasets:
         fields = list(
-            iter_fields(dataset, limit=_FIELD_LIMITS.get(dataset), seed=seed)
+            iter_fields(
+                dataset, limit=DEFAULT_FIELD_LIMITS.get(dataset), seed=seed
+            )
         )
         stacked = np.concatenate([a.reshape(-1) for _, a in fields])
         eps = relative_to_absolute(stacked, rel)
@@ -339,6 +417,17 @@ def fig14_wse_sizes(
             for perf in curve
         )
     return points
+
+
+def render_fig14(points: list[WSESizePoint]) -> str:
+    return format_table(
+        ["Dataset", "WSE size", "GB/s"],
+        [
+            [p.dataset, f"{p.rows}x{p.cols}", f"{p.throughput_gbs:.2f}"]
+            for p in points
+        ],
+        title="Fig 14: Compression throughput vs WSE size (REL 1e-4)",
+    )
 
 
 @dataclass(frozen=True)
@@ -467,4 +556,19 @@ def fig15_quality(*, rel: float = 1e-4, seed: int = 0) -> QualityReport:
         ceresz_ssim=ssim(arr, back1),
         cuszp_ssim=ssim(arr, back2),
         reconstructions_identical=bool(np.array_equal(back1, back2)),
+    )
+
+
+def render_fig15(q: QualityReport) -> str:
+    return "\n".join(
+        [
+            "Fig 15: CereSZ vs cuSZp quality on NYX velocity_x (REL 1e-4)",
+            f"  reconstructions identical : {q.reconstructions_identical}",
+            f"  PSNR  CereSZ {q.ceresz_psnr:.2f} dB | cuSZp "
+            f"{q.cuszp_psnr:.2f} dB | paper {q.paper_psnr} dB",
+            f"  SSIM  CereSZ {q.ceresz_ssim:.6f} | cuSZp "
+            f"{q.cuszp_ssim:.6f} | paper {q.paper_ssim}",
+            f"  ratio CereSZ {q.ceresz_ratio:.2f} | cuSZp "
+            f"{q.cuszp_ratio:.2f} | paper 3.10 vs 3.35",
+        ]
     )

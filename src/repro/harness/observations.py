@@ -1,8 +1,9 @@
 """The paper's three numbered Observations, verified programmatically.
 
 Each function re-derives one of the boxed claims of Section 5 from this
-reproduction's own measurements and returns a structured verdict. The
-bench and the CLI print them; tests assert they hold.
+reproduction's own measurements and returns a structured verdict;
+:func:`render_observations` is the one text form of the verdicts that the
+bench, the CLI and ``ceresz reproduce`` print. Tests assert they hold.
 
 * **Observation 1** (5.2): CereSZ averages hundreds of GB/s for compression
   and decompression, ~5x faster than cuSZp.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.harness.figures import (
+    average_gbs,
     fig11_compression_throughput,
     fig12_decompression_throughput,
     fig15_quality,
@@ -38,16 +40,10 @@ def observation1_throughput(*, seed: int = 0) -> Verdict:
     """CereSZ hundreds of GB/s, ~5x cuSZp, both directions."""
     comp = fig11_compression_throughput(seed=seed)
     decomp = fig12_decompression_throughput(seed=seed)
-
-    def avg(bars, name):
-        return float(
-            np.mean([b.throughput_gbs for b in bars if b.compressor == name])
-        )
-
-    c_avg = avg(comp, "CereSZ")
-    d_avg = avg(decomp, "CereSZ")
-    c_speedup = c_avg / avg(comp, "cuSZp")
-    d_speedup = d_avg / avg(decomp, "cuSZp")
+    c_avg = average_gbs(comp, "CereSZ")
+    d_avg = average_gbs(decomp, "CereSZ")
+    c_speedup = c_avg / average_gbs(comp, "cuSZp")
+    d_speedup = d_avg / average_gbs(decomp, "cuSZp")
     holds = (
         c_avg > 200
         and d_avg > c_avg
@@ -134,3 +130,14 @@ def all_observations(*, seed: int = 0) -> list[Verdict]:
         observation2_ratio(seed=seed),
         observation3_quality(seed=seed),
     ]
+
+
+def render_observations(verdicts: list[Verdict]) -> str:
+    lines = []
+    for v in verdicts:
+        lines += [
+            f"Observation {v.observation}: {'HOLDS' if v.holds else 'FAILS'}",
+            f"  claim   : {v.claim}",
+            f"  evidence: {v.evidence}",
+        ]
+    return "\n".join(lines)

@@ -2,8 +2,9 @@
 
 ``ceresz reproduce --out DIR`` (or :func:`reproduce_all`) regenerates the
 paper's full evaluation and the reproduction-side audits, writing each
-artifact as a text file plus a ``REPORT.md`` index with the headline
-numbers. ``quick=True`` narrows dataset/field coverage for smoke runs.
+artifact of :data:`repro.harness.ARTIFACTS` as a text file plus a
+``REPORT.md`` index with the headline numbers. ``quick=True`` narrows
+dataset/field coverage for smoke runs.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ import pathlib
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.harness.report import ascii_bar_chart, format_table
+from repro.harness import ARTIFACTS
+from repro.harness.figures import (
+    PAPER_FIG11_AVG_GBS,
+    PAPER_FIG11_SPEEDUP,
+    PAPER_FIG12_AVG_GBS,
+    average_gbs,
+)
 
 
 @dataclass(frozen=True)
@@ -25,205 +30,53 @@ class ReproduceSummary:
     headline: dict
 
 
+#: Artifacts whose compute takes no seed.
+_UNSEEDED = ("table2", "table4", "calibration")
+
+
+def _compute_kwargs(quick: bool, seed: int) -> dict[str, dict]:
+    """Per-artifact compute keywords; ``quick`` narrows the heavy ones."""
+    kwargs = {
+        name: ({} if name in _UNSEEDED else {"seed": seed})
+        for name in ARTIFACTS
+    }
+    if quick:
+        narrow = {"datasets": ("QMCPack", "HACC"), "rel_bounds": (1e-2, 1e-4)}
+        kwargs["table5"].update(narrow, field_limit=2)
+        kwargs["fig11"].update(narrow)
+        kwargs["fig12"].update(narrow)
+        kwargs["fig14"]["sizes"] = (16, 64, 256)
+        kwargs["model_validation"]["blocks"] = 16
+    return kwargs
+
+
 def reproduce_all(
     out_dir: str | pathlib.Path, *, quick: bool = False, seed: int = 0
 ) -> ReproduceSummary:
     """Run the full experiment matrix; returns the summary it wrote."""
-    from repro.harness import observations, tables
-    from repro.harness.figures import (
-        fig7_row_scaling,
-        fig10_relay_and_execution,
-        fig11_compression_throughput,
-        fig12_decompression_throughput,
-        fig13_pipeline_lengths,
-        fig14_wse_sizes,
-        fig15_quality,
-    )
-    from repro.perf.calibration import calibration_report
-    from repro.perf.validate import (
-        validate_against_simulator,
-        validation_report,
-    )
-
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     artifacts: list[str] = []
-
-    def write(name: str, text: str) -> None:
-        (out / f"{name}.txt").write_text(text + "\n")
+    data = {}
+    for name, kwargs in _compute_kwargs(quick, seed).items():
+        compute, render = ARTIFACTS[name]
+        data[name] = compute(**kwargs)
+        (out / f"{name}.txt").write_text(render(data[name]) + "\n")
         artifacts.append(f"{name}.txt")
 
-    datasets = ("QMCPack", "HACC") if quick else (
-        "CESM-ATM", "Hurricane", "QMCPack", "NYX", "RTM", "HACC"
-    )
-    bounds = (1e-2, 1e-4) if quick else (1e-2, 1e-3, 1e-4)
-    field_limit = 2 if quick else -1
-
-    # --- tables -----------------------------------------------------------------
-    t1 = tables.table1_stage_cycles(seed=seed)
-    write(
-        "table1",
-        format_table(
-            ["Dataset", "fl", "Pre-Quant.", "Lorenzo", "FL Encd.", "paper"],
-            [[r.dataset, r.fixed_length, round(r.prequant), round(r.lorenzo),
-              round(r.fl_encode), r.paper] for r in t1],
-            title="Table 1",
-        ),
-    )
-    t2 = tables.table2_prequant_breakdown()
-    write(
-        "table2",
-        format_table(
-            ["Dataset", "Pre-Quant.", "Mult", "Add", "paper"],
-            [[r.dataset, round(r.prequant), round(r.multiplication),
-              round(r.addition), r.paper] for r in t2],
-            title="Table 2",
-        ),
-    )
-    t3 = tables.table3_encoding_breakdown(seed=seed)
-    write(
-        "table3",
-        format_table(
-            ["Dataset", "fl", "Encd.", "Sign", "Max", "GetLen", "Shuffle"],
-            [[r.dataset, r.fixed_length, round(r.fl_encode), round(r.sign),
-              round(r.max), round(r.get_length), round(r.bit_shuffle)]
-             for r in t3],
-            title="Table 3",
-        ),
-    )
-    t4 = tables.table4_datasets()
-    write(
-        "table4",
-        format_table(
-            ["Dataset", "Fields", "paper dims", "synthetic dims", "Domain"],
-            [[r["dataset"], r["num_fields"], r["paper_shape"],
-              r["synthetic_shape"], r["domain"]] for r in t4],
-            title="Table 4",
-        ),
-    )
-    t5 = tables.table5_compression_ratio(
-        datasets=datasets, rel_bounds=bounds, field_limit=field_limit,
-        seed=seed,
-    )
-    write(
-        "table5",
-        format_table(
-            ["Compressor", "Dataset", "REL", "range", "avg"],
-            [[r.compressor, r.dataset, f"{r.rel:g}",
-              f"{r.min:.2f}~{r.max:.2f}", f"{r.avg:.2f}"] for r in t5],
-            title="Table 5 (measured streams)",
-        ),
-    )
-
-    # --- figures ----------------------------------------------------------------
-    f7 = fig7_row_scaling(seed=seed)
-    write(
-        "fig7",
-        ascii_bar_chart(
-            [f"{p.rows} rows" for p in f7],
-            [p.throughput_mbs for p in f7],
-            unit=" MB/s",
-            title="Fig 7",
-        ),
-    )
-    f10 = fig10_relay_and_execution(seed=seed)
-    write(
-        "fig10",
-        format_table(
-            ["TC", "relay Eq.2", "relay sim"],
-            list(zip(f10.cols_swept,
-                     [round(x) for x in f10.relay_cycles_analytic],
-                     [round(x) for x in f10.relay_cycles_simulated])),
-            title="Fig 10a",
-        )
-        + "\n\n"
-        + format_table(
-            ["pl", "exec cycles/PE"],
-            list(zip(f10.pipeline_lengths,
-                     [round(x) for x in f10.execution_cycles_per_pe])),
-            title="Fig 10b",
-        ),
-    )
-    f11 = fig11_compression_throughput(
-        datasets=datasets, rel_bounds=bounds, seed=seed
-    )
-    f12 = fig12_decompression_throughput(
-        datasets=datasets, rel_bounds=bounds, seed=seed
-    )
-    for name, bars in (("fig11", f11), ("fig12", f12)):
-        write(
-            name,
-            format_table(
-                ["Dataset", "REL", "Compressor", "GB/s"],
-                [[b.dataset, f"{b.rel:g}", b.compressor,
-                  f"{b.throughput_gbs:.2f}"] for b in bars],
-                title=name,
-            ),
-        )
-    f13 = fig13_pipeline_lengths(seed=seed)
-    write(
-        "fig13",
-        format_table(
-            ["Dataset", "pl", "GB/s"],
-            [[p.dataset, p.pipeline_length, f"{p.throughput_gbs:.1f}"]
-             for p in f13],
-            title="Fig 13",
-        ),
-    )
-    sizes = (16, 64, 256) if quick else (16, 32, 64, 128, 256, 512, (750, 994))
-    f14 = fig14_wse_sizes(sizes=sizes, seed=seed)
-    write(
-        "fig14",
-        format_table(
-            ["Dataset", "mesh", "GB/s"],
-            [[p.dataset, f"{p.rows}x{p.cols}", f"{p.throughput_gbs:.1f}"]
-             for p in f14],
-            title="Fig 14",
-        ),
-    )
-    f15 = fig15_quality(seed=seed)
-    write(
-        "fig15",
-        f"reconstructions identical: {f15.reconstructions_identical}\n"
-        f"PSNR {f15.ceresz_psnr:.2f} dB (paper 84.77) | "
-        f"SSIM {f15.ceresz_ssim:.6f} (paper 0.9996)\n"
-        f"ratio CereSZ {f15.ceresz_ratio:.2f} vs cuSZp "
-        f"{f15.cuszp_ratio:.2f} (paper 3.10 vs 3.35)",
-    )
-
-    # --- audits ------------------------------------------------------------------
-    write("calibration", calibration_report())
-    rng = np.random.default_rng(seed)
-    probe = np.cumsum(rng.normal(size=32 * (16 if quick else 48))).astype(
-        np.float32
-    )
-    points = validate_against_simulator(data=probe, eps=0.05)
-    write("model_validation", validation_report(points))
-    verdicts = observations.all_observations(seed=seed)
-    write(
-        "observations",
-        "\n".join(
-            f"Observation {v.observation}: "
-            f"{'HOLDS' if v.holds else 'FAILS'}\n  {v.claim}\n  {v.evidence}"
-            for v in verdicts
-        ),
-    )
-
-    # --- report -------------------------------------------------------------------
-    ceresz11 = [b.throughput_gbs for b in f11 if b.compressor == "CereSZ"]
-    cuszp11 = [b.throughput_gbs for b in f11 if b.compressor == "cuSZp"]
-    ceresz12 = [b.throughput_gbs for b in f12 if b.compressor == "CereSZ"]
+    f11, f12, f15 = data["fig11"], data["fig12"], data["fig15"]
+    compress_avg = average_gbs(f11, "CereSZ")
     headline = {
-        "compress_avg_gbs": round(float(np.mean(ceresz11)), 2),
-        "decompress_avg_gbs": round(float(np.mean(ceresz12)), 2),
+        "compress_avg_gbs": round(compress_avg, 2),
+        "decompress_avg_gbs": round(average_gbs(f12, "CereSZ"), 2),
         "speedup_vs_cuszp": round(
-            float(np.mean(ceresz11)) / float(np.mean(cuszp11)), 2
+            compress_avg / average_gbs(f11, "cuSZp"), 2
         ),
         "fig15_psnr_db": round(f15.ceresz_psnr, 2),
-        "observations_hold": all(v.holds for v in verdicts),
+        "observations_hold": all(v.holds for v in data["observations"]),
         "worst_model_gap": round(
-            max(p.relative_gap for p in points), 3
+            max(p.relative_gap for p in data["model_validation"]), 3
         ),
     }
     elapsed = time.monotonic() - started
@@ -235,11 +88,14 @@ def reproduce_all(
         "",
         "| headline | paper | this run |",
         "|---|---|---|",
-        f"| compression avg (GB/s) | 457.35 | {headline['compress_avg_gbs']} |",
-        f"| decompression avg (GB/s) | 581.31 | "
+        f"| compression avg (GB/s) | {PAPER_FIG11_AVG_GBS} | "
+        f"{headline['compress_avg_gbs']} |",
+        f"| decompression avg (GB/s) | {PAPER_FIG12_AVG_GBS} | "
         f"{headline['decompress_avg_gbs']} |",
-        f"| speedup vs cuSZp | 4.97x | {headline['speedup_vs_cuszp']}x |",
-        f"| Fig 15 PSNR (dB) | 84.77 | {headline['fig15_psnr_db']} |",
+        f"| speedup vs cuSZp | {PAPER_FIG11_SPEEDUP}x | "
+        f"{headline['speedup_vs_cuszp']}x |",
+        f"| Fig 15 PSNR (dB) | {f15.paper_psnr} | "
+        f"{headline['fig15_psnr_db']} |",
         f"| Observations 1-3 | hold | "
         f"{'hold' if headline['observations_hold'] else 'FAIL'} |",
         f"| worst sim-vs-model gap | — | "

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.config import BLOCK_SIZE
 from repro.core.quantize import relative_to_absolute
 from repro.datasets import DATASETS, iter_fields
 from repro.baselines.base import get_compressor
+from repro.harness.report import format_table
 from repro.metrics.ratio import summarize_ratios
 from repro.perf.wafer import measure_workload
 from repro.wse.cost import CycleModel, PAPER_CYCLE_MODEL
@@ -100,6 +99,19 @@ def table1_stage_cycles(
     return rows
 
 
+def render_table1(rows: list[StageCycleRow]) -> str:
+    return format_table(
+        ["Dataset", "fl", "Pre-Quant.", "Loren. Pred.", "FL Encd.",
+         "paper (PQ/LP/FL)"],
+        [
+            [r.dataset, r.fixed_length, round(r.prequant), round(r.lorenzo),
+             round(r.fl_encode), r.paper]
+            for r in rows
+        ],
+        title="Table 1: Execution cycles for three steps (one data block)",
+    )
+
+
 @dataclass(frozen=True)
 class PrequantRow:
     dataset: str
@@ -123,6 +135,19 @@ def table2_prequant_breakdown(
         )
         for dataset in PROFILED_DATASETS
     ]
+
+
+def render_table2(rows: list[PrequantRow]) -> str:
+    return format_table(
+        ["Dataset", "Pre-Quant.", "Multiplication", "Addition",
+         "paper (PQ/Mult/Add)"],
+        [
+            [r.dataset, round(r.prequant), round(r.multiplication),
+             round(r.addition), r.paper]
+            for r in rows
+        ],
+        title="Table 2: Breakdown cycles for Pre-Quantization",
+    )
 
 
 @dataclass(frozen=True)
@@ -159,6 +184,20 @@ def table3_encoding_breakdown(
     return rows
 
 
+def render_table3(rows: list[EncodingRow]) -> str:
+    return format_table(
+        ["Dataset", "fl", "FL Encd.", "Sign", "Max", "GetLength",
+         "Bit-shuffle", "paper (FL/S/M/GL/BS)"],
+        [
+            [r.dataset, r.fixed_length, round(r.fl_encode), round(r.sign),
+             round(r.max), round(r.get_length), round(r.bit_shuffle),
+             r.paper]
+            for r in rows
+        ],
+        title="Table 3: Breakdown cycles for Fixed-Length Encoding",
+    )
+
+
 def table4_datasets() -> list[dict]:
     """Table 4: the dataset inventory, paper dims and synthetic dims."""
     return [
@@ -171,6 +210,19 @@ def table4_datasets() -> list[dict]:
         }
         for info in DATASETS.values()
     ]
+
+
+def render_table4(rows: list[dict]) -> str:
+    return format_table(
+        ["Dataset", "No. of Fields", "Dim. per Field (paper)",
+         "Dim. per Field (synthetic)", "Domain"],
+        [
+            [r["dataset"], r["num_fields"], r["paper_shape"],
+             r["synthetic_shape"], r["domain"]]
+            for r in rows
+        ],
+        title="Table 4: Datasets for evaluating CereSZ",
+    )
 
 
 @dataclass(frozen=True)
@@ -228,6 +280,32 @@ def table5_compression_ratio(
                     )
                 )
     return rows
+
+
+#: Paper Table 5 CereSZ averages, keyed ``(dataset, rel)``.
+PAPER_TABLE5_CERESZ_AVG = {
+    ("CESM-ATM", 1e-2): 8.73, ("CESM-ATM", 1e-3): 6.49, ("CESM-ATM", 1e-4): 5.11,
+    ("HACC", 1e-2): 6.82, ("HACC", 1e-3): 4.05, ("HACC", 1e-4): 2.83,
+    ("Hurricane", 1e-2): 17.10, ("Hurricane", 1e-3): 12.57, ("Hurricane", 1e-4): 9.64,
+    ("NYX", 1e-2): 20.22, ("NYX", 1e-3): 14.05, ("NYX", 1e-4): 9.61,
+    ("QMCPack", 1e-2): 14.63, ("QMCPack", 1e-3): 7.16, ("QMCPack", 1e-4): 4.23,
+    ("RTM", 1e-2): 23.46, ("RTM", 1e-3): 17.73, ("RTM", 1e-4): 12.87,
+}
+
+
+def render_table5(rows: list[RatioRow]) -> str:
+    """Measured ranges and averages, with the paper's CereSZ averages."""
+    return format_table(
+        ["Compressor", "Dataset", "REL", "range", "avg", "paper avg"],
+        [
+            [r.compressor, r.dataset, f"{r.rel:g}",
+             f"{r.min:.2f}~{r.max:.2f}", f"{r.avg:.2f}",
+             PAPER_TABLE5_CERESZ_AVG.get((r.dataset, r.rel), "")
+             if r.compressor == "CereSZ" else ""]
+            for r in rows
+        ],
+        title="Table 5: Compression ratio (measured streams, synthetic data)",
+    )
 
 
 #: Datasets for the predictor-comparison mode: the 2-D dataset and the

@@ -398,10 +398,14 @@ def collect_repair_metrics(registry: MetricsRegistry, report) -> None:
 def collect_run_metrics(
     registry: MetricsRegistry, *, fabric=None, engine=None, trace=None
 ) -> None:
-    """Publish everything one serial run produced (the jobs=1 path)."""
+    """Publish what one finished run produced, in a fixed order: fabric,
+    engine, the engine's fault injector, then the trace. Row-parallel
+    workers pass no trace; the parent collects it once from the merged
+    recorder."""
     if fabric is not None:
         collect_fabric_metrics(registry, fabric)
     if engine is not None:
         collect_engine_metrics(registry, engine)
+        collect_fault_metrics(registry, engine.faults)
     if trace is not None:
         collect_trace_metrics(registry, trace)

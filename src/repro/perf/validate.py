@@ -234,6 +234,16 @@ def validate_against_simulator(
     return points
 
 
+def validate_probe(
+    *, blocks: int = 64, seed: int = 0
+) -> list[ValidationPoint]:
+    """:func:`validate_against_simulator` on the standard probe: a
+    float32 random walk of ``blocks`` blocks drawn at ``seed``, eps 0.05."""
+    rng = np.random.default_rng(seed)
+    data = np.cumsum(rng.normal(size=BLOCK_SIZE * blocks)).astype(np.float32)
+    return validate_against_simulator(data=data, eps=0.05)
+
+
 def validation_report(points: list[ValidationPoint]) -> str:
     from repro.harness.report import format_table
 

@@ -88,15 +88,6 @@ class BlockWorkload:
             total += cycles * int(count)
         return total / max(self.num_blocks, 1)
 
-    def max_cycles(
-        self, direction: str, model: CycleModel = PAPER_CYCLE_MODEL
-    ) -> float:
-        """Per-block cycles of the worst block (the paper's Table 1 rule)."""
-        fl = self.representative_fl
-        if direction == "compress":
-            return model.compress_block_cycles(fl, self.block_size)
-        return model.decompress_block_cycles(fl, self.block_size)
-
     def mean_compressed_words(self) -> float:
         """Average 32-bit words per compressed block (CereSZ headers).
 

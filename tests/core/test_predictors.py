@@ -75,7 +75,6 @@ def test_registry_names_and_tags_are_stable():
 
 
 def test_registry_aliases_and_unknowns():
-    assert get_predictor("blocked1d").name == "lorenzo1d"
     with pytest.raises(CompressionError, match="registered:"):
         get_predictor("does-not-exist")
     with pytest.raises(CompressionError, match="unknown predictor tag"):

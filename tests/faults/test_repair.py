@@ -408,6 +408,20 @@ class TestRepairMetricsAndLedger:
                 (r["kind"], r["name"], sorted(r["config"])) for r in records
             ] == expected
 
+        # Records carry the mode that ran: faults force a hybrid request
+        # onto the event engine, so no record may fingerprint it hybrid.
+        mode_path = tmp_path / "mode.jsonl"
+        never = FaultPlan(seed=0, faults=(PEHalt(row=0, col=0, at_cycle=10**9),))
+        result = _healing_codec(
+            never, mode="hybrid", ledger=mode_path
+        ).compress(_field(seed=0), rel=1e-3)
+        assert result.mode == "event"
+        records = [
+            json.loads(line) for line in mode_path.read_text().splitlines()
+        ]
+        assert [r["name"] for r in records] == ["simulate_plan", "wse.compress"]
+        assert [r["config"]["mode"] for r in records] == ["event", "event"]
+
 
 class TestPlanRewriteHelpers:
     def _plan(self, rows=4, spare=0):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import render_artifact
 from repro.harness.reproduce import reproduce_all
 
 
@@ -37,6 +38,11 @@ class TestReproduceAll:
         text = (summary.out_dir / "REPORT.md").read_text()
         assert "| headline | paper | this run |" in text
         assert "457.35" in text  # paper compression average for comparison
+
+    def test_tables_are_the_harness_renderings(self, summary):
+        for n in (1, 2, 3, 4):
+            text = (summary.out_dir / f"table{n}.txt").read_text()
+            assert text == render_artifact(f"table{n}") + "\n", n
 
     def test_observations_artifact_reports_holds(self, summary):
         text = (summary.out_dir / "observations.txt").read_text()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.io import load_f32, save_f32
+from repro.harness import render_artifact
 
 
 @pytest.fixture
@@ -170,25 +171,48 @@ class TestStreaming:
 
 
 class TestTablesAndFigures:
+    """The CLI prints each artifact's one harness rendering, verbatim."""
+
+    @staticmethod
+    def _printed(argv, capsys) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tables_print(self, n, capsys):
-        assert main(["table", str(n)]) == 0
-        assert "Table" in capsys.readouterr().out
+        out = self._printed(["table", str(n)], capsys)
+        assert "Table" in out
+        assert out == render_artifact(f"table{n}") + "\n"
 
     def test_fig7(self, capsys):
-        assert main(["figure", "7"]) == 0
-        assert "Fig 7" in capsys.readouterr().out
+        out = self._printed(["figure", "7"], capsys)
+        assert "Fig 7" in out
+        assert out == render_artifact("fig7") + "\n"
+
+    def test_fig10(self, capsys):
+        out = self._printed(["figure", "10"], capsys)
+        assert "blocks relayed" in out
+        assert out == render_artifact("fig10") + "\n"
 
     def test_fig13(self, capsys):
-        assert main(["figure", "13"]) == 0
-        out = capsys.readouterr().out
+        out = self._printed(["figure", "13"], capsys)
         assert "1-PE" in out
+        assert out == render_artifact("fig13") + "\n"
 
     def test_fig15(self, capsys):
-        assert main(["figure", "15"]) == 0
-        out = capsys.readouterr().out
+        out = self._printed(["figure", "15"], capsys)
         assert "PSNR" in out
-        assert "identical: True" in out
+        assert "identical : True" in out
+        assert out == render_artifact("fig15") + "\n"
+
+    def test_validate_prints_both_audits(self, capsys):
+        out = self._printed(["validate"], capsys)
+        assert out == (
+            render_artifact("calibration")
+            + "\n\n"
+            + render_artifact("model_validation")
+            + "\n"
+        )
 
 
 class TestObservability:
