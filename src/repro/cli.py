@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 
 import numpy as np
@@ -400,7 +401,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = globals()[f"_cmd_{args.command}"]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader left early (`ceresz figure 14 | head -2`). Python's
+        # documented handling: point stdout at devnull so the exit-time
+        # flush cannot fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ReproError as exc:
         # Structured library failures (corrupt streams, bound violations,
         # dead workers) are user-facing conditions, not crashes.

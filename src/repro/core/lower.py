@@ -26,10 +26,17 @@ identical to what ``run_substage`` on an idle bit cost, and the serialized
 phase difference ("lengthed" vs "encoded") is invisible to both downstream
 stage groups and record finalization.
 
+The counted relay itself lives in the engine: a relay task posts one
+``mov32(..., count=k)`` per round (a staged interior PE one for its whole
+raw pass-through duty), and the engine forwards the ``k`` blocks, charging
+each exactly what a per-block relay task did — see "Relay trains" in
+:mod:`repro.wse.engine`. The lowering keeps no per-block relay state.
+
 Instrumentation: every lowered node counts blocks relayed, wavelets sent,
 blocks emitted, and busy cycles per sub-stage into its
-:class:`~repro.wse.trace.NodeCounters`, which the engine's trace recorder
-aggregates for the per-stage validation breakdowns.
+:class:`~repro.wse.trace.NodeCounters` (relayed blocks through the relay
+train, which counts each block as it starts), which the engine's trace
+recorder aggregates for the per-stage validation breakdowns.
 
 Fused kernels: no node steps the per-sub-stage state machine by default.
 
@@ -729,12 +736,14 @@ def _lower_compute(
     c_recv = cmap[node.recv]
     c_go = cmap[node.go]
     my = list(node.blocks)
-    stages = compression_substages(64, block_size, model)  # superset plan
     # The stepped sub-stage machine models the paper's 1-D Lorenzo
     # pipeline; any other block-local predictor always runs through the
     # fused kernel, which dispatches on plan.predictor.
     use_fast = fast_kernels or plan.predictor != "lorenzo1d"
     fast = _make_fast_compress(plan, model, nc) if use_fast else None
+    stages = (  # the stepped path's superset plan
+        None if use_fast else compression_substages(64, block_size, model)
+    )
     progress = {"next": 0}
     # DSDs are immutable descriptors: build them once, not per block.
     inbox, fabin = Mem1dDsd("inbox"), FabinDsd(c_recv, extent=block_size)
@@ -780,9 +789,16 @@ def _lower_relay(
     c_recv = cmap[node.recv]
     c_send = cmap[node.send]
     c_go = cmap[node.go]
-    sched = list(node.schedule)
     my = list(node.blocks)
-    box = {"round": 0, "relayed": 0, "done": 0}
+    # One duty per run of the relay task, in Fig 9 order: each round's
+    # relay train (its block count), then the round's own block (0).
+    duties: list[int] = []
+    for passing, own in node.schedule:
+        if passing:
+            duties.append(passing)
+        if own is not None:
+            duties.append(0)
+    box = {"duty": 0, "done": 0}
     relay_overhead = max(
         0.0, model.relay_block_cycles(block_size) - block_size
     )
@@ -791,42 +807,34 @@ def _lower_relay(
     fabout = FaboutDsd(c_send, extent=block_size)
 
     def relay(ctx: TaskContext) -> None:
-        rnd = box["round"]
-        while rnd < len(sched) and sched[rnd] == (0, None):
-            rnd += 1
-        box["round"] = rnd
-        if rnd >= len(sched):
+        if box["duty"] == len(duties):
             ctx.halt()
             return
-        to_relay, own = sched[rnd]
-        if box["relayed"] < to_relay:
-            # Pass one block east untouched (Fig 9 lines 26-28), then
-            # re-arm the relay task. The engine charges the wavelet
-            # injection when the forward fires; spend only C1's
-            # router/queueing overhead here so the per-block relay cost
-            # totals exactly C1.
-            ctx.mov32(fabout, fabin, on_complete=c_recv, relay=True)
-            ctx.spend(relay_overhead, relay=True)
-            nc.blocks_relayed += 1
-            nc.wavelets_sent += block_size
-            box["relayed"] += 1
-            if box["relayed"] == to_relay and own is None:
-                box["round"] += 1
-                box["relayed"] = 0
-        elif own is not None:
+        passing = duties[box["duty"]]
+        box["duty"] += 1
+        if passing:
+            # Pass the round's blocks east untouched (Fig 9 lines 26-28) as
+            # one counted relay, then re-arm this task. The engine charges
+            # each block's wavelet injection when it forwards; the train
+            # charges C1's router/queueing overhead per block, so each
+            # relayed block costs exactly C1.
+            ctx.mov32(
+                fabout, fabin, on_complete=c_recv, relay=True,
+                count=passing, overhead=relay_overhead, counters=nc,
+            )
+        else:
             # This PE's own block of the round (Fig 9 lines 21-23).
             ctx.mov32(inbox, fabin, on_complete=c_go)
-        else:  # pragma: no cover - unreachable by construction
-            box["round"] += 1
-            box["relayed"] = 0
-            ctx.activate(c_recv)
 
     if node.group is None:
-        stages = compression_substages(64, block_size, model)
         # Same rule as _lower_compute: the stepped machine is the 1-D
         # Lorenzo model; other predictors take the fused kernel.
         use_fast = fast_kernels or plan.predictor != "lorenzo1d"
         fast = _make_fast_compress(plan, model, nc) if use_fast else None
+        stages = (
+            None if use_fast
+            else compression_substages(64, block_size, model)
+        )
 
         def consume(ctx: TaskContext) -> None:
             idx = my[box["done"]]
@@ -850,20 +858,17 @@ def _lower_relay(
 
     def compute(ctx: TaskContext) -> None:
         consume(ctx)
-        box["round"] += 1
-        box["relayed"] = 0
         # Keep running while *any* duty remains — own blocks or tail-round
         # relays for PEs east (halting early would starve them, the Fig 9
         # countdown's whole point).
-        remaining = any(p != (0, None) for p in sched[box["round"] :])
-        if remaining:
+        if box["duty"] < len(duties):
             ctx.activate(c_recv)
         else:
             ctx.halt()
 
     pe.bind_task(c_recv, Task("relay", relay))
     pe.bind_task(c_go, Task("compute", compute))
-    if any(p != (0, None) for p in sched):
+    if duties:
         engine.schedule_activation(pe, c_recv.id, 0.0)
 
 
@@ -916,7 +921,6 @@ def _lower_stage(
     recv_raw_name, send_raw_name, total = node.relay
     c_recv_raw = cmap[recv_raw_name]
     c_send_raw = cmap[send_raw_name]
-    rbox = {"relayed": 0}
     relay_overhead = max(
         0.0, model.relay_block_cycles(block_size) - block_size
     )
@@ -924,18 +928,11 @@ def _lower_stage(
     raw_in = FabinDsd(c_recv_raw, extent=block_size)
 
     def raw_relay(ctx: TaskContext) -> None:
-        if rbox["relayed"] >= total:
-            return
+        # The whole pass-through duty is one counted relay (Fig 9).
         ctx.mov32(
-            raw_out,
-            raw_in,
-            on_complete=(c_recv_raw if rbox["relayed"] + 1 < total else None),
-            relay=True,
+            raw_out, raw_in, relay=True, count=total,
+            overhead=relay_overhead, counters=nc,
         )
-        ctx.spend(relay_overhead, relay=True)
-        nc.blocks_relayed += 1
-        nc.wavelets_sent += block_size
-        rbox["relayed"] += 1
 
     def compute(ctx: TaskContext) -> None:
         run_group(ctx)

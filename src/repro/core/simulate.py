@@ -401,9 +401,9 @@ def simulate_with_repair(
     The self-healing orchestrator wraps :func:`simulate_plan` from
     outside: each round simulates the current plan with it and, when the
     run stalls (:class:`DeadlockError`), completes without
-    a record or output for every planned block (a PE halted after its
-    last receive matched), or fails ``verify`` (silent corruption — SRAM
-    flips), classifies the fault plan against the current mapping
+    a record or output for every planned block (a halt dropped a queued
+    task), or fails ``verify`` (silent corruption — SRAM flips, duplicated
+    wavelets), classifies the fault plan against the current mapping
     (:func:`repro.faults.repair.classify_faults`), condemns the harmful
     rows, and rewrites the plan:
 
@@ -550,9 +550,9 @@ def simulate_with_repair(
             )
             if host_records:
                 run.outputs.records.update(host_records)
-            # A PE halted after its last receive matched leaves nothing
-            # pending, so the engine quiesces cleanly with that block
-            # silently missing: an incomplete run is a failed attempt.
+            # The engine reports a task queued at a halted PE as a stall,
+            # but a halt drops the tasks already queued, which can leave a
+            # block silently missing: an incomplete run is a failed attempt.
             done = (
                 run.outputs.records if plan.direction == "compress"
                 else run.outputs.blocks

@@ -573,7 +573,10 @@ class WSECereSZ:
                 cols=self.cols,
                 block_size=header.block_size,
             )
-        run = self._simulate(plan, tracer, metrics)
+        run = self._simulate(
+            plan, tracer, metrics,
+            verify=self._make_decode_verify(stream, header),
+        )
         blocks = run.outputs.assemble(header.num_blocks, header.block_size)
         flat = blocks.reshape(-1)[: header.num_elements]
         if self.ledger is not None:
@@ -589,6 +592,27 @@ class WSECereSZ:
                 values={"output_bytes": float(flat.nbytes)},
             )
         return flat.reshape(header.shape), run.report
+
+    def _make_decode_verify(self, stream: bytes, header):
+        """Bit-identity check of a wafer decode against the host decode.
+
+        The decode-side twin of :meth:`_make_verify`: the host decode of
+        the same stream (which the differential test proves bit-identical
+        to every clean wafer decode) is computed lazily, once, only if the
+        repair loop verifies a completed run — a duplicated wavelet can
+        mis-decode blocks without stalling.
+        """
+        cache: list[np.ndarray] = []
+
+        def verify(run) -> bool:
+            if not cache:
+                host = self._reference.decompress(stream)
+                cache.append(np.asarray(host, dtype=np.float32).reshape(-1))
+            got = run.outputs.assemble(header.num_blocks, header.block_size)
+            got = got.reshape(-1)[: header.num_elements]
+            return np.array_equal(got.view(np.uint32), cache[0].view(np.uint32))
+
+        return verify
 
     def plan_for(
         self,

@@ -140,14 +140,17 @@ class FaultInjector:
     # -- diagnosis ---------------------------------------------------------------
 
     def quiesce_stuck(self, engine) -> list[StuckTransfer]:
-        """Undelivered inbox data at injection-halted PEs.
+        """Undelivered inbox data and unrun tasks at injection-halted PEs.
 
         A halted PE never posts its receives, so arriving data piles up in
         its inbox without creating the pending descriptors the quiesce
-        check looks at — silent data loss. Reported as ``kind="inbox"``
-        stuck transfers (extent = queued deliveries, posted_at = the halt
-        cycle) so the stall is detected instead of surfacing later as
-        missing output blocks.
+        check looks at — silent data loss. Likewise a transfer that
+        completes after the halt queues its completion color, whose task
+        never runs. Reported as ``kind="inbox"`` (extent = queued
+        deliveries) and ``kind="activation"`` (extent = queued
+        activations) stuck transfers, posted_at = the halt cycle, so the
+        stall is detected instead of surfacing later as missing output
+        blocks.
         """
         if not self.halted:
             return []
@@ -159,15 +162,22 @@ class FaultInjector:
         stuck: list[StuckTransfer] = []
         for (r, c) in sorted(self.halted):
             pe = engine.fabric.pe(r, c)
-            for cid, queue in sorted(pe.inbox.items()):
-                if queue:
-                    stuck.append(
-                        StuckTransfer(
-                            row=r, col=c, color_id=cid, kind="inbox",
-                            extent=len(queue), buffer="",
-                            posted_at=int(halt_cycles.get((r, c), 0)),
-                        )
+            posted_at = int(halt_cycles.get((r, c), 0))
+            waiting = [
+                ("inbox", cid, len(queue))
+                for cid, queue in sorted(pe.inbox.items())
+                if queue
+            ] + [
+                ("activation", cid, pe.pending.count(cid))
+                for cid in sorted(set(pe.pending))
+            ]
+            for kind, cid, extent in waiting:
+                stuck.append(
+                    StuckTransfer(
+                        row=r, col=c, color_id=cid, kind=kind,
+                        extent=extent, buffer="", posted_at=posted_at,
                     )
+                )
         return stuck
 
     def build_report(self, engine, reason: str) -> FaultReport:

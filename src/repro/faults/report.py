@@ -40,8 +40,8 @@ class StuckTransfer:
     row: int
     col: int
     color_id: int
-    kind: str  # "recv" | "relay"
-    extent: int  # wavelets still expected
+    kind: str  # "recv" | "relay" | "inbox" | "activation"
+    extent: int  # wavelets still expected (queued items for inbox/activation)
     buffer: str  # destination buffer name ("" for relays)
     posted_at: int  # cycle the receive/relay was posted
 
@@ -77,11 +77,11 @@ class FaultReport:
             f"{self.last_progress_cycle}"
         ]
         for s in self.stuck:
-            what = (
-                f"recv of {s.extent} wavelets into {s.buffer!r}"
-                if s.kind == "recv"
-                else f"relay of {s.extent} wavelets"
-            )
+            what = {
+                "recv": f"recv of {s.extent} wavelets into {s.buffer!r}",
+                "inbox": f"{s.extent} deliveries left in the inbox",
+                "activation": f"{s.extent} queued activation(s) never run",
+            }.get(s.kind, f"relay of {s.extent} wavelets")
             lines.append(
                 f"  stuck: PE({s.row},{s.col}) color {s.color_id} — {what}, "
                 f"posted at cycle {s.posted_at}"

@@ -40,6 +40,37 @@ matching order are unchanged, only redundant no-op events disappear.
 ``tests/core/test_simulate_parallel.py`` pins the exact event count of
 each mapping strategy, so a return to the naive schedule (one task event
 per activation, one match per deliver/post) fails the test suite.
+
+Relay trains
+------------
+Fig 9's counted relay is one engine primitive: ``mov32(fabout, fabin,
+count=k, overhead=c)`` forwards the next ``k`` blocks that arrive on the
+fabin color and fires ``on_complete`` after the last one. The posting task
+is the first block's *step*; every later step replays what a run of the
+relay task (the task bound to the fabin color) charges: it starts at the
+later of the previous block's injection end and ``busy_until``, keeps the
+PE busy for ``c`` relay cycles, counts one task run, one timeline event
+and the block in the train's ``counters``, and posts the block's relay
+descriptor, whose send happens at ``max(arrival, step start)``.
+
+A step normally goes through the PE's task queue, with the activation,
+task and match events a relay task would cost (the *queued* step). When
+the PE is **quiet**, the engine commits the step inline instead, at the
+match that sent the previous block, and takes the next block at its
+deliver event with no match event. Quiet means: no fault injector; the PE
+is not halted; it has no queued activation, no armed task event and no
+activation event in flight; and no other receive or relay is posted on it.
+Nothing but the train can then touch the PE's timing before the train
+ends (only a PE's own tasks post descriptors or activate its colors), so
+the inline step lands on exactly the cycles the queued one would; it only
+sets PE state ahead of the event clock. A block the train takes before its
+step starts still counts in the inbox depth of later deliveries until
+then, as it would sit in the inbox on the device. Every per-PE result —
+makespan, ``tasks_run``, traces, counters, timeline events, inbox depths —
+is identical either way; only ``events_processed`` (and the heap
+high-water mark) drops. A fault plan that never fires forces the queued
+step everywhere, which makes it the inline step's named oracle
+(``tests/core/test_relay_trains.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +79,6 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -89,7 +119,7 @@ class _Misframe(TaskError):
     """An extent mismatch under fault injection: a stall symptom, no bug."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRecv:
     dst: Mem1dDsd
     extent: int
@@ -97,13 +127,29 @@ class _PendingRecv:
     posted_at: float
 
 
-@dataclass
+@dataclass(slots=True)
+class _Train:
+    """A counted relay (see "Relay trains" above) while blocks remain."""
+
+    fabin: Color
+    out_color: Color
+    extent: int
+    left: int  # blocks whose step has not started yet
+    overhead: int  # relay cycles each step charges
+    charge_relay: bool
+    on_complete: Color | None  # fires after the last block
+    counters: object  # NodeCounters-like (blocks_relayed, wavelets_sent)
+    name: str  # timeline name of the relay task
+
+
+@dataclass(slots=True)
 class _PendingRelay:
     out_color: Color
     extent: int
     on_complete: Color | None
     posted_at: float
     charge_relay: bool
+    train: _Train | None = None
 
 
 @dataclass(slots=True)
@@ -141,6 +187,9 @@ class Engine:
         self._seq = itertools.count()
         self._recv: dict[tuple[int, int, int], deque[_PendingRecv]] = {}
         self._relay: dict[tuple[int, int, int], deque[_PendingRelay]] = {}
+        #: Step starts of train blocks taken ahead of the event clock: on
+        #: the device each still waits in the inbox until then.
+        self._ahead: dict[tuple[int, int, int], deque[float]] = {}
         self._events_processed = 0
         self._now = 0.0
         #: Optional fault injector (see :mod:`repro.faults`). ``_faulted``
@@ -206,6 +255,7 @@ class Engine:
     def schedule_activation(
         self, pe: ProcessingElement, color_id: int, at: float
     ) -> None:
+        pe.activations_in_flight += 1
         self._push(at, _Event("activate", pe, color_id))
 
     def schedule_fault(self, fault, at: float) -> None:
@@ -221,13 +271,33 @@ class Engine:
         on_complete: Color | None,
         *,
         relay: bool = False,
+        count: int = 1,
+        overhead: float = 0.0,
+        counters=None,
     ) -> None:
-        """Interpret a ``mov32`` issued by a task on ``pe`` at cycle ``now``."""
+        """Interpret a ``mov32`` issued by a task on ``pe`` at cycle ``now``.
+
+        ``count``, ``overhead`` and ``counters`` describe a counted relay
+        (see "Relay trains" above); the issuing task is its first step and
+        spends the first block's ``overhead`` itself.
+        """
+        if isinstance(dst, FaboutDsd) and isinstance(src, FabinDsd):
+            self._post_train(
+                pe, dst, src, now, on_complete, relay, count, overhead,
+                counters,
+            )
+            return
+        if count != 1 or overhead or counters is not None:
+            raise TaskError(
+                f"PE{pe.coord}: count/overhead/counters apply only to "
+                f"relays (fabout <- fabin)"
+            )
         if isinstance(dst, Mem1dDsd) and isinstance(src, FabinDsd):
             key = (pe.row, pe.col, src.color.id)
             self._recv.setdefault(key, deque()).append(
                 _PendingRecv(dst, src.extent, on_complete, now)
             )
+            pe.posted += 1
             # A freshly posted receive can only pair if data already sits in
             # the inbox; otherwise the next deliver event probes for us.
             if pe.inbox.get(src.color.id):
@@ -240,13 +310,6 @@ class Engine:
                     f"window size {data.size}"
                 )
             self._send(pe, dst.color, data, now, on_complete, relay)
-        elif isinstance(dst, FaboutDsd) and isinstance(src, FabinDsd):
-            key = (pe.row, pe.col, src.color.id)
-            self._relay.setdefault(key, deque()).append(
-                _PendingRelay(dst.color, src.extent, on_complete, now, relay)
-            )
-            if pe.inbox.get(src.color.id):
-                self._push(now, _Event("match", pe, src.color.id))
         elif isinstance(dst, Mem1dDsd) and isinstance(src, Mem1dDsd):
             target = dst.resolve(pe.buffers)
             source = src.resolve(pe.buffers)
@@ -257,7 +320,7 @@ class Engine:
                 )
             target[:] = source
             if on_complete is not None:
-                self._push(now, _Event("activate", pe, on_complete.id))
+                self.schedule_activation(pe, on_complete.id, now)
         else:
             raise TaskError(
                 f"unsupported mov32 combination: {type(src).__name__} -> "
@@ -268,10 +331,9 @@ class Engine:
         self,
         *,
         allow_pending: bool = False,
-        stop_when: Callable[[], bool] | None = None,
         on_stall: str = "raise",
     ) -> SimulationReport:
-        """Process events until quiescence (or ``stop_when`` returns True).
+        """Process events until quiescence.
 
         With ``allow_pending=False`` (the default), finishing with unmatched
         pending receives is a detected stall — on the device that state is
@@ -303,14 +365,13 @@ class Engine:
                     message += f"; pending: {pending}"
                 return _stall(message, "livelock")
             time, _, event = heapq.heappop(self._queue)
-            self._now = max(self._now, time)
+            if time > self._now:
+                self._now = time
             self._events_processed += 1
             try:
                 self._dispatch(time, event)
             except _Misframe as exc:
                 return _stall(str(exc), "deadlock")
-            if stop_when is not None and stop_when():
-                break
         if not allow_pending:
             desc = self._pending_summary()
             if desc:
@@ -324,12 +385,16 @@ class Engine:
                 if leftovers:
                     locs = "; ".join(
                         f"PE({s.row},{s.col}) color {s.color_id}: "
-                        f"{s.extent} undelivered"
+                        f"{s.extent} "
+                        + (
+                            "undelivered" if s.kind == "inbox"
+                            else "activation(s) never run"
+                        )
                         for s in leftovers
                     )
                     return _stall(
-                        f"simulation quiesced with undelivered data at "
-                        f"injection-halted PEs: {locs}",
+                        f"simulation quiesced with undelivered data or "
+                        f"queued tasks at injection-halted PEs: {locs}",
                         "deadlock",
                     )
         return self._finish()
@@ -390,23 +455,40 @@ class Engine:
 
     def _dispatch(self, time: float, event: _Event) -> None:
         if event.kind == "deliver":
+            pe = event.pe
             copies = 1
             if self._faulted:
-                copies = self.faults.on_deliver(event.pe, event.color_id)
+                copies = self.faults.on_deliver(pe, event.color_id)
                 if copies == 0:
                     return  # injected wavelet drop: the data never arrives
             for _ in range(copies):
-                event.pe.deliver(event.color_id, event.data)
+                pe.deliver(event.color_id, event.data)
+            key = (pe.row, pe.col, event.color_id)
+            ahead = self._ahead.get(key)
+            if ahead:
+                # Count the blocks a train took ahead whose step starts at
+                # or after this arrival: the device's inbox still holds them.
+                while ahead and ahead[0] < time:
+                    ahead.popleft()
+                depth = len(pe.inbox[event.color_id]) + len(ahead)
+                if depth > pe.max_inbox_depth:
+                    pe.max_inbox_depth = depth
             # Data with no posted receive/relay just waits in the inbox; the
-            # matching submit_transfer will probe when it arrives.
-            key = (event.pe.row, event.pe.col, event.color_id)
-            if self._recv.get(key) or self._relay.get(key):
-                self._push(time, _Event("match", event.pe, event.color_id))
+            # matching submit_transfer will probe when it arrives. A quiet
+            # PE's relay train takes the block at once: nothing else can
+            # run on the PE before the match event would.
+            relays = self._relay.get(key)
+            if relays and relays[0].train is not None and self._quiet(pe, 1):
+                self._match(pe, event.color_id, time, quiet=True)
+            elif relays or self._recv.get(key):
+                self._push(time, _Event("match", pe, event.color_id))
         elif event.kind == "match":
             self._match(event.pe, event.color_id, time)
         elif event.kind == "activate":
-            event.pe.activate(event.color_id)
-            self._schedule_task(event.pe, max(time, event.pe.busy_until))
+            pe = event.pe
+            pe.activations_in_flight -= 1
+            pe.activate(event.color_id)
+            self._schedule_task(pe, max(time, pe.busy_until))
         elif event.kind == "task":
             self._run_task(event.pe, time)
         elif event.kind == "fault":
@@ -414,17 +496,138 @@ class Engine:
         else:  # pragma: no cover - defensive
             raise TaskError(f"unknown event kind {event.kind!r}")
 
-    def _match(self, pe: ProcessingElement, color_id: int, time: float) -> None:
-        """Pair arrived data with pending receives/relays, FIFO."""
+    def _quiet(self, pe: ProcessingElement, posted: int = 0) -> bool:
+        """The quiet rule of "Relay trains": only the train (with
+        ``posted`` descriptors of its own) can move ``pe``'s timing."""
+        return (
+            not self._faulted
+            and not pe.halted
+            and not pe.pending
+            and not pe.task_scheduled
+            and not pe.activations_in_flight
+            and pe.posted == posted
+        )
+
+    def _post_train(
+        self,
+        pe: ProcessingElement,
+        dst: FaboutDsd,
+        src: FabinDsd,
+        now: float,
+        on_complete: Color | None,
+        charge_relay: bool,
+        count: int,
+        overhead: float,
+        counters,
+    ) -> None:
+        """Post a relay's first block (the issuing task is its step)."""
+        if count < 1:
+            raise TaskError(f"PE{pe.coord}: relay count must be >= 1")
+        train = None
+        if count > 1:
+            if pe.train is not None:
+                raise TaskError(
+                    f"PE{pe.coord}: a relay train is already running"
+                )
+            task = pe.tasks.get(src.color.id)
+            if task is None:
+                raise TaskError(
+                    f"PE{pe.coord}: a counted relay needs a task bound to "
+                    f"its fabin color {src.color}"
+                )
+            train = pe.train = _Train(
+                fabin=src.color,
+                out_color=dst.color,
+                extent=src.extent,
+                left=count - 1,
+                overhead=int(round(overhead)),
+                charge_relay=charge_relay,
+                on_complete=on_complete,
+                counters=counters,
+                name=task.name,
+            )
+            on_complete = src.color  # the next block's step
+        self._post_relay(
+            pe,
+            src.color.id,
+            _PendingRelay(
+                dst.color, src.extent, on_complete, now, charge_relay, train
+            ),
+            counters,
+            probe=True,
+        )
+
+    def _post_relay(
+        self,
+        pe: ProcessingElement,
+        color_id: int,
+        pending: _PendingRelay,
+        counters,
+        *,
+        probe: bool,
+    ) -> None:
+        """Post one block's relay descriptor and count the block."""
+        if counters is not None:
+            counters.blocks_relayed += 1
+            counters.wavelets_sent += pending.extent
+        self._relay.setdefault((pe.row, pe.col, color_id), deque()).append(
+            pending
+        )
+        pe.posted += 1
+        if probe and pe.inbox.get(color_id):
+            self._push(pending.posted_at, _Event("match", pe, color_id))
+
+    def _step(
+        self, pe: ProcessingElement, train: _Train, at: float, *, inline: bool
+    ) -> None:
+        """Start a train's next block at cycle ``at``: exactly what one run
+        of the relay task charges (see "Relay trains" above)."""
+        train.left -= 1
+        if not train.left:
+            pe.train = None
+        pe.busy_until = at + train.overhead
+        pe.relay_cycles += train.overhead
+        pe.tasks_run += 1
+        if self._timeline:
+            self.tracer.pe_event(pe.row, pe.col, train.name, at, train.overhead)
+        self._post_relay(
+            pe,
+            train.fabin.id,
+            _PendingRelay(
+                train.out_color,
+                train.extent,
+                train.fabin if train.left else train.on_complete,
+                at,
+                train.charge_relay,
+                train,
+            ),
+            train.counters,
+            probe=not inline,
+        )
+
+    def _match(
+        self,
+        pe: ProcessingElement,
+        color_id: int,
+        time: float,
+        *,
+        quiet: bool = False,
+    ) -> None:
+        """Pair arrived data with pending receives/relays, FIFO.
+
+        ``quiet=True`` says the caller saw ``pe`` quiet with only a train's
+        descriptor posted; the pairings below keep it so (a train block
+        either commits the next step, which stays quiet, or is the last
+        one, after which nothing on this color is posted).
+        """
         key = (pe.row, pe.col, color_id)
-        while True:
+        inbox = pe.inbox.get(color_id)
+        while inbox:
             relays = self._relay.get(key)
             recvs = self._recv.get(key)
             if not relays and not recvs:
                 return
-            data = pe.take_delivery(color_id)
-            if data is None:
-                return
+            data = inbox.popleft()
             # The earlier-posted descriptor matches first; a receive wins a
             # tie with a relay.
             if relays and (
@@ -437,14 +640,35 @@ class Engine:
                         f"{pending.extent} wavelets, got {data.size}"
                     )
                 relays.popleft()
-                self._send(
-                    pe,
-                    pending.out_color,
-                    data,
-                    max(time, pending.posted_at),
-                    pending.on_complete,
-                    pending.charge_relay,
-                )
+                pe.posted -= 1
+                at = pending.posted_at if pending.posted_at > time else time
+                if at > time:  # an inline step's block, taken ahead
+                    self._ahead.setdefault(key, deque()).append(at)
+                train = pending.train
+                if (
+                    train is not None
+                    and train.left
+                    and (quiet or self._quiet(pe))
+                ):
+                    # Commit the next step inline; the loop pairs its
+                    # descriptor with a block already waiting, if any.
+                    start = self._send(
+                        pe, pending.out_color, data, at, None,
+                        pending.charge_relay,
+                    )
+                    if start < pe.busy_until:
+                        start = pe.busy_until
+                    self._step(pe, train, start, inline=True)
+                    quiet = True
+                else:
+                    self._send(
+                        pe,
+                        pending.out_color,
+                        data,
+                        at,
+                        pending.on_complete,
+                        pending.charge_relay,
+                    )
             else:
                 pending = recvs[0]
                 if data.size != pending.extent:
@@ -453,6 +677,7 @@ class Engine:
                         f"{pending.extent} wavelets, got {data.size}"
                     )
                 recvs.popleft()
+                pe.posted -= 1
                 target = pending.dst.resolve(pe.buffers)
                 if target.size != data.size:
                     raise TaskError(
@@ -461,9 +686,10 @@ class Engine:
                     )
                 target[:] = data.astype(target.dtype, copy=False)
                 if pending.on_complete is not None:
-                    done = max(time, pending.posted_at)
-                    self._push(
-                        done, _Event("activate", pe, pending.on_complete.id)
+                    self.schedule_activation(
+                        pe,
+                        pending.on_complete.id,
+                        max(time, pending.posted_at),
                     )
 
     def _send(
@@ -474,28 +700,28 @@ class Engine:
         now: float,
         on_complete: Color | None,
         charge_relay: bool,
-    ) -> None:
+    ) -> float:
+        """Inject ``data`` on ``color``'s route; returns the injection end."""
         route = self.fabric.resolve(pe.row, pe.col, color)
         inject_cycles = wavelet_count(data) * HOP_CYCLES
         if charge_relay:
             pe.relay_cycles += inject_cycles
+        done = now + inject_cycles
         if route.dropped:
             # Dead link (injected fault): the wavelets are injected and then
             # vanish mid-route. The sender can't tell — its completion color
             # still fires — which is exactly the silent-loss failure mode.
             if self.faults is not None:
                 self.faults.on_link_drop(*route.destination, color.id)
-            if on_complete is not None:
-                self._push(
-                    now + inject_cycles,
-                    _Event("activate", pe, on_complete.id),
-                )
-            return
-        arrive = now + inject_cycles + route.hops * HOP_CYCLES
-        dest = self.fabric.pe(*route.destination)
-        self._push(arrive, _Event("deliver", dest, color.id, data))
+        else:
+            dest = self.fabric.pe(*route.destination)
+            self._push(
+                done + route.hops * HOP_CYCLES,
+                _Event("deliver", dest, color.id, data),
+            )
         if on_complete is not None:
-            self._push(now + inject_cycles, _Event("activate", pe, on_complete.id))
+            self.schedule_activation(pe, on_complete.id, done)
+        return done
 
     def _schedule_task(self, pe: ProcessingElement, at: float) -> None:
         """Push a ``task`` event for ``pe``, at most one in flight.
@@ -519,16 +745,22 @@ class Engine:
             self._schedule_task(pe, pe.busy_until)
             return
         color_id = pe.pending.popleft()
-        task = pe.tasks.get(color_id)
-        if task is None:  # pragma: no cover - activate() already guards
-            raise TaskError(f"PE{pe.coord}: no task bound to color {color_id}")
-        ctx = TaskContext(self, pe, time)
-        task.fn(ctx)
-        pe.busy_until = time + ctx.cycles_spent
-        pe.tasks_run += 1
-        if self._timeline:
-            self.tracer.pe_event(
-                pe.row, pe.col, task.name, time, ctx.cycles_spent
-            )
+        train = pe.train
+        if train is not None and color_id == train.fabin.id:
+            self._step(pe, train, time, inline=False)  # the queued step
+        else:
+            task = pe.tasks.get(color_id)
+            if task is None:  # pragma: no cover - activate() already guards
+                raise TaskError(
+                    f"PE{pe.coord}: no task bound to color {color_id}"
+                )
+            ctx = TaskContext(self, pe, time)
+            task.fn(ctx)
+            pe.busy_until = time + ctx.cycles_spent
+            pe.tasks_run += 1
+            if self._timeline:
+                self.tracer.pe_event(
+                    pe.row, pe.col, task.name, time, ctx.cycles_spent
+                )
         if pe.pending and not pe.halted:
             self._schedule_task(pe, pe.busy_until)

@@ -61,6 +61,12 @@ class ProcessingElement:
     #: re-arms it while work remains), so N pending activations cost one
     #: heap entry instead of N.
     task_scheduled: bool = False
+    #: ``activate`` events in the heap, and receive/relay descriptors
+    #: posted, for this PE; with ``train`` (the counted relay the engine
+    #: is stepping here) they decide the engine's quiet rule.
+    activations_in_flight: int = 0
+    posted: int = 0
+    train: object = None
     # NodeCounters attached by plan lowering (collected by TraceRecorder);
     # untyped to keep the substrate free of a trace-module dependency.
     counters: list = field(default_factory=list)
@@ -112,12 +118,6 @@ class ProcessingElement:
         queue.append(data)
         if len(queue) > self.max_inbox_depth:
             self.max_inbox_depth = len(queue)
-
-    def take_delivery(self, color_id: int) -> np.ndarray | None:
-        queue = self.inbox.get(color_id)
-        if not queue:
-            return None
-        return queue.popleft()
 
     def has_work(self) -> bool:
         return bool(self.pending) and not self.halted
@@ -217,6 +217,9 @@ class TaskContext:
         *,
         on_complete: Color | None = None,
         relay: bool = False,
+        count: int = 1,
+        overhead: float = 0.0,
+        counters=None,
     ) -> None:
         """``@mov32``: asynchronous DSD-to-DSD move.
 
@@ -230,10 +233,21 @@ class TaskContext:
 
         ``on_complete`` names the color activated when the move finishes —
         this is the data-triggering mechanism of the paper's Figure 4.
+
+        A relay may be *counted* (Fig 9's countdown): ``count=k`` forwards
+        the next ``k`` blocks to arrive, charges ``overhead`` relay cycles
+        per block on top of its wavelet injection, counts each block into
+        ``counters`` (``blocks_relayed``, ``wavelets_sent``), and fires
+        ``on_complete`` after the last one. This task is the first block's
+        step; the engine runs the rest (the relay trains of
+        :mod:`repro.wse.engine`).
         """
         self._engine.submit_transfer(
-            self._pe, dst, src, self.now, on_complete, relay=relay
+            self._pe, dst, src, self.now, on_complete, relay=relay,
+            count=count, overhead=overhead, counters=counters,
         )
+        if overhead:
+            self.spend(overhead, relay=True)
 
     def send(
         self,

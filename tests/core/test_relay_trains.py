@@ -1,0 +1,290 @@
+"""Relay trains: the engine's counted relay against its queued-step oracle.
+
+Fig 9's counted relay is one engine primitive (``mov32(..., count=k)``).
+A quiet PE commits each block's step inline; any other PE, and every run
+with a fault injector, takes the queued step — the events a relay task
+re-armed per block would cost. A fault plan that never fires therefore
+forces the queued step everywhere, and every per-PE result must equal
+the clean (inline) run: only the engine's event count may differ.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core.lower import lower_plan
+from repro.core.plan import plan_multi_pipeline, plan_staged_multi_pipeline
+from repro.core.schedule import distribute_substages
+from repro.core.stages import compression_substages
+from repro.errors import TaskError
+from repro.faults import FaultPlan, WaveletDrop
+from repro.obs.export import build_chrome_trace
+from repro.obs.tracing import Tracer
+from repro.wse.color import ColorAllocator
+from repro.wse.cost import PAPER_CYCLE_MODEL
+from repro.wse.dsd import FabinDsd, FaboutDsd, Mem1dDsd
+from repro.wse.engine import Engine
+from repro.wse.fabric import Fabric
+from repro.wse.pe import Task
+from repro.wse.trace import NodeCounters
+from repro.wse.wavelet import Direction
+
+EPS = 0.01
+
+#: Delivery #10**9 of color 23 never happens: the injector is present (so
+#: every step is queued) but nothing is ever injected.
+NEVER = FaultPlan(
+    seed=0, faults=(WaveletDrop(row=0, col=0, color_id=23, nth=10**9),)
+)
+
+#: (strategy, rows, cols, pipeline length): the staged 2x6 mesh has three
+#: pipelines per row, so its heads relay two-block trains.
+MESHES = {
+    "multi": ("multi", 2, 4, 1),
+    "staged": ("staged", 2, 4, 2),
+    "staged-3": ("staged", 2, 6, 2),
+}
+
+
+def _plan(mesh: str, rounds: int, block_size: int):
+    strategy, rows, cols, length = MESHES[mesh]
+    per_round = rows * (cols // length)
+    # One block short of full rounds: the last round leaves a PE idle.
+    n = per_round * rounds - 1
+    rng = np.random.default_rng(rounds * block_size)
+    blocks = rng.normal(size=(n, block_size)).cumsum(axis=1)
+    if strategy == "multi":
+        return plan_multi_pipeline(blocks, EPS, rows=rows, cols=cols)
+    dist = distribute_substages(compression_substages(8, block_size), length)
+    return plan_staged_multi_pipeline(blocks, EPS, dist, rows=rows, cols=cols)
+
+
+def _run(plan, faults=None, sample_every: int = 1, model=PAPER_CYCLE_MODEL):
+    fabric = Fabric(plan.rows, plan.cols)
+    tracer = Tracer(level="timeline", sample_every=sample_every)
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    lowered = lower_plan(plan, fabric, engine, model=model)
+    report = engine.run()
+    trace = report.trace
+    per_pe: dict = {}
+    for e in tracer.pe_events:  # recording order within each PE
+        per_pe.setdefault((e.row, e.col), []).append(
+            (e.name, e.start_cycles, e.dur_cycles)
+        )
+    chrome = [
+        ev for ev in build_chrome_trace(tracer)["traceEvents"]
+        if ev["ph"] == "X"
+    ]
+    return {
+        "stream": lowered.outputs.stream(plan.num_blocks),
+        "makespan": report.makespan_cycles,
+        "tasks": report.tasks_run,
+        "traces": [
+            (t.row, t.col, t.compute_cycles, t.relay_cycles, t.tasks_run,
+             t.finished_at)
+            for t in trace.traces
+        ],
+        "counters": [
+            (nc.label, nc.blocks_relayed, nc.wavelets_sent,
+             nc.blocks_emitted, dict(nc.stage_cycles))
+            for nc in trace.node_counters
+        ],
+        "timeline": per_pe,
+        "chrome": chrome,
+        "inbox_depth": [pe.max_inbox_depth for pe in fabric],
+    }, report.events_processed
+
+
+@pytest.mark.parametrize("block_size", [32, 64])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+def test_queued_steps_match_inline(mesh, rounds, block_size):
+    inline, inline_events = _run(_plan(mesh, rounds, block_size))
+    queued, queued_events = _run(_plan(mesh, rounds, block_size), NEVER)
+    assert inline == queued
+    if mesh == "staged":
+        # Every train here runs on a PE that also holds a stage duty.
+        assert inline_events == queued_events
+    else:
+        assert inline_events < queued_events
+
+
+def test_slow_relays_keep_the_inbox_backlog():
+    """With C1 above twice the block size a relay drains slower than the
+    edge feeds arrive, so PE(0,0)'s inbox backs up during its train. The
+    blocks an inline step takes ahead still count in the inbox depth."""
+    slow = dataclasses.replace(PAPER_CYCLE_MODEL, c1_relay=150.0)
+    blocks = np.random.default_rng(1).normal(size=(64, 32)).cumsum(axis=1)
+
+    def plan():
+        return plan_multi_pipeline(blocks, EPS, rows=1, cols=64)
+
+    inline, inline_events = _run(plan(), model=slow)
+    queued, queued_events = _run(plan(), NEVER, model=slow)
+    assert inline == queued
+    assert inline["inbox_depth"][0] == 46
+    assert inline_events < queued_events
+
+
+def test_sampled_timeline_matches():
+    """The per-PE sampling stride counts inline steps like queued ones."""
+    inline, _ = _run(_plan("multi", 3, 32), sample_every=3)
+    queued, _ = _run(_plan("multi", 3, 32), NEVER, sample_every=3)
+    assert inline["chrome"] == queued["chrome"]
+    assert inline["timeline"] == queued["timeline"]
+
+
+# --- the primitive on a hand-built chain ----------------------------------
+
+
+def _chain(
+    blocks: int, *, counted: bool, overhead: int = 5,
+    busy_neighbor: bool = False,
+):
+    """Feed ``blocks`` 8-wavelet blocks through a relay PE into a sink.
+
+    ``counted`` posts one counted relay; otherwise the relay task re-arms
+    itself per block, the pattern a train step replays. An ``overhead``
+    above the 8-cycle injection makes ``busy_until`` pace the steps. With
+    ``busy_neighbor`` the relay PE also holds a receive on another color
+    that never matches, which keeps it from being quiet.
+    """
+    fabric = Fabric(1, 2)
+    tracer = Tracer(level="timeline")
+    engine = Engine(fabric, tracer=tracer)
+    colors = ColorAllocator()
+    c_in, c_out, c_go, c_done, c_idle = (
+        colors.allocate(n) for n in ("in", "out", "go", "done", "idle")
+    )
+    fabric.set_route(0, 0, c_in, Direction.WEST, Direction.RAMP)
+    fabric.route_row_segment(0, 0, 1, c_out)
+    relay_pe, sink = fabric.pe(0, 0), fabric.pe(0, 1)
+    sink.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+    relay_pe.alloc_buffer("idle", np.zeros(1, dtype=np.float32))
+    fabout, fabin = FaboutDsd(c_out, extent=8), FabinDsd(c_in, extent=8)
+    box = {"relayed": 0, "got": [], "done": 0}
+    counters = NodeCounters(label="relay", kind="relay", row=0, col=0)
+
+    def relay(ctx):
+        if counted:
+            ctx.mov32(
+                fabout, fabin, on_complete=c_done, relay=True, count=blocks,
+                overhead=overhead, counters=counters,
+            )
+            return
+        box["relayed"] += 1
+        last = box["relayed"] == blocks
+        ctx.mov32(
+            fabout, fabin, on_complete=c_done if last else c_in, relay=True
+        )
+        ctx.spend(overhead, relay=True)
+        counters.blocks_relayed += 1
+        counters.wavelets_sent += 8
+
+    def start(ctx):
+        if busy_neighbor:
+            ctx.mov32(Mem1dDsd("idle"), FabinDsd(c_idle, extent=1))
+        ctx.activate(c_in)
+
+    def recv(ctx):
+        ctx.mov32(Mem1dDsd("in"), FabinDsd(c_out, extent=8), on_complete=c_done)
+
+    def got(ctx):
+        box["got"].append(ctx.buffer("in").copy())
+        if len(box["got"]) < blocks:
+            ctx.activate(c_go)
+
+    relay_pe.bind_task(c_go, Task("start", start))
+    relay_pe.bind_task(c_in, Task("relay", relay))
+    relay_pe.bind_task(
+        c_done, Task("done", lambda ctx: box.update(done=box["done"] + 1))
+    )
+    sink.bind_task(c_go, Task("recv", recv))
+    sink.bind_task(c_done, Task("got", got))
+    engine.schedule_activation(relay_pe, c_go.id, 0.0)
+    engine.schedule_activation(sink, c_go.id, 0.0)
+    for i in range(blocks):
+        engine.inject(0, 0, c_in, np.full(8, i, dtype=np.float32), at=8.0 * i)
+    report = engine.run(allow_pending=busy_neighbor)
+    timeline = [
+        (e.row, e.col, e.name, e.start_cycles, e.dur_cycles)
+        for e in tracer.pe_events
+    ]
+    result = (
+        [int(b[0]) for b in box["got"]],
+        box["done"],
+        report.makespan_cycles,
+        report.tasks_run,
+        [(t.relay_cycles, t.tasks_run, t.finished_at)
+         for t in report.trace.traces],
+        (counters.blocks_relayed, counters.wavelets_sent),
+        sorted(timeline),
+    )
+    return result, report.events_processed
+
+
+class TestCountedRelay:
+    @pytest.mark.parametrize("overhead", [5, 13])
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    def test_train_replays_a_rearming_relay_task(self, blocks, overhead):
+        counted, counted_events = _chain(
+            blocks, counted=True, overhead=overhead
+        )
+        stepped, stepped_events = _chain(
+            blocks, counted=False, overhead=overhead
+        )
+        assert counted == stepped
+        assert counted[0] == list(range(blocks))
+        assert counted[1] == 1  # on_complete fires once, after the last
+        assert counted[5] == (blocks, 8 * blocks)
+        # Each later block's inline step saves an activate, a task and a
+        # match event; the first block is taken at its deliver, no match.
+        saved = 3 * (blocks - 1) + 1 if blocks > 1 else 0
+        assert stepped_events - counted_events == saved
+
+    def test_busy_pe_takes_the_queued_step(self):
+        counted, counted_events = _chain(4, counted=True, busy_neighbor=True)
+        stepped, stepped_events = _chain(4, counted=False, busy_neighbor=True)
+        assert counted == stepped
+        assert counted_events == stepped_events
+
+    def test_count_is_for_relays_only(self):
+        fabric = Fabric(1, 1)
+        engine = Engine(fabric)
+        c_go = ColorAllocator().allocate("go")
+        pe = fabric.pe(0, 0)
+        pe.alloc_buffer("b", np.zeros(4, dtype=np.float32))
+        pe.bind_task(
+            c_go,
+            Task(
+                "recv",
+                lambda ctx: ctx.mov32(
+                    Mem1dDsd("b"), FabinDsd(c_go, extent=4), count=2
+                ),
+            ),
+        )
+        engine.schedule_activation(pe, c_go.id, 0.0)
+        with pytest.raises(TaskError, match="only to relays"):
+            engine.run()
+
+    def test_train_needs_a_task_on_its_fabin_color(self):
+        fabric = Fabric(1, 2)
+        engine = Engine(fabric)
+        colors = ColorAllocator()
+        c_go, c_in, c_out = (colors.allocate(n) for n in ("go", "in", "out"))
+        fabric.route_row_segment(0, 0, 1, c_out)
+        pe = fabric.pe(0, 0)
+        pe.bind_task(
+            c_go,
+            Task(
+                "relay",
+                lambda ctx: ctx.mov32(
+                    FaboutDsd(c_out, extent=4), FabinDsd(c_in, extent=4),
+                    count=3,
+                ),
+            ),
+        )
+        engine.schedule_activation(pe, c_go.id, 0.0)
+        with pytest.raises(TaskError, match="fabin color"):
+            engine.run()

@@ -60,6 +60,28 @@ class TestHaltStalls:
         assert payload["seed"] == 7
         assert [1, 0] in payload["halted_pes"]
 
+    def test_task_queued_at_a_halted_pe_is_a_stall(self):
+        """The halt lands while PE(2,1)'s own receive is in flight; it
+        completes and queues the compute task, which never runs. That is
+        a stall with a FaultReport, not a bare missing-record error."""
+        data = np.cumsum(
+            np.random.default_rng(1816).standard_normal(341)
+        ).astype(np.float32)
+        codec = WSECereSZ(
+            3, 2, strategy="multi", spare_rows=1,
+            faults=FaultPlan(
+                seed=0, faults=(PEHalt(row=2, col=1, at_cycle=21306),)
+            ),
+        )
+        with pytest.raises(DeadlockError) as exc_info:
+            codec.compress(data, rel=1e-3)
+        report = exc_info.value.report
+        assert [(s.row, s.col, s.kind, s.extent) for s in report.stuck] == [
+            (2, 1, "activation", 1)
+        ]
+        assert report.halted_pes == ((2, 1),)
+        assert report.last_progress_cycle == 21306
+
 
 class TestPartitionInvariance:
     def _stall_report(self, jobs: int) -> FaultReport:

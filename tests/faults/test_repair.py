@@ -26,6 +26,7 @@ from repro.faults import (
     PEHalt,
     RepairReport,
     SramBitFlip,
+    StuckTransfer,
     WaveletDrop,
     WaveletDup,
     classify_faults,
@@ -304,6 +305,82 @@ class TestMisframedDecode:
                 codec.decompress_on_wafer(stream)
             assert exc_info.value.fault_report is not None
             assert exc_info.value.repair_report.outcome == "exhausted"
+
+
+class TestVerifiedDecode:
+    """A duplicated wavelet on a decode pipeline mis-decodes 20 values
+    without stalling. Under self-healing the wafer decode is verified
+    against the host decode of the same stream, so it ends bit-identical
+    or in a RepairError — never as silently wrong values."""
+
+    X = np.cumsum(np.random.default_rng(1960).standard_normal(340)).astype(
+        np.float32
+    )
+    FAULTS = FaultPlan(
+        seed=0, faults=(WaveletDup(row=1, col=1, color_id=4, nth=3),)
+    )
+
+    @pytest.mark.parametrize("on_fault", ("repair", "fallback"))
+    def test_duplicated_wavelet_never_decodes_silently(self, on_fault):
+        stream = CereSZ(fast=False).compress(self.X, rel=1e-3).stream
+        codec = WSECereSZ(
+            rows=3, cols=4, strategy="pipeline", pipeline_length=4,
+            spare_rows=1, on_fault=on_fault, faults=self.FAULTS,
+        )
+        if on_fault == "fallback":
+            with pytest.raises(RepairError):
+                codec.decompress_on_wafer(stream)
+            return
+        back, _ = codec.decompress_on_wafer(stream)
+        host = CereSZ(fast=False).decompress(stream)
+        assert np.array_equal(back.view(np.uint32), host.view(np.uint32))
+
+
+class TestDeadRelayLink:
+    """A dead link on a relay hop of the multi-pipeline mapping (Fig 9):
+    every block PE(1,1) relays east vanishes, so PE(1,2)'s relay and
+    PE(1,3)'s own receive wait forever. Under faults every relay step
+    goes through the task queue, so this also runs the queued steps."""
+
+    X = _field(24 * 32)
+    FAULTS = FaultPlan(
+        seed=0, faults=(LinkDown(row=1, col=2, direction="W"),)
+    )
+
+    def _codec(self, on_fault: str) -> WSECereSZ:
+        return WSECereSZ(
+            3, 4, strategy="multi", spare_rows=1, on_fault=on_fault,
+            faults=self.FAULTS,
+        )
+
+    def test_raise_reports_the_stuck_relay(self):
+        with pytest.raises(DeadlockError) as exc_info:
+            self._codec("raise").compress(self.X, eps=EPS)
+        report = exc_info.value.report
+        assert report.stuck == (
+            StuckTransfer(
+                row=1, col=2, color_id=0, kind="relay", extent=32,
+                buffer="", posted_at=0,
+            ),
+            StuckTransfer(
+                row=1, col=3, color_id=1, kind="recv", extent=32,
+                buffer="inbox", posted_at=0,
+            ),
+        )
+        # Round 1 and round 2 each relay two blocks across the dead link.
+        assert [(f.kind, f.row, f.col) for f in report.injected] == [
+            ("link", 1, 2)
+        ] * 4
+
+    @pytest.mark.parametrize(
+        "on_fault,outcome", [("repair", "repaired"), ("fallback", "fallback")]
+    )
+    def test_self_healing_restores_the_stream(self, on_fault, outcome):
+        clean = WSECereSZ(3, 4, strategy="multi").compress(self.X, eps=EPS)
+        healed = self._codec(on_fault).compress(self.X, eps=EPS)
+        assert healed.stream == clean.stream
+        assert healed.repair.outcome == outcome
+        assert healed.repair.unusable_rows == (1,)
 
 
 class TestPartitionInvariance:

@@ -1,5 +1,10 @@
 """Tests for the ``ceresz`` command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -213,6 +218,24 @@ class TestTablesAndFigures:
             + render_artifact("model_validation")
             + "\n"
         )
+
+    def test_closed_stdout_exits_quietly(self):
+        """``ceresz table 1 | head -0``: the reader is gone before the
+        first write, so the command exits 1 with an empty stderr (Python's
+        documented EPIPE handling), not a BrokenPipeError traceback."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "table", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestObservability:
