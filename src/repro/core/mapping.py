@@ -302,10 +302,12 @@ class ProgramOutputs:
 
     def stream(self, num_blocks: int) -> bytes:
         """Concatenate records in block order (fails on gaps)."""
-        missing = [i for i in range(num_blocks) if i not in self.records]
-        if missing:
+        records = self.records
+        try:
+            return b"".join(map(records.__getitem__, range(num_blocks)))
+        except KeyError:
+            missing = [i for i in range(num_blocks) if i not in records]
             raise CompressionError(
                 f"simulation produced no record for blocks {missing[:8]}"
                 + ("..." if len(missing) > 8 else "")
-            )
-        return b"".join(self.records[i] for i in range(num_blocks))
+            ) from None

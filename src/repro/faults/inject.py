@@ -17,7 +17,13 @@ merge disjointly and deterministically.
 from __future__ import annotations
 
 from repro.faults.plan import FaultPlan
-from repro.faults.report import FaultReport, InjectedFault, StuckTransfer
+from repro.faults.report import (
+    FaultReport,
+    InjectedFault,
+    StuckTransfer,
+    injected_key,
+    stuck_key,
+)
 
 _DIRECTION_NAMES = {
     "N": "north", "S": "south", "E": "east", "W": "west",
@@ -193,14 +199,6 @@ class FaultInjector:
         return report
 
 
-def _stuck_key(s: StuckTransfer):
-    return (s.row, s.col, s.color_id, s.kind, s.posted_at, s.extent, s.buffer)
-
-
-def _injected_key(f: InjectedFault):
-    return (f.cycle, f.row, f.col, f.kind, f.detail)
-
-
 def build_fault_report(engine, reason: str, injector=None) -> FaultReport:
     """Diagnose a stalled engine into a :class:`FaultReport`.
 
@@ -232,12 +230,12 @@ def build_fault_report(engine, reason: str, injector=None) -> FaultReport:
         stuck.extend(injector.quiesce_stuck(engine))
     # Canonical ordering (not chronological): the report must be identical
     # whether it was built by one engine or merged from row partitions.
-    stuck.sort(key=_stuck_key)
+    stuck.sort(key=stuck_key)
     injected: tuple[InjectedFault, ...] = ()
     halted: tuple[tuple[int, int], ...] = ()
     seed = None
     if injector is not None:
-        injected = tuple(sorted(injector.log, key=_injected_key))
+        injected = tuple(sorted(injector.log, key=injected_key))
         halted = tuple(sorted(injector.halted))
         seed = injector.plan.seed
     progress = 0

@@ -67,10 +67,6 @@ class FaultReport:
         """Coordinates with at least one wedged transfer, sorted, deduped."""
         return tuple(sorted({(s.row, s.col) for s in self.stuck}))
 
-    @property
-    def stuck_colors(self) -> tuple[int, ...]:
-        return tuple(sorted({s.color_id for s in self.stuck}))
-
     def describe(self) -> str:
         lines = [
             f"FaultReport: {self.reason}, last progress at cycle "
@@ -99,32 +95,36 @@ class FaultReport:
         return json.dumps(asdict(self), indent=indent)
 
     def merged_with(self, other: "FaultReport") -> "FaultReport":
-        """Fold two partition-local reports into one mesh-wide view."""
+        """Fold two partition-local reports into one mesh-wide view.
+
+        Stuck transfers and injected faults merge as multisets: a fault
+        that fired repeatedly (a dead link dropping eight blocks) keeps
+        every entry, as in the report of a run that never split the mesh.
+        """
         return FaultReport(
             reason=self.reason if self.reason == other.reason else "deadlock",
             last_progress_cycle=max(
                 self.last_progress_cycle, other.last_progress_cycle
             ),
-            stuck=tuple(
-                sorted(
-                    set(self.stuck) | set(other.stuck),
-                    key=lambda s: (
-                        s.row, s.col, s.color_id, s.kind, s.posted_at,
-                        s.extent, s.buffer,
-                    ),
-                )
-            ),
+            stuck=tuple(sorted(self.stuck + other.stuck, key=stuck_key)),
             halted_pes=tuple(
                 sorted(set(self.halted_pes) | set(other.halted_pes))
             ),
             injected=tuple(
-                sorted(
-                    set(self.injected) | set(other.injected),
-                    key=lambda f: (f.cycle, f.row, f.col, f.kind, f.detail),
-                )
+                sorted(self.injected + other.injected, key=injected_key)
             ),
             seed=self.seed if self.seed is not None else other.seed,
         )
+
+
+def stuck_key(s: StuckTransfer):
+    """Canonical (not chronological) order of a report's stuck transfers."""
+    return (s.row, s.col, s.color_id, s.kind, s.posted_at, s.extent, s.buffer)
+
+
+def injected_key(f: InjectedFault):
+    """Canonical order of a report's injected faults."""
+    return (f.cycle, f.row, f.col, f.kind, f.detail)
 
 
 @dataclass(frozen=True)

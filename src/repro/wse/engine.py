@@ -71,6 +71,47 @@ is identical either way; only ``events_processed`` (and the heap
 high-water mark) drops. A fault plan that never fires forces the queued
 step everywhere, which makes it the inline step's named oracle
 (``tests/core/test_relay_trains.py``).
+
+Convoys
+-------
+A block relayed to a PE whose train is **ready** skips its ``deliver``
+event: ``_send`` hands it straight to that train, and the train takes its
+whole run of handed blocks in one loop, whose sends go on to the next
+ready PE the same way (breadth-first, between two events). So one event
+carries a run of blocks down a chain of quiet PEs. Ready means all of:
+
+* the PE is quiet and the train's descriptor is the only one posted on
+  it (the inline step's rule: until the train's last block, nothing but
+  the train can move the PE's timing);
+* its inbox on the color is empty and no delivery for the PE is
+  scheduled (``pe.inbound``): a block taken ahead must not overtake one
+  already on its way;
+* the color has a single producer: walking back from the PE's RAMP,
+  every router rule has one input and the walk ends at one PE's RAMP or
+  at the mesh edge (injected feeds). A single producer delivers in FIFO
+  order, so the run is exactly the sequence of blocks the deliver events
+  would bring (cached per PE and color; routes are static).
+
+Each block is charged exactly what its deliver plus the inline step
+would charge — inbox depth (with the ahead backlog), the step
+(:meth:`Engine._step`, the one copy of the step arithmetic), the send at
+``max(arrival, step start)`` and ``on_complete`` after the last block —
+at the cycle it would have arrived. Blocks past the train's count become
+ordinary deliveries at their own arrival cycles. The run resolves its
+route and wavelet count once.
+
+Edge feeds: :meth:`Engine.inject` still draws one sequence number per
+block, but only the head of each (PE, color) feed sits in the heap; the
+next head is pushed under its own number when the head is dispatched, so
+the heap pops feeds in exactly the order it would hold them all. A ready
+PE takes as many feed blocks as its train wants in that one dispatch; any
+other PE gets them one event at a time.
+
+Per-PE results are unchanged (every per-block charge lands on the same
+cycle); ``events_processed``, the heap high-water mark and route-cache
+lookups drop. A fault injector disables convoys, so the never-firing
+fault plan stays the per-hop oracle and faulted runs keep their event
+counts.
 """
 
 from __future__ import annotations
@@ -110,10 +151,6 @@ class SimulationReport:
     trace: TraceRecorder
     fault: "object | None" = None
 
-    @property
-    def stalled(self) -> bool:
-        return self.fault is not None
-
 
 class _Misframe(TaskError):
     """An extent mismatch under fault injection: a stall symptom, no bug."""
@@ -134,7 +171,7 @@ class _Train:
     fabin: Color
     out_color: Color
     extent: int
-    left: int  # blocks whose step has not started yet
+    left: int  # blocks whose step has not started yet (0: last one posted)
     overhead: int  # relay cycles each step charges
     charge_relay: bool
     on_complete: Color | None  # fires after the last block
@@ -190,6 +227,18 @@ class Engine:
         #: Step starts of train blocks taken ahead of the event clock: on
         #: the device each still waits in the inbox until then.
         self._ahead: dict[tuple[int, int, int], deque[float]] = {}
+        #: Injected feeds per (PE, color): (arrival, seq, data), the head
+        #: of each in the heap (see "Convoys").
+        self._feeds: dict[
+            tuple[int, int, int], deque[tuple[float, int, np.ndarray]]
+        ] = {}
+        #: Runs of (arrival, data) handed to ready trains, drained
+        #: breadth-first after each event.
+        self._handed: deque[
+            tuple[ProcessingElement, int, list[tuple[float, np.ndarray]]]
+        ] = deque()
+        #: Single-producer verdicts per (PE, color) (static routes).
+        self._producers: dict[tuple[int, int, int], bool] = {}
         self._events_processed = 0
         self._now = 0.0
         #: Optional fault injector (see :mod:`repro.faults`). ``_faulted``
@@ -230,7 +279,16 @@ class Engine:
         """
         arr = np.asarray(data)
         arrive = at + wavelet_count(arr) * HOP_CYCLES
-        self._push(arrive, _Event("deliver", self.fabric.pe(row, col), color.id, arr))
+        pe = self.fabric.pe(row, col)
+        pe.inbound += 1
+        feed = self._feeds.setdefault((row, col, color.id), deque())
+        if feed and arrive < feed[-1][0]:
+            # Earlier than the feed's tail: an ordinary delivery.
+            self._push(arrive, _Event("deliver", pe, color.id, arr))
+            return
+        feed.append((arrive, next(self._seq), arr))
+        if len(feed) == 1:
+            self._push_feed(pe, color.id, feed)
 
     def send_from(
         self,
@@ -251,6 +309,7 @@ class Engine:
         """
         pe = self.fabric.pe(row, col)
         self._send(pe, color, np.asarray(data), at, None, False)
+        self._drain()
 
     def schedule_activation(
         self, pe: ProcessingElement, color_id: int, at: float
@@ -370,6 +429,8 @@ class Engine:
             self._events_processed += 1
             try:
                 self._dispatch(time, event)
+                if self._handed:
+                    self._drain()
             except _Misframe as exc:
                 return _stall(str(exc), "deadlock")
         if not allow_pending:
@@ -447,15 +508,47 @@ class Engine:
                 )
         return "; ".join(lines)
 
-    def _push(self, time: float, event: _Event) -> None:
+    def _push(
+        self, time: float, event: _Event, seq: int | None = None
+    ) -> None:
         queue = self._queue
-        heapq.heappush(queue, (time, next(self._seq), event))
+        if seq is None:
+            seq = next(self._seq)
+        heapq.heappush(queue, (time, seq, event))
         if len(queue) > self.max_queue_depth:
             self.max_queue_depth = len(queue)
 
+    def _push_feed(self, pe: ProcessingElement, color_id: int, feed) -> None:
+        """Put a feed's head in the heap under its own sequence number."""
+        arrive, seq, data = feed[0]
+        self._push(arrive, _Event("feed", pe, color_id, data), seq)
+
+    def _feed(self, pe: ProcessingElement, color_id: int, time: float) -> bool:
+        """Dispatch a feed's head; True when a ready train took a run of
+        the feed (the head and as many blocks behind it as it wants)."""
+        feed = self._feeds[(pe.row, pe.col, color_id)]
+        _, _, data = feed.popleft()
+        if not self._ready(pe, color_id, len(feed)):
+            if feed:
+                self._push_feed(pe, color_id, feed)
+            return False
+        run = [(time, data)]
+        for _ in range(min(pe.train.left, len(feed))):
+            arrive, _, data = feed.popleft()
+            run.append((arrive, data))
+        pe.inbound -= len(run) - 1
+        if feed:
+            self._push_feed(pe, color_id, feed)
+        self._convoy(pe, color_id, run)
+        return True
+
     def _dispatch(self, time: float, event: _Event) -> None:
-        if event.kind == "deliver":
+        kind = event.kind
+        if kind == "deliver" or kind == "feed":
             pe = event.pe
+            pe.inbound -= 1
+            if kind == "feed" and self._feed(pe, event.color_id, time):
+                return
             copies = 1
             if self._faulted:
                 copies = self.faults.on_deliver(pe, event.color_id)
@@ -466,13 +559,7 @@ class Engine:
             key = (pe.row, pe.col, event.color_id)
             ahead = self._ahead.get(key)
             if ahead:
-                # Count the blocks a train took ahead whose step starts at
-                # or after this arrival: the device's inbox still holds them.
-                while ahead and ahead[0] < time:
-                    ahead.popleft()
-                depth = len(pe.inbox[event.color_id]) + len(ahead)
-                if depth > pe.max_inbox_depth:
-                    pe.max_inbox_depth = depth
+                self._backlog(pe, ahead, time, len(pe.inbox[event.color_id]))
             # Data with no posted receive/relay just waits in the inbox; the
             # matching submit_transfer will probe when it arrives. A quiet
             # PE's relay train takes the block at once: nothing else can
@@ -508,6 +595,50 @@ class Engine:
             and pe.posted == posted
         )
 
+    def _ready(
+        self, pe: ProcessingElement, color_id: int, inbound: int = 0
+    ) -> bool:
+        """The ready rule of "Convoys": ``pe``'s train may take blocks on
+        ``color_id`` ahead of their deliver events. ``inbound`` is how many
+        of ``pe``'s scheduled deliveries are the caller's own feed."""
+        if (
+            pe.train is None
+            or not self._quiet(pe, 1)
+            or pe.inbound != inbound
+            or pe.inbox.get(color_id)
+        ):
+            return False
+        key = (pe.row, pe.col, color_id)
+        relays = self._relay.get(key)
+        if not relays or relays[0].train is None:
+            return False
+        single = self._producers.get(key)
+        if single is None:
+            single = self._producers[key] = self._single_producer(*key)
+        return single
+
+    def _single_producer(self, row: int, col: int, color_id: int) -> bool:
+        """Walk ``color_id`` back from PE (row, col)'s RAMP: True when every
+        rule on the way has one input and the walk ends at one PE's RAMP or
+        at the mesh edge. The walk cannot cycle: a PE met twice would need
+        its one rule to output toward two different PEs."""
+        toward = Direction.RAMP
+        while True:
+            rule = self.fabric.pe(row, col).router.rules.get(color_id)
+            if (
+                rule is None
+                or rule.output is not toward
+                or len(rule.inputs) != 1
+            ):
+                return False
+            (source,) = rule.inputs
+            if source is Direction.RAMP:
+                return True
+            upstream = self.fabric.neighbor(row, col, source)
+            if upstream is None:
+                return True
+            row, col, toward = upstream.row, upstream.col, source.opposite
+
     def _post_train(
         self,
         pe: ProcessingElement,
@@ -525,7 +656,7 @@ class Engine:
             raise TaskError(f"PE{pe.coord}: relay count must be >= 1")
         train = None
         if count > 1:
-            if pe.train is not None:
+            if pe.train is not None and pe.train.left:
                 raise TaskError(
                     f"PE{pe.coord}: a relay train is already running"
                 )
@@ -547,13 +678,15 @@ class Engine:
                 name=task.name,
             )
             on_complete = src.color  # the next block's step
+        if counters is not None:
+            counters.blocks_relayed += 1
+            counters.wavelets_sent += src.extent
         self._post_relay(
             pe,
             src.color.id,
             _PendingRelay(
                 dst.color, src.extent, on_complete, now, charge_relay, train
             ),
-            counters,
             probe=True,
         )
 
@@ -562,14 +695,10 @@ class Engine:
         pe: ProcessingElement,
         color_id: int,
         pending: _PendingRelay,
-        counters,
         *,
         probe: bool,
     ) -> None:
-        """Post one block's relay descriptor and count the block."""
-        if counters is not None:
-            counters.blocks_relayed += 1
-            counters.wavelets_sent += pending.extent
+        """Post one block's relay descriptor."""
         self._relay.setdefault((pe.row, pe.col, color_id), deque()).append(
             pending
         )
@@ -577,19 +706,10 @@ class Engine:
         if probe and pe.inbox.get(color_id):
             self._push(pending.posted_at, _Event("match", pe, color_id))
 
-    def _step(
-        self, pe: ProcessingElement, train: _Train, at: float, *, inline: bool
+    def _post_step(
+        self, pe: ProcessingElement, train: _Train, at: float, *, probe: bool
     ) -> None:
-        """Start a train's next block at cycle ``at``: exactly what one run
-        of the relay task charges (see "Relay trains" above)."""
-        train.left -= 1
-        if not train.left:
-            pe.train = None
-        pe.busy_until = at + train.overhead
-        pe.relay_cycles += train.overhead
-        pe.tasks_run += 1
-        if self._timeline:
-            self.tracer.pe_event(pe.row, pe.col, train.name, at, train.overhead)
+        """Post the relay descriptor of the train step started at ``at``."""
         self._post_relay(
             pe,
             train.fabin.id,
@@ -601,9 +721,40 @@ class Engine:
                 train.charge_relay,
                 train,
             ),
-            train.counters,
-            probe=not inline,
+            probe=probe,
         )
+
+    def _step(
+        self, pe: ProcessingElement, train: _Train, ready: float
+    ) -> float:
+        """Start a train's next step at the later of ``ready`` (the previous
+        block's injection end, or the queued step's task cycle) and
+        ``busy_until``: exactly what one run of the relay task charges (see
+        "Relay trains" above). Returns the step's start."""
+        at = ready if ready > pe.busy_until else pe.busy_until
+        train.left -= 1
+        pe.busy_until = at + train.overhead
+        pe.relay_cycles += train.overhead
+        pe.tasks_run += 1
+        if self._timeline:
+            self.tracer.pe_event(pe.row, pe.col, train.name, at, train.overhead)
+        counters = train.counters
+        if counters is not None:
+            counters.blocks_relayed += 1
+            counters.wavelets_sent += train.extent
+        return at
+
+    def _backlog(
+        self, pe: ProcessingElement, ahead: deque, time: float, depth: int
+    ) -> None:
+        """Inbox depth at a delivery at ``time`` with ``depth`` blocks in the
+        inbox: the blocks a train took ahead whose step starts at or after
+        ``time`` still wait in the device's inbox."""
+        while ahead and ahead[0] < time:
+            ahead.popleft()
+        depth += len(ahead)
+        if depth > pe.max_inbox_depth:
+            pe.max_inbox_depth = depth
 
     def _match(
         self,
@@ -652,15 +803,17 @@ class Engine:
                 ):
                     # Commit the next step inline; the loop pairs its
                     # descriptor with a block already waiting, if any.
-                    start = self._send(
+                    done = self._send(
                         pe, pending.out_color, data, at, None,
                         pending.charge_relay,
                     )
-                    if start < pe.busy_until:
-                        start = pe.busy_until
-                    self._step(pe, train, start, inline=True)
+                    start = self._step(pe, train, done)
+                    self._post_step(pe, train, start, probe=False)
                     quiet = True
                 else:
+                    if train is not None and not train.left:
+                        if pe.train is train:  # the train's last block
+                            pe.train = None
                     self._send(
                         pe,
                         pending.out_color,
@@ -715,13 +868,111 @@ class Engine:
                 self.faults.on_link_drop(*route.destination, color.id)
         else:
             dest = self.fabric.pe(*route.destination)
-            self._push(
-                done + route.hops * HOP_CYCLES,
-                _Event("deliver", dest, color.id, data),
-            )
+            arrive = done + route.hops * HOP_CYCLES
+            if dest.train is None:
+                dest.inbound += 1
+                self._push(arrive, _Event("deliver", dest, color.id, data))
+            else:
+                self._arrive(dest, color.id, [(arrive, data)])
         if on_complete is not None:
             self.schedule_activation(pe, on_complete.id, done)
         return done
+
+    def _arrive(
+        self,
+        pe: ProcessingElement,
+        color_id: int,
+        blocks: list[tuple[float, np.ndarray]],
+    ) -> None:
+        """Route sent ``blocks`` (arrival, data), in arrival order, to
+        ``pe``: a ready train takes them as a run (after this event), any
+        other PE gets a deliver event per block."""
+        if not self._ready(pe, color_id):
+            self._deliver_at(pe, color_id, blocks)
+            return
+        handed = self._handed
+        if handed and handed[-1][0] is pe and handed[-1][1] == color_id:
+            handed[-1][2].extend(blocks)
+        else:
+            handed.append((pe, color_id, blocks))
+
+    def _deliver_at(
+        self,
+        pe: ProcessingElement,
+        color_id: int,
+        blocks: list[tuple[float, np.ndarray]],
+    ) -> None:
+        """One deliver event per block, at its arrival cycle."""
+        pe.inbound += len(blocks)
+        for arrive, data in blocks:
+            self._push(arrive, _Event("deliver", pe, color_id, data))
+
+    def _drain(self) -> None:
+        """Run the handed runs breadth-first (see "Convoys")."""
+        handed = self._handed
+        while handed:
+            pe, color_id, blocks = handed.popleft()
+            if self._ready(pe, color_id):
+                self._convoy(pe, color_id, blocks)
+            else:  # no longer ready since the hand-off (the train ended)
+                self._deliver_at(pe, color_id, blocks)
+
+    def _convoy(
+        self,
+        pe: ProcessingElement,
+        color_id: int,
+        blocks: list[tuple[float, np.ndarray]],
+    ) -> None:
+        """A ready train takes a run of blocks (arrival, data), in arrival
+        order: each is charged what its deliver plus the inline step would
+        charge (see "Convoys")."""
+        key = (pe.row, pe.col, color_id)
+        pending = self._relay[key].popleft()
+        pe.posted -= 1
+        train = pending.train
+        posted_at = pending.posted_at
+        route = self.fabric.resolve(pe.row, pe.col, train.out_color)
+        lag = route.hops * HOP_CYCLES
+        extent = train.extent
+        ahead = self._ahead.get(key)
+        if pe.max_inbox_depth < 1:  # each block arrives to an empty inbox
+            pe.max_inbox_depth = 1
+        sent: list[tuple[float, np.ndarray]] = []
+        dtype = cycles = None
+        for taken, (arrive, data) in enumerate(blocks, 1):
+            if data.size != extent:
+                raise TaskError(
+                    f"PE{pe.coord}: relay on color {color_id} expected "
+                    f"{extent} wavelets, got {data.size}"
+                )
+            if ahead:
+                self._backlog(pe, ahead, arrive, 1)
+            at = posted_at if posted_at > arrive else arrive
+            if at > arrive:
+                if ahead is None:
+                    ahead = self._ahead[key] = deque()
+                ahead.append(at)
+            if data.dtype is not dtype:
+                dtype = data.dtype
+                cycles = wavelet_count(data) * HOP_CYCLES
+            if train.charge_relay:
+                pe.relay_cycles += cycles
+            done = at + cycles
+            sent.append((done + lag, data))
+            if not train.left:  # the train's last block
+                pe.train = None
+                if train.on_complete is not None:
+                    self.schedule_activation(pe, train.on_complete.id, done)
+                break
+            posted_at = self._step(pe, train, done)
+        else:  # the train goes on: its next descriptor waits for a block
+            self._post_step(pe, train, posted_at, probe=False)
+        if taken < len(blocks):  # past the train's count
+            self._deliver_at(pe, color_id, blocks[taken:])
+        if not route.dropped:
+            self._arrive(
+                self.fabric.pe(*route.destination), train.out_color.id, sent
+            )
 
     def _schedule_task(self, pe: ProcessingElement, at: float) -> None:
         """Push a ``task`` event for ``pe``, at most one in flight.
@@ -746,8 +997,9 @@ class Engine:
             return
         color_id = pe.pending.popleft()
         train = pe.train
-        if train is not None and color_id == train.fabin.id:
-            self._step(pe, train, time, inline=False)  # the queued step
+        if train is not None and train.left and color_id == train.fabin.id:
+            # The queued step.
+            self._post_step(pe, train, self._step(pe, train, time), probe=True)
         else:
             task = pe.tasks.get(color_id)
             if task is None:  # pragma: no cover - activate() already guards

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import TaskError
 from repro.wse.color import Color
-from repro.wse.dsd import Dsd, FabinDsd, Mem1dDsd
+from repro.wse.dsd import Dsd
 from repro.wse.memory import SramAllocator
 from repro.wse.router import Router
 
@@ -63,10 +63,14 @@ class ProcessingElement:
     task_scheduled: bool = False
     #: ``activate`` events in the heap, and receive/relay descriptors
     #: posted, for this PE; with ``train`` (the counted relay the engine
-    #: is stepping here) they decide the engine's quiet rule.
+    #: is stepping here, until its last block is taken) they decide the
+    #: engine's quiet rule.
     activations_in_flight: int = 0
     posted: int = 0
     train: object = None
+    #: Deliveries scheduled for this PE and not yet arrived (deliver events
+    #: in the heap and queued feed blocks): the engine's convoy rule.
+    inbound: int = 0
     # NodeCounters attached by plan lowering (collected by TraceRecorder);
     # untyped to keep the substrate free of a trace-module dependency.
     counters: list = field(default_factory=list)
@@ -93,10 +97,6 @@ class ProcessingElement:
         self.buffers[name] = arr
         return arr
 
-    def free_buffer(self, name: str) -> None:
-        self.sram.release(name)
-        del self.buffers[name]
-
     # -- runtime ---------------------------------------------------------------
 
     def activate(self, color_id: int) -> None:
@@ -118,9 +118,6 @@ class ProcessingElement:
         queue.append(data)
         if len(queue) > self.max_inbox_depth:
             self.max_inbox_depth = len(queue)
-
-    def has_work(self) -> bool:
-        return bool(self.pending) and not self.halted
 
     def flip_bit(self, name: str, bit: int) -> bool:
         """Flip one bit of buffer ``name``'s SRAM backing (fault injection).
@@ -201,9 +198,6 @@ class TaskContext:
     def alloc_buffer(self, name: str, array: np.ndarray) -> np.ndarray:
         return self._pe.alloc_buffer(name, array)
 
-    def free_buffer(self, name: str) -> None:
-        self._pe.free_buffer(name)
-
     # -- dataflow ------------------------------------------------------------------
 
     def activate(self, color: Color) -> None:
@@ -269,14 +263,6 @@ class TaskContext:
             raise TaskError(f"PE{self.coord}: send of an empty array on {color}")
         self._pe.sram.require(f"__tx_{color.id}", data.nbytes)
         self._engine._send(self._pe, color, data, self.now, on_complete, relay)
-
-    def recv(self, color: Color, extent: int, into: str, on_complete: Color) -> None:
-        """Convenience: receive ``extent`` wavelets into buffer ``into``."""
-        self.mov32(
-            Mem1dDsd(buffer=into),
-            FabinDsd(color=color, extent=extent),
-            on_complete=on_complete,
-        )
 
     def halt(self) -> None:
         """Stop scheduling tasks on this PE (end of program)."""

@@ -7,6 +7,7 @@ from repro.errors import CompressionError
 from repro.core.encoding import encode_blocks
 from repro.core.mapping import (
     PipelineState,
+    ProgramOutputs,
     finalize_record,
     run_substage,
     substage_cycles,
@@ -241,3 +242,24 @@ class TestArbitraryPipelineSplits:
                     continue
                 state = run_substage(stage, state, eps)
         assert finalize_record(state) == expected
+
+
+class TestProgramOutputsStream:
+    def test_records_join_in_block_order(self):
+        outputs = ProgramOutputs(records={1: b"b", 0: b"a", 2: b"cd"})
+        assert outputs.stream(3) == b"abcd"
+        assert outputs.stream(2) == b"ab"
+
+    def test_gap_names_the_first_eight_missing_blocks(self):
+        outputs = ProgramOutputs(records={i: b"x" for i in range(0, 24, 2)})
+        with pytest.raises(CompressionError) as exc_info:
+            outputs.stream(24)
+        assert str(exc_info.value) == (
+            "simulation produced no record for blocks "
+            "[1, 3, 5, 7, 9, 11, 13, 15]..."
+        )
+        with pytest.raises(CompressionError) as exc_info:
+            outputs.stream(6)
+        assert str(exc_info.value) == (
+            "simulation produced no record for blocks [1, 3, 5]"
+        )

@@ -1,17 +1,21 @@
 """Relay trains: the engine's counted relay against its queued-step oracle.
 
 Fig 9's counted relay is one engine primitive (``mov32(..., count=k)``).
-A quiet PE commits each block's step inline; any other PE, and every run
-with a fault injector, takes the queued step — the events a relay task
-re-armed per block would cost. A fault plan that never fires therefore
-forces the queued step everywhere, and every per-PE result must equal
-the clean (inline) run: only the engine's event count may differ.
+A quiet PE commits each block's step inline, and a ready one takes whole
+runs of handed or fed blocks without their deliver events (convoys); any
+other PE, and every run with a fault injector, takes the queued step —
+the events a relay task re-armed per block would cost. A fault plan that
+never fires therefore forces the queued step everywhere, and every per-PE
+result must equal the clean run: only the engine's event count may
+differ.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lower import lower_plan
 from repro.core.plan import plan_multi_pipeline, plan_staged_multi_pipeline
@@ -127,6 +131,45 @@ def test_slow_relays_keep_the_inbox_backlog():
     assert inline_events < queued_events
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    staged=st.booleans(),
+    length=st.integers(2, 3),
+    rows=st.integers(1, 3),
+    cols=st.integers(2, 24),
+    rounds=st.integers(1, 4),
+    short=st.integers(0, 2),
+    block_size=st.sampled_from([32, 64]),
+    c1_relay=st.sampled_from([40.0, 54.0, 150.0]),
+)
+def test_convoys_match_the_queued_oracle(
+    staged, length, rows, cols, rounds, short, block_size, c1_relay
+):
+    """Random multi and staged plans: the clean run (inline steps and
+    convoys) equals the never-firing-fault run in everything but events."""
+    length = min(length, cols) if staged else 1
+    per_round = rows * (cols // length)
+    n = max(1, per_round * rounds - short)
+    rng = np.random.default_rng(n * block_size + cols)
+    blocks = rng.normal(size=(n, block_size)).cumsum(axis=1)
+    model = dataclasses.replace(PAPER_CYCLE_MODEL, c1_relay=c1_relay)
+
+    def plan():
+        if not staged:
+            return plan_multi_pipeline(blocks, EPS, rows=rows, cols=cols)
+        dist = distribute_substages(
+            compression_substages(8, block_size), length
+        )
+        return plan_staged_multi_pipeline(
+            blocks, EPS, dist, rows=rows, cols=cols
+        )
+
+    clean, clean_events = _run(plan(), model=model)
+    queued, queued_events = _run(plan(), NEVER, model=model)
+    assert clean == queued
+    assert clean_events <= queued_events
+
+
 def test_sampled_timeline_matches():
     """The per-PE sampling stride counts inline steps like queued ones."""
     inline, _ = _run(_plan("multi", 3, 32), sample_every=3)
@@ -240,7 +283,10 @@ class TestCountedRelay:
         assert counted[5] == (blocks, 8 * blocks)
         # Each later block's inline step saves an activate, a task and a
         # match event; the first block is taken at its deliver, no match.
-        saved = 3 * (blocks - 1) + 1 if blocks > 1 else 0
+        # The train is ready when the first block arrives, so it takes the
+        # whole feed in that one dispatch: each later block's deliver event
+        # goes too.
+        saved = 4 * (blocks - 1) + 1 if blocks > 1 else 0
         assert stepped_events - counted_events == saved
 
     def test_busy_pe_takes_the_queued_step(self):
@@ -288,3 +334,114 @@ class TestCountedRelay:
         engine.schedule_activation(pe, c_go.id, 0.0)
         with pytest.raises(TaskError, match="fabin color"):
             engine.run()
+
+
+# --- convoy guards: where a block must not be handed ahead -----------------
+
+
+def _merge(case: str):
+    """A counted relay on PE M forwards two 8-wavelet blocks to a sink.
+
+    ``"two-producers"``: PEs A and B both send color x into M, which
+    accepts it from the west and the east (a 2x3 mesh; the sink is below
+    M). A sends later than B in cycles but earlier in event order.
+    ``"in-flight"``: P sends block 1 before M posts its train and block 2
+    after (a 1x3 mesh), so block 1 is still on its way when block 2 is
+    sent. Either way M is quiet with only its train posted when a block is
+    sent to it, and the device order is the arrival order. Returns, for
+    the clean run and then the queued run, the blocks in the order the
+    sink got them and the run's per-PE results.
+    """
+    results = []
+    for faults in (None, NEVER):
+        two = case == "two-producers"
+        fabric = Fabric(2, 3) if two else Fabric(1, 3)
+        tracer = Tracer(level="timeline")
+        engine = Engine(fabric, tracer=tracer, faults=faults)
+        colors = ColorAllocator()
+        c_x, c_y, c_go, c_later, c_got = (
+            colors.allocate(n) for n in ("x", "y", "go", "later", "got")
+        )
+        m = fabric.pe(0, 1)
+        sink = fabric.pe(1, 1) if two else fabric.pe(0, 2)
+        if two:
+            fabric.set_route(0, 0, c_x, Direction.RAMP, Direction.EAST)
+            fabric.set_route(0, 2, c_x, Direction.RAMP, Direction.WEST)
+            fabric.set_route(
+                0, 1, c_x, (Direction.WEST, Direction.EAST), Direction.RAMP
+            )
+            fabric.set_route(0, 1, c_y, Direction.RAMP, Direction.SOUTH)
+            fabric.set_route(1, 1, c_y, Direction.NORTH, Direction.RAMP)
+            # M posts its train first. A (west) then sends at cycle 20 and
+            # B (east) at cycle 5: B's block arrives first although A's
+            # task runs first.
+            m_at = 0.0
+            senders = [(fabric.pe(0, 0), c_go, 0.0, 20, 1.0),
+                       (fabric.pe(0, 2), c_go, 5.0, 0, 2.0)]
+        else:
+            fabric.route_row_segment(0, 0, 1, c_x)
+            fabric.route_row_segment(0, 1, 2, c_y)
+            # Block 1 leaves P at cycle 0, M posts its train at cycle 2,
+            # block 2 leaves P at cycle 4.
+            m_at = 2.0
+            senders = [(fabric.pe(0, 0), c_go, 0.0, 0, 1.0),
+                       (fabric.pe(0, 0), c_later, 4.0, 0, 2.0)]
+        sink.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+        got = []
+
+        def relay(ctx):
+            ctx.mov32(
+                FaboutDsd(c_y, extent=8), FabinDsd(c_x, extent=8),
+                relay=True, count=2, overhead=5,
+            )
+
+        def recv(ctx):
+            ctx.mov32(
+                Mem1dDsd("in"), FabinDsd(c_y, extent=8), on_complete=c_got
+            )
+
+        def record(ctx):
+            got.append(int(ctx.buffer("in")[0]))
+            if len(got) < 2:
+                ctx.activate(c_go)
+
+        def sender(delay, value):
+            def send(ctx):
+                ctx.spend(delay)
+                ctx.send(c_x, np.full(8, value, dtype=np.float32))
+            return send
+
+        m.bind_task(c_x, Task("relay", relay))
+        sink.bind_task(c_go, Task("recv", recv))
+        sink.bind_task(c_got, Task("got", record))
+        engine.schedule_activation(m, c_x.id, m_at)
+        engine.schedule_activation(sink, c_go.id, 0.0)
+        for pe, color, at, delay, value in senders:
+            pe.bind_task(color, Task(f"send{value:g}", sender(delay, value)))
+            engine.schedule_activation(pe, color.id, at)
+        report = engine.run()
+        results.append((
+            got,
+            report.makespan_cycles,
+            report.tasks_run,
+            [(t.row, t.col, t.relay_cycles, t.tasks_run, t.finished_at)
+             for t in report.trace.traces],
+            sorted(
+                (e.row, e.col, e.name, e.start_cycles, e.dur_cycles)
+                for e in tracer.pe_events
+            ),
+            [pe.max_inbox_depth for pe in fabric],
+        ))
+    return results
+
+
+class TestConvoyGuards:
+    def test_two_producers_hand_nothing_ahead(self):
+        clean, queued = _merge("two-producers")
+        assert clean == queued
+        assert clean[0] == [2, 1]  # arrival order, not send order
+
+    def test_a_block_in_flight_is_not_overtaken(self):
+        clean, queued = _merge("in-flight")
+        assert clean == queued
+        assert clean[0] == [1, 2]

@@ -42,12 +42,14 @@ EPS = 0.01
 #: event per activation, one match probe per deliver and per posted
 #: receive) made 91/273/165/258 for the compression plans; these pins catch
 #: a return to it. Relay trains (``repro.wse.engine``) took multi from 138
-#: to 124: quiet PEs step their counted relays inline. Staged stays at 214
-#: because its PEs that relay more than one block per train are never quiet.
+#: to 124: quiet PEs step their counted relays inline. Convoys took it to
+#: 122: a ready train takes handed and fed blocks without their deliver
+#: events. Staged stays at 214 because its PEs that relay more than one
+#: block per train are never quiet.
 EXACT_EVENTS = {
     "rows": 78,
     "pipeline": 234,
-    "multi": 124,
+    "multi": 122,
     "staged": 214,
     "rows-decompress": 130,
     "pipeline-decompress": 286,

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.wse_compressor import WSECereSZ
 from repro.errors import DeadlockError, ReproError
-from repro.faults import FaultPlan, FaultReport, PEHalt, SramBitFlip
+from repro.faults import FaultPlan, FaultReport, LinkDown, PEHalt, SramBitFlip
 from repro.faults.plan import parse_fault_spec
 
 EPS = 0.01
@@ -107,6 +107,33 @@ class TestPartitionInvariance:
             assert a is not None and b is not None, name
             assert a.total() == b.total(), name
             assert a.total() >= 1
+
+    def test_repeated_injections_survive_the_partition_merge(self):
+        """Both partitions stall: row 1's halt and row 2's dead link, which
+        drops eight blocks. Merging the two partition reports keeps all
+        eight identical drops, as the serial report does."""
+        plan = FaultPlan(
+            seed=0,
+            faults=(
+                PEHalt(row=1, col=1, at_cycle=300),
+                LinkDown(row=2, col=2, direction="W"),
+            ),
+        )
+        data = np.cumsum(
+            np.random.default_rng(7).standard_normal(2048)
+        ).astype(np.float32)
+        reports = []
+        for jobs in (1, 2):
+            codec = WSECereSZ(
+                4, 4, strategy="multi", mode="event", jobs=jobs, faults=plan
+            )
+            with pytest.raises(DeadlockError) as exc_info:
+                codec.compress(data, rel=1e-3)
+            reports.append(exc_info.value.report)
+        serial, merged = reports
+        assert merged == serial
+        assert [f.kind for f in serial.injected].count("link") == 8
+        assert len(serial.injected) == 9
 
     def test_partitioned_message_names_the_shard(self):
         codec = WSECereSZ(4, 4, strategy="rows", jobs=4, faults=HALT_PLAN)

@@ -171,7 +171,9 @@ class TestCollectors:
         from repro.obs.metrics import MetricsRegistry
 
         rng = np.random.default_rng(0)
-        blocks = rng.normal(size=(6, 32)).cumsum(axis=1)
+        # Two rounds of blocks: a convoy resolves its route once per run,
+        # so a one-round plan may make no repeat lookup at all.
+        blocks = rng.normal(size=(12, 32)).cumsum(axis=1)
         plan = plan_multi_pipeline(blocks, 0.01, rows=2, cols=3)
         reg = MetricsRegistry()
         run = simulate_plan(plan, metrics=reg)
