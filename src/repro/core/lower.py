@@ -148,7 +148,6 @@ def lower_plan(
     engine: Engine,
     *,
     model: CycleModel = PAPER_CYCLE_MODEL,
-    colors: ColorAllocator | None = None,
     fast_kernels: bool = True,
     tracer=None,
 ) -> LoweredProgram:
@@ -176,12 +175,10 @@ def lower_plan(
             nodes=len(plan.nodes),
         ):
             return _lower_plan(
-                plan, fabric, engine, model=model, colors=colors,
-                fast_kernels=fast_kernels,
+                plan, fabric, engine, model=model, fast_kernels=fast_kernels
             )
     return _lower_plan(
-        plan, fabric, engine, model=model, colors=colors,
-        fast_kernels=fast_kernels,
+        plan, fabric, engine, model=model, fast_kernels=fast_kernels
     )
 
 
@@ -191,7 +188,6 @@ def _lower_plan(
     engine: Engine,
     *,
     model: CycleModel,
-    colors: ColorAllocator | None,
     fast_kernels: bool,
 ) -> LoweredProgram:
     plan.validate()
@@ -200,7 +196,7 @@ def _lower_plan(
             f"plan needs a {plan.rows}x{plan.cols} mesh, fabric is "
             f"{fabric.rows}x{fabric.cols}"
         )
-    allocator = colors if colors is not None else ColorAllocator()
+    allocator = ColorAllocator()
     cmap = {name: allocator.allocate(name) for name in plan.colors}
 
     for route in plan.routes:

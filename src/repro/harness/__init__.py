@@ -6,9 +6,11 @@
 structured rows, so tests assert on them; ``render`` is the only code that
 formats the artifact, so the benchmarks, ``ceresz table/figure/validate/
 observations`` and :func:`repro.harness.reproduce.reproduce_all` all print
-the same text. The experiment-to-module map lives in DESIGN.md; the
-paper-vs-measured record the harness produces is summarized in
-EXPERIMENTS.md.
+the same text. The ``observations`` entry is a verdict over the Fig 11/12,
+Table 5 and Fig 15 data, which it computes once; ``reproduce_all`` judges
+the data it already computed instead. The experiment-to-module map lives
+in DESIGN.md; the paper-vs-measured record the harness produces is
+summarized in EXPERIMENTS.md.
 """
 
 from repro.harness.tables import (
@@ -43,6 +45,7 @@ from repro.harness.figures import (
 from repro.harness.observations import (
     Verdict,
     all_observations,
+    judge_observations,
     observation1_throughput,
     observation2_ratio,
     observation3_quality,
@@ -100,6 +103,7 @@ __all__ = [
     "format_table",
     "Verdict",
     "all_observations",
+    "judge_observations",
     "observation1_throughput",
     "observation2_ratio",
     "observation3_quality",

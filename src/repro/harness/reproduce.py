@@ -4,7 +4,9 @@
 paper's full evaluation and the reproduction-side audits, writing each
 artifact of :data:`repro.harness.ARTIFACTS` as a text file plus a
 ``REPORT.md`` index with the headline numbers. ``quick=True`` narrows
-dataset/field coverage for smoke runs.
+dataset/field coverage for smoke runs. Each artifact is computed once: the
+Observations are judged over the Fig 11/12, Table 5 and Fig 15 data this
+run computed and wrote beside them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.harness.figures import (
     PAPER_FIG12_AVG_GBS,
     average_gbs,
 )
+from repro.harness.observations import judge_observations
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,12 @@ def reproduce_all(
     data = {}
     for name, kwargs in _compute_kwargs(quick, seed).items():
         compute, render = ARTIFACTS[name]
-        data[name] = compute(**kwargs)
+        if name == "observations":  # verdicts over the data computed above
+            data[name] = judge_observations(
+                data["fig11"], data["fig12"], data["table5"], data["fig15"]
+            )
+        else:
+            data[name] = compute(**kwargs)
         (out / f"{name}.txt").write_text(render(data[name]) + "\n")
         artifacts.append(f"{name}.txt")
 
@@ -73,7 +81,7 @@ def reproduce_all(
         "speedup_vs_cuszp": round(
             compress_avg / average_gbs(f11, "cuSZp"), 2
         ),
-        "fig15_psnr_db": round(f15.ceresz_psnr, 2),
+        "fig15_psnr_db": round(float(f15.ceresz_psnr), 2),
         "observations_hold": all(v.holds for v in data["observations"]),
         "worst_model_gap": round(
             max(p.relative_gap for p in data["model_validation"]), 3

@@ -335,13 +335,13 @@ def collect_engine_metrics(registry: MetricsRegistry, engine) -> None:
 def collect_trace_metrics(registry: MetricsRegistry, trace) -> None:
     """Cycle totals, per-step breakdowns, and per-PE busy histogram."""
     registry.counter("sim.pe.compute_cycles", "busy compute cycles").inc(
-        sum(t.compute_cycles for t in trace.traces)
+        sum(t.compute_cycles for t in trace.iter_traces())
     )
     registry.counter("sim.pe.relay_cycles", "busy relay cycles").inc(
-        sum(t.relay_cycles for t in trace.traces)
+        sum(t.relay_cycles for t in trace.iter_traces())
     )
     registry.counter("sim.pe.tasks", "task executions").inc(
-        sum(t.tasks_run for t in trace.traces)
+        sum(t.tasks_run for t in trace.iter_traces())
     )
     registry.counter("sim.blocks.relayed", "blocks passed through").inc(
         trace.total_blocks_relayed()
@@ -350,7 +350,7 @@ def collect_trace_metrics(registry: MetricsRegistry, trace) -> None:
         trace.total_wavelets_sent()
     )
     registry.counter("sim.blocks.emitted", "records/blocks finalized").inc(
-        sum(nc.blocks_emitted for nc in trace.node_counters)
+        sum(nc.blocks_emitted for nc in trace.iter_node_counters())
     )
     steps = registry.counter(
         "sim.cycles", "busy cycles per coarse pipeline step"
@@ -360,7 +360,7 @@ def collect_trace_metrics(registry: MetricsRegistry, trace) -> None:
     busy = registry.histogram(
         "sim.pe.busy_cycles", "per-PE total busy cycles"
     )
-    for t in trace.traces:
+    for t in trace.iter_traces():
         busy.observe(t.total_cycles)
 
 

@@ -33,7 +33,6 @@ from repro.wse.fabric import Fabric
 from repro.wse.engine import Engine, SimulationReport
 from repro.wse.cost import CycleModel, StageCost, PAPER_CYCLE_MODEL
 from repro.wse.trace import TraceRecorder, PETrace
-from repro.wse.program import Program
 
 __all__ = [
     "Direction",
@@ -57,5 +56,4 @@ __all__ = [
     "PAPER_CYCLE_MODEL",
     "TraceRecorder",
     "PETrace",
-    "Program",
 ]

@@ -15,6 +15,7 @@ just end-to-end makespans.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.config import CLOCK_HZ
@@ -111,6 +112,24 @@ class TraceRecorder:
         self._materialize()
         return self._node_counters
 
+    def iter_traces(self) -> Iterator[PETrace]:
+        """Every PE's row in recording order, without building replicas.
+
+        A pending replica (:meth:`merge_replica`) yields its source's rows
+        as they are, so their ``row`` is the representative's: fit for the
+        coordinate-free aggregates, which read these. :attr:`traces` holds
+        the placed rows.
+        """
+        yield from self._traces
+        for part, _ in self._replicas:
+            yield from part.iter_traces()
+
+    def iter_node_counters(self) -> Iterator[NodeCounters]:
+        """:meth:`iter_traces` for the node counters (labels unplaced)."""
+        yield from self._node_counters
+        for part, _ in self._replicas:
+            yield from part.iter_node_counters()
+
     def record(self, pe: ProcessingElement) -> None:
         self.traces.append(
             PETrace(
@@ -129,7 +148,7 @@ class TraceRecorder:
     def stage_cycle_totals(self) -> dict[str, float]:
         """Busy cycles per sub-stage summed over every lowered node."""
         totals: dict[str, float] = {}
-        for nc in self.node_counters:
+        for nc in self.iter_node_counters():
             for name, cycles in nc.stage_cycles.items():
                 totals[name] = totals.get(name, 0.0) + cycles
         return totals
@@ -143,19 +162,17 @@ class TraceRecorder:
         return totals
 
     def total_blocks_relayed(self) -> int:
-        return sum(nc.blocks_relayed for nc in self.node_counters)
+        return sum(nc.blocks_relayed for nc in self.iter_node_counters())
 
     def total_wavelets_sent(self) -> int:
-        return sum(nc.wavelets_sent for nc in self.node_counters)
+        return sum(nc.wavelets_sent for nc in self.iter_node_counters())
 
     # -- the paper's aggregates ----------------------------------------------------
 
     @property
     def makespan_cycles(self) -> float:
         """Cycles until the last PE finished (the paper's timing rule)."""
-        if not self.traces:
-            return 0.0
-        return max(t.finished_at for t in self.traces)
+        return max((t.finished_at for t in self.iter_traces()), default=0.0)
 
     def makespan_seconds(self, clock_hz: float = CLOCK_HZ) -> float:
         return self.makespan_cycles / clock_hz
@@ -170,10 +187,10 @@ class TraceRecorder:
         return payload_bytes / seconds
 
     def max_compute_cycles(self) -> int:
-        return max((t.compute_cycles for t in self.traces), default=0)
+        return max((t.compute_cycles for t in self.iter_traces()), default=0)
 
     def total_relay_cycles(self) -> int:
-        return sum(t.relay_cycles for t in self.traces)
+        return sum(t.relay_cycles for t in self.iter_traces())
 
     def per_row(self) -> dict[int, list[PETrace]]:
         rows: dict[int, list[PETrace]] = {}
@@ -215,9 +232,11 @@ class TraceRecorder:
         touched here — replication multiplies it, so the composer sets the
         class-weighted total once.
 
-        The copy is kept by reference, O(1); its rows are built on first
-        read, in merge order, sharing the representative's ``stage_cycles``
-        dicts. A representative must not be mutated once merged.
+        The copy is kept by reference, O(1). The coordinate-free
+        aggregates read its source's rows in place; its own rows are built
+        only when :attr:`traces` or :attr:`node_counters` is read, in merge
+        order, sharing the representative's ``stage_cycles`` dicts. A
+        representative must not be mutated once merged.
         """
         self._replicas.append((part, row_offset))
 
@@ -263,7 +282,9 @@ class TraceRecorder:
         trace): there is no load, so there is no imbalance — and the
         sentinel is distinguishable from a genuinely perfect 1.0.
         """
-        busy = [t.total_cycles for t in self.traces if t.total_cycles > 0]
+        busy = [
+            t.total_cycles for t in self.iter_traces() if t.total_cycles > 0
+        ]
         if not busy:
             return 0.0
         mean = sum(busy) / len(busy)

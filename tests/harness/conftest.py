@@ -1,0 +1,47 @@
+"""Shared harness fixtures: one quick reproduction per test session."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import pytest
+
+from repro.harness import ARTIFACTS, observations
+from repro.harness.reproduce import ReproduceSummary, reproduce_all
+
+#: The artifacts the Observations judge -> their compute's name in
+#: :mod:`repro.harness.observations` (which the standalone artifact calls).
+OBSERVED = {
+    "fig11": "fig11_compression_throughput",
+    "fig12": "fig12_decompression_throughput",
+    "table5": "table5_compression_ratio",
+    "fig15": "fig15_quality",
+}
+
+
+@dataclass(frozen=True)
+class Reproduced:
+    summary: ReproduceSummary
+    #: Artifact name -> the result of every call of its compute.
+    computed: dict[str, list]
+
+
+@pytest.fixture(scope="session")
+def reproduced(tmp_path_factory) -> Reproduced:
+    """One ``reproduce_all(quick=True)``, recording each call of the
+    computes the Observations judge, whether it came through
+    :data:`ARTIFACTS` or through the observations module."""
+    computed: dict[str, list] = {name: [] for name in OBSERVED}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn_name in OBSERVED.items():
+            compute, render = ARTIFACTS[name]
+
+            def recorded(*args, _name=name, _compute=compute, **kwargs):
+                result = _compute(*args, **kwargs)
+                computed[_name].append(result)
+                return result
+
+            mp.setitem(ARTIFACTS, name, (recorded, render))
+            mp.setattr(observations, fn_name, recorded)
+        summary = reproduce_all(tmp_path_factory.mktemp("repro"), quick=True)
+    return Reproduced(summary=summary, computed=computed)

@@ -6,11 +6,9 @@ import pytest
 from repro.harness.figures import (
     fig7_row_scaling,
     fig10_relay_and_execution,
-    fig11_compression_throughput,
-    fig12_decompression_throughput,
     fig13_pipeline_lengths,
     fig14_wse_sizes,
-    fig15_quality,
+    fig14_wse_sizes_simulated,
 )
 from repro.wse.cost import PAPER_CYCLE_MODEL
 
@@ -63,17 +61,15 @@ class TestFig10:
 
 
 class TestFigs11And12:
-    @pytest.fixture(scope="class")
-    def comp(self):
-        return fig11_compression_throughput(
-            datasets=("QMCPack", "HACC"), rel_bounds=(1e-2, 1e-4)
-        )
+    """Quick reproduce's Figs 11/12: QMCPack and HACC at REL 1e-2 and 1e-4."""
 
     @pytest.fixture(scope="class")
-    def decomp(self):
-        return fig12_decompression_throughput(
-            datasets=("QMCPack", "HACC"), rel_bounds=(1e-2, 1e-4)
-        )
+    def comp(self, reproduced):
+        return reproduced.computed["fig11"][0]
+
+    @pytest.fixture(scope="class")
+    def decomp(self, reproduced):
+        return reproduced.computed["fig12"][0]
 
     def test_matrix_complete(self, comp):
         assert len(comp) == 5 * 2 * 2  # compressors x datasets x bounds
@@ -156,10 +152,28 @@ class TestFig14:
         )
 
 
+class TestFig14Simulated:
+    @pytest.fixture(scope="class")
+    def points(self):
+        return fig14_wse_sizes_simulated(sizes=(16, 32))
+
+    def test_tiled_rows_collapse_to_one_class(self, points):
+        assert [(p.rows, p.cols) for p in points] == [(16, 16), (32, 32)]
+        assert all(p.row_classes == 1 for p in points)
+
+    def test_throughput_rises_with_mesh_size(self, points):
+        assert points[1].throughput_gbs > points[0].throughput_gbs
+
+    def test_gap_inside_the_bench_envelope(self, points):
+        """The Eq. 4 cross-check band ``bench_fig14_wse_size`` asserts
+        for meshes from 32x32 up."""
+        assert abs(points[1].model_gap) <= 0.15
+
+
 class TestFig15:
     @pytest.fixture(scope="class")
-    def report(self):
-        return fig15_quality()
+    def report(self, reproduced):
+        return reproduced.computed["fig15"][0]
 
     def test_reconstructions_identical(self, report):
         """Paper Obs 3: CereSZ and cuSZp share the reconstruction."""

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.harness import render_artifact
-from repro.harness.reproduce import reproduce_all
 
 
 @pytest.fixture(scope="module")
-def summary(tmp_path_factory):
-    out = tmp_path_factory.mktemp("repro")
-    return reproduce_all(out, quick=True)
+def summary(reproduced):
+    return reproduced.summary
 
 
 class TestReproduceAll:
@@ -33,6 +31,7 @@ class TestReproduceAll:
         assert h["decompress_avg_gbs"] > h["compress_avg_gbs"]
         assert h["fig15_psnr_db"] == pytest.approx(84.77, abs=0.1)
         assert h["worst_model_gap"] < 0.15
+        assert all(type(v) in (bool, int, float) for v in h.values()), h
 
     def test_report_is_markdown_with_paper_columns(self, summary):
         text = (summary.out_dir / "REPORT.md").read_text()
@@ -48,3 +47,19 @@ class TestReproduceAll:
         text = (summary.out_dir / "observations.txt").read_text()
         assert text.count("HOLDS") == 3
         assert "FAILS" not in text
+
+    def test_observed_artifacts_computed_once(self, reproduced):
+        """The Observations judge the data reproduce already computed:
+        Figs 11/12, Table 5 and Fig 15 each run exactly once."""
+        calls = reproduced.computed
+        assert set(calls) == {"fig11", "fig12", "table5", "fig15"}
+        for name, results in calls.items():
+            assert len(results) == 1, name
+
+    def test_observation_evidence_matches_written_artifacts(self, summary):
+        """Observations judge the (quick) artifacts written beside them."""
+        h = summary.headline
+        text = (summary.out_dir / "observations.txt").read_text()
+        assert f"'compress_avg_gbs': {h['compress_avg_gbs']}," in text
+        assert f"'decompress_avg_gbs': {h['decompress_avg_gbs']}," in text
+        assert f"'psnr_db': {h['fig15_psnr_db']}," in text

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.predictors import predictor_names
 from repro.harness.tables import (
     PAPER_TABLE1,
     table1_stage_cycles,
@@ -9,6 +10,7 @@ from repro.harness.tables import (
     table3_encoding_breakdown,
     table4_datasets,
     table5_compression_ratio,
+    table5_predictor_comparison,
 )
 
 
@@ -136,3 +138,27 @@ class TestTable5:
                     by_key[(name, dataset, 1e-2)].avg
                     > by_key[(name, dataset, 1e-4)].avg
                 )
+
+
+class TestTable5Predictors:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return table5_predictor_comparison(datasets=("HACC",))
+
+    def test_one_row_per_registered_predictor(self, rows):
+        assert [r.compressor for r in rows] == [
+            f"CereSZ[{name}]" for name in predictor_names()
+        ]
+
+    def test_lorenzo1d_row_is_table5_ceresz(self, rows):
+        """Same field, bound and codec as Table 5's CereSZ row."""
+        (lorenzo,) = [r for r in rows if r.compressor == "CereSZ[lorenzo1d]"]
+        (ceresz,) = table5_compression_ratio(
+            compressors=("CereSZ",),
+            datasets=("HACC",),
+            rel_bounds=(lorenzo.rel,),
+            field_limit=lorenzo.num_fields,
+        )
+        assert (lorenzo.min, lorenzo.avg, lorenzo.max) == (
+            ceresz.min, ceresz.avg, ceresz.max
+        )

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import BLOCK_SIZE
+from repro.core.lower import lower_plan
 from repro.core.plan import plan_multi_pipeline, plan_row_parallel
-from repro.wse.program import Program
+from repro.wse.engine import Engine
+from repro.wse.fabric import Fabric
 
 EPS = 0.05
 
@@ -18,9 +20,10 @@ def blocks():
 
 
 def _run_lowered(plan, rows, cols):
-    prog = Program(rows, cols)
-    lowered = prog.load_plan(plan)
-    report = prog.run()
+    fabric = Fabric(rows, cols)
+    engine = Engine(fabric)
+    lowered = lower_plan(plan, fabric, engine)
+    report = engine.run()
     return lowered, report
 
 
@@ -61,9 +64,7 @@ class TestNodeCounters:
         """Counters partition the busy cycles the PEs charged (the PE
         rounds each spend to whole cycles, the counters keep them raw)."""
         plan = plan_row_parallel(blocks, EPS, rows=2, cols=1)
-        prog = Program(2, 1)
-        prog.load_plan(plan)
-        report = prog.run()
+        _, report = _run_lowered(plan, 2, 1)
         counted = sum(report.trace.stage_cycle_totals().values())
         charged = sum(t.compute_cycles for t in report.trace.traces)
         assert counted == pytest.approx(charged, rel=1e-3)
@@ -72,17 +73,7 @@ class TestNodeCounters:
 class TestProgramLoadPlan:
     def test_outputs_hold_one_record_per_block(self, blocks):
         plan = plan_row_parallel(blocks, EPS, rows=2, cols=1)
-        prog = Program(2, 1)
-        lowered = prog.load_plan(plan)
-        prog.run()
+        lowered, _ = _run_lowered(plan, 2, 1)
         records = lowered.outputs.records
         assert sorted(records) == list(range(6))
         assert all(isinstance(r, bytes) and r for r in records.values())
-
-    def test_colors_come_from_program_allocator(self, blocks):
-        prog = Program(2, 1)
-        held = prog.colors.allocate("held")
-        plan = plan_row_parallel(blocks, EPS, rows=2, cols=1)
-        lowered = prog.load_plan(plan)
-        ids = {c.id for c in lowered.colors.values()}
-        assert held.id not in ids

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.config import BLOCK_SIZE
 from repro.core.plan import plan_multi_pipeline
 from repro.core.simulate import simulate_replicated
+from repro.core.wse_compressor import WSECereSZ
+from repro.obs.metrics import MetricsRegistry, collect_trace_metrics
 from repro.wse.pe import ProcessingElement
 from repro.wse.trace import NodeCounters, PETrace, TraceRecorder
 
@@ -228,6 +230,23 @@ def _assert_same_rows(rec, oracle):
     )
 
 
+def _aggregates(trace):
+    """Every coordinate-free aggregate of ``trace``."""
+    metrics = MetricsRegistry()
+    collect_trace_metrics(metrics, trace)
+    return {
+        "makespan": trace.makespan_cycles,
+        "imbalance": trace.load_imbalance(),
+        "max_compute": trace.max_compute_cycles(),
+        "relay": trace.total_relay_cycles(),
+        "relayed": trace.total_blocks_relayed(),
+        "wavelets": trace.total_wavelets_sent(),
+        "stages": trace.stage_cycle_totals(),
+        "steps": trace.step_cycle_totals(),
+        "metrics": metrics.snapshot(),
+    }
+
+
 def _count_inits(monkeypatch, *classes):
     counts = dict.fromkeys(classes, 0)
     for cls in classes:
@@ -260,7 +279,9 @@ class TestCompositionByReference:
                 oracle.merge_replica(part, op[2])
             else:
                 assert getattr(rec, op[1]) == getattr(oracle, op[1])
+        in_place = _aggregates(rec)
         _assert_same_rows(rec, oracle)
+        assert _aggregates(rec) == in_place
 
     def test_pending_replicas_pickle(self):
         rep = TraceRecorder()
@@ -310,3 +331,17 @@ class TestCompositionByReference:
         ]
         assert counts[PETrace] == 2 * per_run[PETrace] + 64 * template.cols
         assert len(counters) == 64 * len(one.report.trace.node_counters)
+
+    def test_aggregates_read_replicas_in_place(self, monkeypatch):
+        """A tiled hybrid run answers every coordinate-free aggregate from
+        the representative's rows, exactly, without building a replica."""
+        rng = np.random.default_rng(5)
+        row = np.cumsum(rng.normal(size=4 * BLOCK_SIZE)).astype(np.float32)
+        sim = WSECereSZ(rows=6, cols=4, strategy="multi", mode="hybrid")
+        trace = sim.compress(row, rel=1e-3, tile_rows=True).report.trace
+        counts = _count_inits(monkeypatch, PETrace, NodeCounters)
+        in_place = _aggregates(trace)
+        assert counts == {PETrace: 0, NodeCounters: 0}
+        assert len(trace.traces) == 6 * 4  # the oracle: materialized rows
+        assert counts[PETrace] > 0
+        assert _aggregates(trace) == in_place
