@@ -31,6 +31,13 @@ The counted relay itself lives in the engine: a relay task posts one
 raw pass-through duty), and the engine forwards the ``k`` blocks, charging
 each exactly what a per-block relay task did — see "Relay trains" in
 :mod:`repro.wse.engine`. The lowering keeps no per-block relay state.
+Likewise every PE whose only duty is a loop of receive and compute (the
+rows strategy's ComputeNode, pipeline StageNodes in both directions)
+posts one receive train, ``mov32(buffer, fabin, on_complete=go,
+count=k)``, and its go task no longer re-arms: the engine re-posts the
+receive after each block ("Receive trains"). Staged StageNodes (which
+also relay raw blocks), RelayNodes and the decode HeaderNode keep their
+re-arming tasks.
 
 Instrumentation: every lowered node counts blocks relayed, wavelets sent,
 blocks emitted, and busy cycles per sub-stage into its
@@ -51,6 +58,17 @@ Fused kernels: no node steps the per-sub-stage state machine by default.
   ``from_array``, runs the group's contiguous sub-stage run in a few
   vectorized operations, and writes the outgoing state vector directly in
   the wire layout.
+* The compression group kernel is row-vectorized: it computes over an
+  ``m x state_len`` stack of received blocks (all of the above, row by
+  row, in one set of numpy calls) and returns one commit per block, which
+  charges, counts and forwards or stores that block. The one-block task
+  body is the one-row call; a ready receive train hands the kernel its
+  whole run (the task's run form, :attr:`repro.wse.pe.Task.run`) and
+  commits each block at that block's own cycles. A stack with a row that
+  fails a header or phase check is declined, and the engine takes that
+  run block by block, so the error is raised at the same block. The decode
+  group kernel stays one block a call: the decode head receives per
+  block, so its stage trains only ever take runs of one.
 * Whole-block decode (the rows decompression HeaderNode) looks its
   accounting up per fixed length.
 
@@ -68,7 +86,11 @@ the fused kernels' named oracle: ``tests/core/test_simulate_parallel.py``
 lowers every strategy in both directions both ways and asserts identical
 output, makespan, tasks, events, per-PE traces and per-stage counters, and
 ``tests/core/test_fused_groups.py`` chains the group kernels over random
-splits against the stepped machines, hop by hop. The degraded-mode host
+splits against the stepped machines, hop by hop, one block at a time and
+as stacks of mixed fixed lengths through the run form. The stepped groups
+have no run form, so a receive train takes their runs block by block
+through the task body: the same events, charged the same way. The
+degraded-mode host
 fallback (:func:`host_block_records`) encodes through the same record
 encoder as the fused whole-block kernel.
 """
@@ -86,7 +108,7 @@ from repro.core.mapping import (
     ProgramOutputs,
     finalize_record,
     run_substage,
-    state_header,
+    state_headers,
     substage_cycles,
 )
 from repro.core.mapping_decompress import (
@@ -450,6 +472,7 @@ def _split_group(
 def _make_emit(
     out_color: Color | None,
     rearm_color: Color | None,
+    halts: bool,
     my: list[int],
     box: dict,
     plan: MappingPlan,
@@ -460,9 +483,10 @@ def _make_emit(
     """A stage group's epilogue: store the block's result or forward it.
 
     ``store`` is the outputs' record or decoded-block dict. Forwarded
-    states are always ``state_len`` float64 vectors. With a
-    ``rearm_color`` (the decode groups) the task then re-arms its receive,
-    or halts after its last block.
+    states are always ``state_len`` float64 vectors. With ``halts`` the
+    task halts after its last block; before that, a ``rearm_color`` (the
+    decode head's two-phase receive) re-arms its receive. A receive
+    train's go task needs no re-arm: the engine re-posts the receive.
     """
     forward = model.forward_block_cycles(plan.block_size)
     wavelets = wavelet_count(np.zeros(plan.state_len, dtype=np.float64))
@@ -477,11 +501,10 @@ def _make_emit(
             ctx.spend(forward)
             ctx.send(out_color, result)
             nc.wavelets_sent += wavelets
-        if rearm_color is None:
-            return
         if box["done"] < len(my):
-            ctx.activate(rearm_color)
-        else:
+            if rearm_color is not None:
+                ctx.activate(rearm_color)
+        elif halts:
             ctx.halt()
 
     return emit
@@ -521,19 +544,22 @@ def _make_stepped_group(
     model: CycleModel,
     outputs: ProgramOutputs,
     nc: NodeCounters,
+    halts: bool,
 ):
     """One Algorithm-1 stage group stepped through the state machine.
 
     The fused group kernel's oracle. The block enters as raw values
     (``first``) or as the serialized state in buffer ``source``. Idle
     shuffle bits cost one task dispatch (the schedule planned them; the PE
-    still wakes for them) but never enter the state machine.
+    still wakes for them) but never enter the state machine. Returns the
+    task body and no run form (a receive train takes its runs block by
+    block through the body).
     """
     eps = plan.eps
     block_size = plan.block_size
     state_len = plan.state_len
     emit = _make_emit(
-        out_color, None, my, box, plan, model, outputs.records, nc
+        out_color, None, halts, my, box, plan, model, outputs.records, nc
     )
 
     def run_group(ctx: TaskContext) -> None:
@@ -558,7 +584,7 @@ def _make_stepped_group(
         else:
             emit(ctx, _padded(state.to_array(), state_len))
 
-    return run_group
+    return run_group, None
 
 
 def _make_fused_group(
@@ -572,18 +598,27 @@ def _make_fused_group(
     model: CycleModel,
     outputs: ProgramOutputs,
     nc: NodeCounters,
+    halts: bool,
 ):
-    """One Algorithm-1 stage group as a single fused kernel.
+    """One Algorithm-1 stage group as a single fused, row-vectorized kernel.
 
-    Same inputs, outputs and accounting as :func:`_make_stepped_group`:
-    the received state is read in place through
-    :func:`~repro.core.mapping.state_header` (the checks of
-    ``PipelineState.from_array``); the group's fixed sub-stages run in
-    order and its live shuffle bits are packed in one vectorized call; one
+    Same inputs, outputs and accounting as :func:`_make_stepped_group`, for
+    a stack of received blocks at once: the states are read in place
+    through :func:`~repro.core.mapping.state_headers` (the checks of
+    ``PipelineState.from_array``, per row); the group's fixed sub-stages run
+    in order over the whole stack and its live shuffle bits are packed in
+    one vectorized call; and the outgoing states are written straight into
+    an ``m x state_len`` matrix in the ``PipelineState.to_array`` layout
+    (header, values, sign bytes, planes). ``compute(stack)`` does all that
+    and returns one commit per row, which replays the block's charges (one
     ``ctx.spend``/``add_stages`` pair, memoized per (phase, fl) at the
-    group's shuffle run, replays the per-stage charges; and the outgoing
-    state is written straight into a ``state_len`` vector in the
-    ``PipelineState.to_array`` layout (header, values, sign bytes, planes).
+    group's shuffle run) and stores the record or forwards the state.
+
+    Returns ``(run_group, run)``: the one-block task body, which is the
+    one-row call on buffer ``source``, and the run form of a receive
+    train's go task (:attr:`repro.wse.pe.Task.run`), which declines a
+    stack that fails a header or phase check so that the run goes block by
+    block and raises the same ``CompressionError`` at the same block.
     """
     fixed, ks = _split_group(
         group, _FIXED_STAGES, "shuffle_bit_", bits_first=False
@@ -601,9 +636,9 @@ def _make_fused_group(
     fixed_acct = _batched(fixed_items)
     per_bit = model.bit_shuffle.cycles(block_size, 1)
     dispatch = model.task_dispatch
-    no_planes = np.zeros(0, dtype=np.uint8)
+    shifts = np.array(ks, dtype=np.int64)[:, None]
     emit = _make_emit(
-        out_color, None, my, box, plan, model, outputs.records, nc
+        out_color, None, halts, my, box, plan, model, outputs.records, nc
     )
 
     @functools.cache
@@ -626,91 +661,152 @@ def _make_fused_group(
                 for k in ks
             )
         )
-        return spend, items, np.array([[k] for k in ks if k < fl])
+        return spend, items, sum(k < fl for k in ks)
 
-    def run_group(ctx: TaskContext) -> None:
-        src = ctx.buffer(source)
+    def compute(stack: np.ndarray) -> list:
+        m = len(stack)
         if first:
-            phase, bs, max_mag, fl, bits = 0, block_size, None, None, 0
-            values, signs, done = src, None, no_planes
+            bs, values = block_size, stack
+            phases, mags, fls, bits = [0] * m, [None] * m, [None] * m, [0] * m
         else:
-            phase, bs, max_mag, fl, bits = state_header(src)
-            sb = bs // 8
-            values = src[5 : 5 + bs]
-            # Sign bytes, then the planes shuffled so far: one cast.
-            tail = src[5 + bs : 5 + bs + sb + bits * sb].astype(np.uint8)
-            signs = tail[:sb] if phase >= _HAS_SIGNS else None
-            done = tail[sb:]
+            phases, bs, mags, fls, bits = state_headers(stack)
+            values = stack[:, 5 : 5 + bs]
+        sb = bs // 8
+        width = state_len - 5 - bs  # a forwarded state's bytes after values
+        # Sign bytes (a row's own only from the "mags" phase on), then the
+        # planes shuffled so far: per row ``dones`` bytes, read in one cast.
+        dones = [sb * (1 + b) for b in bits]
+        has_signs = [p >= _HAS_SIGNS for p in phases]
+        tail = None
+        if not first:
+            tail = stack[:, 5 + bs : 5 + bs + max(dones)].astype(np.uint8)
+        signs = maxes = None
         if fixed:
-            if phase != entry:
-                raise CompressionError(
-                    f"{fixed[0]} applied to {PHASES[phase]}"
-                )
+            bad = next((p for p in phases if p != entry), None)
+            if bad is not None:
+                raise CompressionError(f"{fixed[0]} applied to {PHASES[bad]}")
             if mult:
                 values = values / two_eps
             if add:
                 values = np.floor(values + 0.5)
             if lorenzo:
                 out = values.copy()
-                out[1:] -= values[:-1]
+                out[:, 1:] -= values[:, :-1]
                 values = out
             if sign:
                 signs = np.packbits(
-                    (values < 0).astype(np.uint8).reshape(-1, 8),
-                    axis=-1,
-                    bitorder="little",
-                ).reshape(-1)
+                    (values < 0).reshape(m, sb, 8), axis=-1, bitorder="little"
+                ).reshape(m, sb)
                 values = np.abs(values)
+                has_signs = [True] * m
             if maxed:
-                max_mag = int(values.max())
+                maxes = values.max(axis=1)
+                mags = [int(v) for v in maxes.tolist()]
             if length:
-                fl = int(max_mag).bit_length()
-            phase = entry + len(fixed)
-        planes = no_planes
+                fls = [int(g).bit_length() for g in mags]
+            phases = [entry + len(fixed)] * m
         if ks:
-            run = shuffle_run(phase, fl)
-            if isinstance(run, str):
-                raise CompressionError(run)
-            spend, items, live = run
-            if live.size:
-                # Row r is bit live[r] of every magnitude; packing the rows
-                # back to back gives the planes in order, sb bytes each.
-                planes = np.packbits(
-                    ((values.astype(np.int64) >> live) & 1) == 1,
-                    bitorder="little",
-                )
-                bits += live.size
-                if bits >= fl:
-                    phase = _ENCODED
+            runs = [shuffle_run(p, f) for p, f in zip(phases, fls)]
+            bad = next((r for r in runs if isinstance(r, str)), None)
+            if bad is not None:
+                raise CompressionError(bad)
+            spends, items, lives = zip(*runs)
         else:
-            spend, items = fixed_acct
-        ctx.spend(spend)
-        nc.add_stages(items)
-        if out_color is None:
-            if fl is None or signs is None:
-                raise CompressionError(
-                    f"cannot finalize a block in phase {PHASES[phase]!r}"
+            spends, items, lives = zip(*[(*fixed_acct, 0)] * m)
+        # Every row's outgoing bytes after its values: sign bytes, the
+        # planes shuffled before, this group's live planes, zero padding.
+        ends = [d + sb * n for d, n in zip(dones, lives)]
+        tails = np.zeros((m, max(max(ends), width)), dtype=np.uint8)
+        if tail is not None:
+            tails[:, : tail.shape[1]] = tail
+            if min(dones) < tail.shape[1]:  # drop what follows a row's planes
+                tails[:, sb : tail.shape[1]] *= (
+                    np.arange(sb, tail.shape[1]) < np.array(dones)[:, None]
                 )
-            record = int(fl).to_bytes(CERESZ_HEADER_BYTES, "little")
-            if fl:
-                record += signs.tobytes() + done.tobytes() + planes.tobytes()
-            emit(ctx, record)
-            return
-        header = (
-            phase,
-            bs,
-            -1 if max_mag is None else max_mag,
-            -1 if fl is None else fl,
-            bits,
-        )
-        if signs is None:
-            signs = np.zeros(bs // 8, dtype=np.uint8)
-        emit(
-            ctx,
-            _wire_vector(state_len, header, (values, signs, done, planes)),
-        )
+        if signs is not None:
+            tails[:, :sb] = signs
+        elif not all(has_signs):
+            tails[:, :sb] *= np.array(has_signs)[:, None]
+        top = max(lives)
+        if top:
+            # Live bits follow the planes of every earlier group, so each
+            # row with live bits appends them at the same byte.
+            at = {d for d, n in zip(dones, lives) if n}
+            if len(at) > 1:
+                raise CompressionError(
+                    "pipeline state rows disagree on the planes shuffled"
+                )
+            (at,) = at
+            planes = np.packbits(
+                (values.astype(np.int64)[:, None, :] >> shifts[:top]) & 1 == 1,
+                axis=-1,
+                bitorder="little",
+            ).reshape(m, top * sb)
+            if min(lives) < top:
+                planes *= np.arange(top * sb) < sb * np.array(lives)[:, None]
+            tails[:, at : at + top * sb] |= planes
+            for r, n in enumerate(lives):
+                if n:
+                    bits[r] += n
+                    if bits[r] >= fls[r]:
+                        phases[r] = _ENCODED
+        wire = None
+        if out_color is not None and width >= 0:
+            wire = np.empty((m, state_len))
+            wire[:, 0] = phases
+            wire[:, 1] = bs
+            if maxes is not None:
+                wire[:, 2] = np.trunc(maxes)  # int() of each, as float
+            else:
+                wire[:, 2] = -1.0 if first else stack[:, 2]
+            if length:
+                wire[:, 3] = fls
+            else:
+                wire[:, 3] = -1.0 if first else stack[:, 3]
+            wire[:, 4] = bits
+            wire[:, 5 : 5 + bs] = values
+            wire[:, 5 + bs :] = tails[:, :width]
 
-    return run_group
+        def commit(r: int, ctx: TaskContext) -> None:
+            ctx.spend(spends[r])
+            nc.add_stages(items[r])
+            if out_color is None:
+                fl = fls[r]
+                if fl is None or not has_signs[r]:
+                    raise CompressionError(
+                        f"cannot finalize a block in phase "
+                        f"{PHASES[phases[r]]!r}"
+                    )
+                record = int(fl).to_bytes(CERESZ_HEADER_BYTES, "little")
+                if fl:
+                    record += tails[r, : ends[r]].tobytes()
+                emit(ctx, record)
+            elif ends[r] <= width:
+                emit(ctx, wire[r])
+            else:  # raises where the one-block wire write overflows
+                header = (
+                    phases[r],
+                    bs,
+                    -1 if mags[r] is None else mags[r],
+                    -1 if fls[r] is None else fls[r],
+                    bits[r],
+                )
+                _wire_vector(
+                    state_len, header, (values[r], tails[r, : ends[r]])
+                )
+
+        return [functools.partial(commit, r) for r in range(m)]
+
+    def run_group(ctx: TaskContext) -> None:
+        compute(ctx.buffer(source)[None, :])[0](ctx)
+
+    def run(stack: np.ndarray) -> list | None:
+        try:
+            return compute(stack)
+        except CompressionError:
+            return None
+
+    return run_group, run
 
 
 # --- compression nodes -----------------------------------------------------------------
@@ -745,7 +841,9 @@ def _lower_compute(
     inbox, fabin = Mem1dDsd("inbox"), FabinDsd(c_recv, extent=block_size)
 
     def recv(ctx: TaskContext) -> None:
-        ctx.mov32(inbox, fabin, on_complete=c_go)
+        # One receive train for all of the PE's blocks (see "Receive
+        # trains" in repro.wse.engine): the engine re-posts after compute.
+        ctx.mov32(inbox, fabin, on_complete=c_go, count=len(my))
 
     def compute(ctx: TaskContext) -> None:
         idx = my[progress["next"]]
@@ -758,9 +856,7 @@ def _lower_compute(
             )
             outputs.records[idx] = finalize_record(state)
         nc.blocks_emitted += 1
-        if progress["next"] < len(my):
-            ctx.activate(c_recv)
-        else:
+        if progress["next"] == len(my):
             ctx.halt()
 
     pe.bind_task(c_recv, Task("recv", recv))
@@ -847,9 +943,9 @@ def _lower_relay(
     else:
         c_out = cmap[node.out] if node.out is not None else None
         make = _make_fused_group if fast_kernels else _make_stepped_group
-        consume = make(
+        consume, _ = make(
             node.group, "inbox", True, c_out, my, box, plan, model, outputs,
-            nc,
+            nc, False,
         )
 
     def compute(ctx: TaskContext) -> None:
@@ -879,7 +975,13 @@ def _lower_stage(
     nc: NodeCounters,
     fast_kernels: bool,
 ) -> None:
-    """One compression stage group, with an optional raw-relay side duty."""
+    """One compression stage group, with an optional raw-relay side duty.
+
+    Without one, the PE's receive loop is one receive train (see "Receive
+    trains" in :mod:`repro.wse.engine`) and the group kernel, which halts
+    after the last block, is its go task in both forms: the one-block body
+    and the run form a ready train commits a whole run through.
+    """
     block_size = plan.block_size
     c_recv = cmap[node.recv]
     c_go = cmap[node.go]
@@ -888,27 +990,21 @@ def _lower_stage(
     my = list(node.blocks)
     box = {"done": 0}
     make = _make_fused_group if fast_kernels else _make_stepped_group
-    run_group = make(
+    run_group, run = make(
         node.group, "stage_in", node.first, c_send, my, box, plan, model,
-        outputs, nc,
+        outputs, nc, node.relay is None,
     )
 
     stage_in, fabin = Mem1dDsd("stage_in"), FabinDsd(c_recv, extent=extent)
+    # With a raw-relay duty the compute task re-arms the receive per block.
+    count = len(my) if node.relay is None else 1
 
     def recv(ctx: TaskContext) -> None:
-        ctx.mov32(stage_in, fabin, on_complete=c_go)
+        ctx.mov32(stage_in, fabin, on_complete=c_go, count=count)
 
     if node.relay is None:
-
-        def compute(ctx: TaskContext) -> None:
-            run_group(ctx)
-            if box["done"] < len(my):
-                ctx.activate(c_recv)
-            else:
-                ctx.halt()
-
         pe.bind_task(c_recv, Task("recv", recv))
-        pe.bind_task(c_go, Task("compute", compute))
+        pe.bind_task(c_go, Task("compute", run_group, run))
         if my:
             engine.schedule_activation(pe, c_recv.id, 0.0)
         return
@@ -952,7 +1048,7 @@ def _lower_stage(
 def _make_decompress_process(
     group,
     out_color: Color | None,
-    rearm_color: Color,
+    rearm_color: Color | None,
     my: list[int],
     box: dict,
     plan: MappingPlan,
@@ -963,12 +1059,15 @@ def _make_decompress_process(
     """One reverse stage group stepped through the state machine.
 
     The fused decode kernel's oracle: ``process(ctx, state)`` runs a
-    :class:`DecompressState`, then emits the block or forwards the state.
+    :class:`DecompressState`, then emits the block or forwards the state,
+    re-arms ``rearm_color`` (None: a receive train's go task) and halts
+    after the last block.
     """
     eps = plan.eps
     state_len = plan.state_len
     emit = _make_emit(
-        out_color, rearm_color, my, box, plan, model, outputs.blocks, nc
+        out_color, rearm_color, True, my, box, plan, model, outputs.blocks,
+        nc,
     )
 
     def process(ctx: TaskContext, state: DecompressState) -> None:
@@ -1049,7 +1148,7 @@ def _wire_entry(arr: np.ndarray):
 def _make_fused_decode(
     group,
     out_color: Color | None,
-    rearm_color: Color,
+    rearm_color: Color | None,
     my: list[int],
     box: dict,
     plan: MappingPlan,
@@ -1057,7 +1156,9 @@ def _make_fused_decode(
     outputs: DecompressOutputs,
     nc: NodeCounters,
 ):
-    """One reverse stage group as a single fused kernel.
+    """One reverse stage group as a single fused kernel (one block a call:
+    the decode head receives per block, so its stage trains only ever
+    take runs of one).
 
     ``process(ctx, entry)`` takes the tuple :func:`_record_entry` or
     :func:`_wire_entry` builds and matches :func:`_make_decompress_process`
@@ -1074,7 +1175,8 @@ def _make_fused_decode(
     state_len = plan.state_len
     dispatch = model.task_dispatch
     emit = _make_emit(
-        out_color, rearm_color, my, box, plan, model, outputs.blocks, nc
+        out_color, rearm_color, True, my, box, plan, model, outputs.blocks,
+        nc,
     )
 
     @functools.cache
@@ -1288,7 +1390,9 @@ def _lower_decompress_stage(
     nc: NodeCounters,
     fast_kernels: bool,
 ) -> None:
-    """A non-head decompression pipeline PE: receive state, run group."""
+    """A non-head decompression pipeline PE: a receive train of states
+    (see "Receive trains" in :mod:`repro.wse.engine`), each run through the
+    group."""
     c_recv = cmap[node.recv]
     c_go = cmap[node.go]
     c_send = cmap[node.send] if node.send is not None else None
@@ -1300,14 +1404,12 @@ def _lower_decompress_stage(
         if fast_kernels
         else (_make_decompress_process, DecompressState.from_array)
     )
-    process = make(
-        node.group, c_send, c_recv, my, box, plan, model, outputs, nc
-    )
+    process = make(node.group, c_send, None, my, box, plan, model, outputs, nc)
 
     stage_in, fabin = Mem1dDsd("stage_in"), FabinDsd(c_recv, extent=state_len)
 
     def recv_state(ctx: TaskContext) -> None:
-        ctx.mov32(stage_in, fabin, on_complete=c_go)
+        ctx.mov32(stage_in, fabin, on_complete=c_go, count=len(my))
 
     def on_state(ctx: TaskContext) -> None:
         process(ctx, enter(ctx.buffer("stage_in")))

@@ -193,6 +193,50 @@ def state_header(
     )
 
 
+def state_headers(
+    stack: np.ndarray,
+) -> tuple[list[int], int, list[int | None], list[int | None], list[int]]:
+    """:func:`state_header` over every row of an ``m x n`` stack of states.
+
+    Returns ``(phases, block size, max_mags, fls, bits_done)``, one list
+    entry per row. The checks run on column extremes: every word an
+    integer (``float.is_integer``: finite and equal to its floor), one
+    block size, and each column's minimum and maximum in range. When a row
+    fails, :func:`state_header` re-reads the rows in order and raises the
+    first one's error; rows that all pass alone but disagree on the block
+    size raise too (one block's state never can, so only a stack of
+    several does).
+    """
+    head = stack[:, :5]
+    if head.shape[1] == 5 and np.isfinite(head).all():
+        lo = head.min(axis=0).tolist()
+        hi = head.max(axis=0).tolist()
+        bs = lo[1]
+        if (
+            (np.floor(head) == head).all()
+            and lo[0] >= 0
+            and hi[0] < len(PHASES)
+            and bs == hi[1]
+            and bs > 0
+            and bs % 8 == 0
+            and lo[2] >= -1  # -1 (not yet computed) or a count
+            and lo[3] >= -1
+            and lo[4] >= 0
+            and 5 + bs + bs // 8 * (1 + hi[4]) <= stack.shape[1]
+        ):
+            phases, _, mags, fls, bits = head.T.tolist()
+            return (
+                [int(p) for p in phases],
+                int(bs),
+                [None if v < 0 else int(v) for v in mags],
+                [None if v < 0 else int(v) for v in fls],
+                [int(b) for b in bits],
+            )
+    for row in stack:
+        state_header(row)  # raises the first bad row's error
+    raise CompressionError("pipeline state rows disagree on the block size")
+
+
 def run_substage(
     stage: SubStage, state: PipelineState, eps: float
 ) -> PipelineState:

@@ -30,6 +30,7 @@ from repro.harness.figures import (
     fig7_row_scaling,
     fig10_relay_and_execution,
     fig11_compression_throughput,
+    fig11_fig12_throughput,
     fig12_decompression_throughput,
     fig13_pipeline_lengths,
     fig14_wse_sizes,
@@ -96,6 +97,7 @@ __all__ = [
     "fig7_row_scaling",
     "fig10_relay_and_execution",
     "fig11_compression_throughput",
+    "fig11_fig12_throughput",
     "fig12_decompression_throughput",
     "fig13_pipeline_lengths",
     "fig14_wse_sizes",

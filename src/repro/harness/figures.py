@@ -217,8 +217,10 @@ class ThroughputBar:
 THROUGHPUT_COMPRESSORS = ("SZ", "SZp", "cuSZ", "cuSZp", "CereSZ")
 
 
-def _throughput_bars(direction: str, datasets, rel_bounds, seed: int):
-    bars = []
+def _throughput_workloads(datasets, rel_bounds, seed: int):
+    """``(dataset, rel, workloads)`` per dataset x bound: each field's
+    :func:`measure_workload`, the input both Figs 11 and 12 plot."""
+    measured = []
     for dataset in datasets:
         fields = list(
             iter_fields(
@@ -226,40 +228,47 @@ def _throughput_bars(direction: str, datasets, rel_bounds, seed: int):
             )
         )
         for rel in rel_bounds:
-            workloads = []
-            for _, arr in fields:
-                eps = relative_to_absolute(arr, rel)
-                workloads.append(measure_workload(arr, eps))
-            # CereSZ: wafer model, field-averaged (the paper's rule).
-            ceresz = float(
-                np.mean(
-                    [
-                        wafer_throughput(
-                            w,
-                            HEADLINE_WAFER,
-                            pipeline_length=1,
-                            direction=direction,
-                        ).throughput_gbs
-                        for w in workloads
-                    ]
+            workloads = [
+                measure_workload(arr, relative_to_absolute(arr, rel))
+                for _, arr in fields
+            ]
+            measured.append((dataset, rel, workloads))
+    return measured
+
+
+def _throughput_bars(direction: str, measured) -> list[ThroughputBar]:
+    bars = []
+    for dataset, rel, workloads in measured:
+        # CereSZ: wafer model, field-averaged (the paper's rule).
+        ceresz = float(
+            np.mean(
+                [
+                    wafer_throughput(
+                        w,
+                        HEADLINE_WAFER,
+                        pipeline_length=1,
+                        direction=direction,
+                    ).throughput_gbs
+                    for w in workloads
+                ]
+            )
+        )
+        zero_frac = float(np.mean([w.zero_fraction for w in workloads]))
+        for name in THROUGHPUT_COMPRESSORS:
+            if name == "CereSZ":
+                value = ceresz
+            else:
+                value = DEVICE_MODELS[name].throughput_gbs(
+                    direction, zero_frac
+                )
+            bars.append(
+                ThroughputBar(
+                    compressor=name,
+                    dataset=dataset,
+                    rel=rel,
+                    throughput_gbs=value,
                 )
             )
-            zero_frac = float(np.mean([w.zero_fraction for w in workloads]))
-            for name in THROUGHPUT_COMPRESSORS:
-                if name == "CereSZ":
-                    value = ceresz
-                else:
-                    value = DEVICE_MODELS[name].throughput_gbs(
-                        direction, zero_frac
-                    )
-                bars.append(
-                    ThroughputBar(
-                        compressor=name,
-                        dataset=dataset,
-                        rel=rel,
-                        throughput_gbs=value,
-                    )
-                )
     return bars
 
 
@@ -270,7 +279,8 @@ def fig11_compression_throughput(
     seed: int = 0,
 ) -> list[ThroughputBar]:
     """Fig 11: compression throughput (GB/s), 5 compressors x 6 datasets."""
-    return _throughput_bars("compress", datasets, rel_bounds, seed)
+    measured = _throughput_workloads(datasets, rel_bounds, seed)
+    return _throughput_bars("compress", measured)
 
 
 def fig12_decompression_throughput(
@@ -280,7 +290,22 @@ def fig12_decompression_throughput(
     seed: int = 0,
 ) -> list[ThroughputBar]:
     """Fig 12: decompression throughput (GB/s)."""
-    return _throughput_bars("decompress", datasets, rel_bounds, seed)
+    measured = _throughput_workloads(datasets, rel_bounds, seed)
+    return _throughput_bars("decompress", measured)
+
+
+def fig11_fig12_throughput(
+    *,
+    datasets=("CESM-ATM", "Hurricane", "QMCPack", "NYX", "RTM", "HACC"),
+    rel_bounds=REL_BOUNDS,
+    seed: int = 0,
+) -> tuple[list[ThroughputBar], list[ThroughputBar]]:
+    """Figs 11 and 12 from one pass: each field x bound measured once."""
+    measured = _throughput_workloads(datasets, rel_bounds, seed)
+    return (
+        _throughput_bars("compress", measured),
+        _throughput_bars("decompress", measured),
+    )
 
 
 #: The paper's Fig 11/12 headline numbers (Observation 1): CereSZ's average

@@ -16,7 +16,7 @@ bench, the CLI and ``ceresz reproduce`` print. Tests assert they hold.
 ``ceresz reproduce`` judges the Fig 11/12, Table 5 and Fig 15 data it has
 already computed (:func:`judge_observations`); the standalone
 ``observations`` artifact (:func:`all_observations`) computes each of
-those inputs once, Table 5 as a slice.
+those inputs once (Figs 11 and 12 in one pass), Table 5 as a slice.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from repro.harness.figures import (
     QualityReport,
     ThroughputBar,
     average_gbs,
-    fig11_compression_throughput,
-    fig12_decompression_throughput,
+    fig11_fig12_throughput,
     fig15_quality,
 )
 from repro.harness.tables import RatioRow, table5_compression_ratio
@@ -150,13 +149,13 @@ def judge_observations(
 def all_observations(*, seed: int = 0) -> list[Verdict]:
     """The standalone artifact: compute each input once, then judge it.
 
-    Table 5 is sliced to Observation 2's compressors, the loosest and
-    tightest bounds and four fields per dataset: the full table takes ~4x
-    as long and gives the same verdict.
+    Figs 11 and 12 share one pass over the fields. Table 5 is sliced to
+    Observation 2's compressors, the loosest and tightest bounds and four
+    fields per dataset: the full table takes ~4x as long and gives the
+    same verdict.
     """
     return judge_observations(
-        fig11_compression_throughput(seed=seed),
-        fig12_decompression_throughput(seed=seed),
+        *fig11_fig12_throughput(seed=seed),
         table5_compression_ratio(
             compressors=OBSERVATION2_COMPRESSORS,
             rel_bounds=(1e-2, 1e-4),

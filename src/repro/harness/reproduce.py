@@ -4,9 +4,10 @@
 paper's full evaluation and the reproduction-side audits, writing each
 artifact of :data:`repro.harness.ARTIFACTS` as a text file plus a
 ``REPORT.md`` index with the headline numbers. ``quick=True`` narrows
-dataset/field coverage for smoke runs. Each artifact is computed once: the
-Observations are judged over the Fig 11/12, Table 5 and Fig 15 data this
-run computed and wrote beside them.
+dataset/field coverage for smoke runs. Each artifact is computed once (Figs
+11 and 12 from one pass over the fields): the Observations are judged over
+the Fig 11/12, Table 5 and Fig 15 data this run computed and wrote beside
+them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.harness.figures import (
     PAPER_FIG11_SPEEDUP,
     PAPER_FIG12_AVG_GBS,
     average_gbs,
+    fig11_fig12_throughput,
 )
 from repro.harness.observations import judge_observations
 
@@ -43,11 +45,12 @@ def _compute_kwargs(quick: bool, seed: int) -> dict[str, dict]:
         name: ({} if name in _UNSEEDED else {"seed": seed})
         for name in ARTIFACTS
     }
+    # One pass computes Figs 11 and 12, so they share one keyword dict.
+    kwargs["fig12"] = kwargs["fig11"]
     if quick:
         narrow = {"datasets": ("QMCPack", "HACC"), "rel_bounds": (1e-2, 1e-4)}
         kwargs["table5"].update(narrow, field_limit=2)
         kwargs["fig11"].update(narrow)
-        kwargs["fig12"].update(narrow)
         kwargs["fig14"]["sizes"] = (16, 64, 256)
         kwargs["model_validation"]["blocks"] = 16
     return kwargs
@@ -68,6 +71,9 @@ def reproduce_all(
             data[name] = judge_observations(
                 data["fig11"], data["fig12"], data["table5"], data["fig15"]
             )
+        elif name in ("fig11", "fig12"):  # both in one pass, at the first
+            if name not in data:
+                data["fig11"], data["fig12"] = fig11_fig12_throughput(**kwargs)
         else:
             data[name] = compute(**kwargs)
         (out / f"{name}.txt").write_text(render(data[name]) + "\n")

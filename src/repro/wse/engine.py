@@ -112,6 +112,56 @@ cycle); ``events_processed``, the heap high-water mark and route-cache
 lookups drop. A fault injector disables convoys, so the never-firing
 fault plan stays the per-hop oracle and faulted runs keep their event
 counts.
+
+Receive trains
+--------------
+Algorithm 1's stage PEs loop receive, stage group, re-arm. That loop is a
+train too: ``mov32(mem1d, fabin, on_complete=go, count=k)`` receives the
+next ``k`` blocks into the buffer and activates ``go`` after each one.
+The posting task (bound to the fabin color) is the first receive; when
+``go``'s task ends, the engine re-posts the receive itself, charging what
+a run of the posting task did: a zero-cycle step at the go task's end,
+one task run and one timeline event under its name (:meth:`Engine._step`
+with no overhead). The go task no longer re-arms; it still halts after
+the last block.
+
+A block takes one of two paths:
+
+* *Queued* (the oracle): the block waits for its deliver and match
+  events, the match activates ``go``, and the re-post is an activation
+  of the fabin color at the go task's end: the events the re-arming
+  receive task cost. Every block that is not taken in a ready run, and
+  every block of a run with a fault injector, takes this path.
+* *Ready* (the convoys' rule, with the receive as the train's only
+  descriptor): a block sent to a ready receive train skips its deliver
+  event, and a ready stage 0 takes its run of feed blocks in one
+  dispatch, as in "Convoys". The run is committed block by block at each
+  block's own cycles (start = the later of its arrival and the previous
+  go task's end), so every charge lands where the queued path puts it.
+  After each go task the re-post is the zero-cycle step, inline while
+  the PE stays quiet; a go task that leaves other work behind (an
+  activation, a posted descriptor) queues its re-post, and the rest of
+  the run is delivered. A block taken before its receive's posting cycle
+  goes into the ahead backlog, so inbox depths stay exact. A go task
+  with a *run form* (:attr:`~repro.wse.pe.Task.run`) computes the whole
+  run in one call over the stacked blocks first and returns one commit
+  per block, which charges and emits that block exactly as the task body
+  would; a run form that declines (``None``: a row failed a check) sends
+  the run block by block through the task body, so an error is raised at
+  the same block. The buffer ends the run holding the last block, as the
+  block-by-block path leaves it.
+
+Unlike a relay train, a receive train has no per-block inline path at a
+deliver or match event. Algorithm 1's plans hand or feed each stage
+block to a ready PE (on wafer-pipeline every one of the 4,096 compress
+and 3,584 decode stage blocks), so such a path would serve no lowered
+plan.
+
+:meth:`Engine._run` is the one copy of the task-run arithmetic, shared by
+the queued task and each block of a ready run. The never-firing fault
+plan is again the oracle: ``tests/core/test_receive_trains.py`` requires
+every per-PE result to match it, and the queued path to match the
+re-arming receive task it replaces.
 """
 
 from __future__ import annotations
@@ -157,26 +207,31 @@ class _Misframe(TaskError):
 
 
 @dataclass(slots=True)
+class _Train:
+    """A counted relay or receive (see "Relay trains" and "Receive trains"
+    above) while blocks remain."""
+
+    fabin: Color
+    out_color: Color | None  # a relay's output color (None: a receive)
+    extent: int
+    left: int  # blocks whose step has not started yet (0: last one posted)
+    overhead: int  # relay cycles each step charges (0: a receive)
+    charge_relay: bool
+    #: A relay's fires after its last block; a receive's (its go color)
+    #: after every block.
+    on_complete: Color | None
+    counters: object  # NodeCounters-like (blocks_relayed, wavelets_sent)
+    name: str  # timeline name of the task bound to ``fabin``
+    dst: Mem1dDsd | None = None  # a receive train's buffer
+
+
+@dataclass(slots=True)
 class _PendingRecv:
     dst: Mem1dDsd
     extent: int
     on_complete: Color | None
     posted_at: float
-
-
-@dataclass(slots=True)
-class _Train:
-    """A counted relay (see "Relay trains" above) while blocks remain."""
-
-    fabin: Color
-    out_color: Color
-    extent: int
-    left: int  # blocks whose step has not started yet (0: last one posted)
-    overhead: int  # relay cycles each step charges
-    charge_relay: bool
-    on_complete: Color | None  # fires after the last block
-    counters: object  # NodeCounters-like (blocks_relayed, wavelets_sent)
-    name: str  # timeline name of the relay task
+    train: _Train | None = None
 
 
 @dataclass(slots=True)
@@ -336,11 +391,14 @@ class Engine:
     ) -> None:
         """Interpret a ``mov32`` issued by a task on ``pe`` at cycle ``now``.
 
-        ``count``, ``overhead`` and ``counters`` describe a counted relay
-        (see "Relay trains" above); the issuing task is its first step and
+        ``count`` makes a relay or a receive a train (see "Relay trains"
+        and "Receive trains" above); ``overhead`` and ``counters`` belong
+        to a counted relay, whose issuing task is its first step and
         spends the first block's ``overhead`` itself.
         """
-        if isinstance(dst, FaboutDsd) and isinstance(src, FabinDsd):
+        if isinstance(src, FabinDsd) and isinstance(
+            dst, (FaboutDsd, Mem1dDsd)
+        ):
             self._post_train(
                 pe, dst, src, now, on_complete, relay, count, overhead,
                 counters,
@@ -348,20 +406,11 @@ class Engine:
             return
         if count != 1 or overhead or counters is not None:
             raise TaskError(
-                f"PE{pe.coord}: count/overhead/counters apply only to "
-                f"relays (fabout <- fabin)"
+                f"PE{pe.coord}: count applies only to relays and receives "
+                f"(<- fabin), overhead/counters only to relays (fabout <- "
+                f"fabin)"
             )
-        if isinstance(dst, Mem1dDsd) and isinstance(src, FabinDsd):
-            key = (pe.row, pe.col, src.color.id)
-            self._recv.setdefault(key, deque()).append(
-                _PendingRecv(dst, src.extent, on_complete, now)
-            )
-            pe.posted += 1
-            # A freshly posted receive can only pair if data already sits in
-            # the inbox; otherwise the next deliver event probes for us.
-            if pe.inbox.get(src.color.id):
-                self._push(now, _Event("match", pe, src.color.id))
-        elif isinstance(dst, FaboutDsd) and isinstance(src, Mem1dDsd):
+        if isinstance(dst, FaboutDsd) and isinstance(src, Mem1dDsd):
             data = np.array(src.resolve(pe.buffers), copy=True)
             if data.size != dst.extent:
                 raise TaskError(
@@ -583,6 +632,16 @@ class Engine:
         else:  # pragma: no cover - defensive
             raise TaskError(f"unknown event kind {event.kind!r}")
 
+    def _head(
+        self, key: tuple[int, int, int]
+    ) -> _PendingRelay | _PendingRecv | None:
+        """The first relay, else the first receive, posted on ``key``."""
+        relays = self._relay.get(key)
+        if relays:
+            return relays[0]
+        recvs = self._recv.get(key)
+        return recvs[0] if recvs else None
+
     def _quiet(self, pe: ProcessingElement, posted: int = 0) -> bool:
         """The quiet rule of "Relay trains": only the train (with
         ``posted`` descriptors of its own) can move ``pe``'s timing."""
@@ -609,8 +668,8 @@ class Engine:
         ):
             return False
         key = (pe.row, pe.col, color_id)
-        relays = self._relay.get(key)
-        if not relays or relays[0].train is None:
+        head = self._head(key)
+        if head is None or head.train is None:
             return False
         single = self._producers.get(key)
         if single is None:
@@ -651,24 +710,34 @@ class Engine:
         overhead: float,
         counters,
     ) -> None:
-        """Post a relay's first block (the issuing task is its step)."""
+        """Post a relay's or a receive's first block; ``count > 1`` makes
+        it a train (a relay's issuing task is its first step)."""
+        receive = isinstance(dst, Mem1dDsd)
+        if receive and (overhead or counters is not None):
+            raise TaskError(
+                f"PE{pe.coord}: overhead/counters apply only to relays "
+                f"(fabout <- fabin)"
+            )
         if count < 1:
-            raise TaskError(f"PE{pe.coord}: relay count must be >= 1")
+            raise TaskError(f"PE{pe.coord}: train count must be >= 1")
         train = None
         if count > 1:
             if pe.train is not None and pe.train.left:
-                raise TaskError(
-                    f"PE{pe.coord}: a relay train is already running"
-                )
+                raise TaskError(f"PE{pe.coord}: a train is already running")
             task = pe.tasks.get(src.color.id)
             if task is None:
                 raise TaskError(
-                    f"PE{pe.coord}: a counted relay needs a task bound to "
-                    f"its fabin color {src.color}"
+                    f"PE{pe.coord}: a train needs a task bound to its "
+                    f"fabin color {src.color}"
+                )
+            if receive and on_complete is None:
+                raise TaskError(
+                    f"PE{pe.coord}: a receive train needs an on_complete "
+                    f"color"
                 )
             train = pe.train = _Train(
                 fabin=src.color,
-                out_color=dst.color,
+                out_color=None if receive else dst.color,
                 extent=src.extent,
                 left=count - 1,
                 overhead=int(round(overhead)),
@@ -676,8 +745,18 @@ class Engine:
                 on_complete=on_complete,
                 counters=counters,
                 name=task.name,
+                dst=dst if receive else None,
             )
-            on_complete = src.color  # the next block's step
+            if not receive:
+                on_complete = src.color  # the next block's step
+        if receive:
+            self._post_recv(
+                pe,
+                src.color.id,
+                _PendingRecv(dst, src.extent, on_complete, now, train),
+                probe=True,
+            )
+            return
         if counters is not None:
             counters.blocks_relayed += 1
             counters.wavelets_sent += src.extent
@@ -706,10 +785,38 @@ class Engine:
         if probe and pe.inbox.get(color_id):
             self._push(pending.posted_at, _Event("match", pe, color_id))
 
+    def _post_recv(
+        self,
+        pe: ProcessingElement,
+        color_id: int,
+        pending: _PendingRecv,
+        *,
+        probe: bool,
+    ) -> None:
+        """Post one receive descriptor. A receive can only pair at once if
+        data already sits in the inbox; otherwise the next deliver event
+        probes for it."""
+        self._recv.setdefault((pe.row, pe.col, color_id), deque()).append(
+            pending
+        )
+        pe.posted += 1
+        if probe and pe.inbox.get(color_id):
+            self._push(pending.posted_at, _Event("match", pe, color_id))
+
     def _post_step(
         self, pe: ProcessingElement, train: _Train, at: float, *, probe: bool
     ) -> None:
-        """Post the relay descriptor of the train step started at ``at``."""
+        """Post the descriptor of the train step started at ``at``."""
+        if train.dst is not None:
+            self._post_recv(
+                pe,
+                train.fabin.id,
+                _PendingRecv(
+                    train.dst, train.extent, train.on_complete, at, train
+                ),
+                probe=probe,
+            )
+            return
         self._post_relay(
             pe,
             train.fabin.id,
@@ -728,9 +835,10 @@ class Engine:
         self, pe: ProcessingElement, train: _Train, ready: float
     ) -> float:
         """Start a train's next step at the later of ``ready`` (the previous
-        block's injection end, or the queued step's task cycle) and
-        ``busy_until``: exactly what one run of the relay task charges (see
-        "Relay trains" above). Returns the step's start."""
+        block's injection end or go task's end, or the queued step's task
+        cycle) and ``busy_until``: exactly what one run of the relay or
+        receive task charges (see "Relay trains" above). Returns the
+        step's start."""
         at = ready if ready > pe.busy_until else pe.busy_until
         train.left -= 1
         pe.busy_until = at + train.overhead
@@ -766,10 +874,10 @@ class Engine:
     ) -> None:
         """Pair arrived data with pending receives/relays, FIFO.
 
-        ``quiet=True`` says the caller saw ``pe`` quiet with only a train's
-        descriptor posted; the pairings below keep it so (a train block
-        either commits the next step, which stays quiet, or is the last
-        one, after which nothing on this color is posted).
+        ``quiet=True`` says the caller saw ``pe`` quiet with only a relay
+        train's descriptor posted; the pairings below keep it so (a train
+        block either commits the next step, which stays quiet, or is the
+        last one, after which nothing on this color is posted).
         """
         key = (pe.row, pe.col, color_id)
         inbox = pe.inbox.get(color_id)
@@ -838,12 +946,15 @@ class Engine:
                         f"{target.size} elements, data has {data.size}"
                     )
                 target[:] = data.astype(target.dtype, copy=False)
+                at = pending.posted_at if pending.posted_at > time else time
+                train = pending.train
+                if train is not None:
+                    if at > time:  # taken ahead of a ready run's re-post
+                        self._ahead.setdefault(key, deque()).append(at)
+                    if not train.left and pe.train is train:  # the last one
+                        pe.train = None
                 if pending.on_complete is not None:
-                    self.schedule_activation(
-                        pe,
-                        pending.on_complete.id,
-                        max(time, pending.posted_at),
-                    )
+                    self.schedule_activation(pe, pending.on_complete.id, at)
 
     def _send(
         self,
@@ -926,6 +1037,9 @@ class Engine:
         """A ready train takes a run of blocks (arrival, data), in arrival
         order: each is charged what its deliver plus the inline step would
         charge (see "Convoys")."""
+        if pe.train.dst is not None:
+            self._take_run(pe, color_id, blocks)
+            return
         key = (pe.row, pe.col, color_id)
         pending = self._relay[key].popleft()
         pe.posted -= 1
@@ -974,6 +1088,71 @@ class Engine:
                 self.fabric.pe(*route.destination), train.out_color.id, sent
             )
 
+    def _take_run(
+        self,
+        pe: ProcessingElement,
+        color_id: int,
+        blocks: list[tuple[float, np.ndarray]],
+    ) -> None:
+        """A ready receive train takes a run of blocks (arrival, data), in
+        arrival order: each is charged what the queued path charges it —
+        inbox depth, its go task from the later of its arrival and the
+        receive's posting, the re-post at the task's end (see "Receive
+        trains")."""
+        key = (pe.row, pe.col, color_id)
+        pending = self._recv[key].popleft()
+        pe.posted -= 1
+        train = pending.train
+        posted_at = pending.posted_at
+        target = train.dst.resolve(pe.buffers)
+        take = blocks[: train.left + 1]
+        for _, data in take:
+            if data.size != train.extent or target.size != data.size:
+                raise TaskError(
+                    f"PE{pe.coord}: receive on color {color_id} expected "
+                    f"{train.extent} wavelets into a {target.size}-element "
+                    f"window, got {data.size}"
+                )
+        go = pe.tasks[train.on_complete.id]
+        commits = None
+        if go.run is not None and len(take) > 1:
+            commits = go.run(
+                np.array([data for _, data in take], dtype=target.dtype)
+            )
+        ahead = self._ahead.get(key)
+        if pe.max_inbox_depth < 1:  # each block arrives to an empty inbox
+            pe.max_inbox_depth = 1
+        taken = 0
+        for arrive, data in take:
+            if commits is None:
+                target[:] = data.astype(target.dtype, copy=False)
+            if ahead:
+                self._backlog(pe, ahead, arrive, 1)
+            at = posted_at if posted_at > arrive else arrive
+            if at > arrive:
+                if ahead is None:
+                    ahead = self._ahead[key] = deque()
+                ahead.append(at)
+            if not train.left:  # the train's last block
+                pe.train = None
+            fn = go.fn if commits is None else commits[taken]
+            taken += 1
+            self._run(
+                pe, fn, go.name, at if at > pe.busy_until else pe.busy_until
+            )
+            if not train.left:
+                break
+            if not self._quiet(pe):  # the go task left work: queue re-post
+                self.schedule_activation(pe, train.fabin.id, pe.busy_until)
+                break
+            posted_at = self._step(pe, train, pe.busy_until)
+        else:  # the train goes on: its next receive waits for a block
+            self._post_step(pe, train, posted_at, probe=False)
+        if commits is not None:
+            target[:] = take[taken - 1][1]
+        if taken < len(blocks):  # past the train's count, or queued
+            self._deliver_at(pe, color_id, blocks[taken:])
+
     def _schedule_task(self, pe: ProcessingElement, at: float) -> None:
         """Push a ``task`` event for ``pe``, at most one in flight.
 
@@ -998,7 +1177,7 @@ class Engine:
         color_id = pe.pending.popleft()
         train = pe.train
         if train is not None and train.left and color_id == train.fabin.id:
-            # The queued step.
+            # The queued step (a relay's, or a receive train's re-post).
             self._post_step(pe, train, self._step(pe, train, time), probe=True)
         else:
             task = pe.tasks.get(color_id)
@@ -1006,13 +1185,26 @@ class Engine:
                 raise TaskError(
                     f"PE{pe.coord}: no task bound to color {color_id}"
                 )
-            ctx = TaskContext(self, pe, time)
-            task.fn(ctx)
-            pe.busy_until = time + ctx.cycles_spent
-            pe.tasks_run += 1
-            if self._timeline:
-                self.tracer.pe_event(
-                    pe.row, pe.col, task.name, time, ctx.cycles_spent
-                )
+            self._run(pe, task.fn, task.name, time)
+            if (
+                train is not None
+                and train.left
+                and train.dst is not None
+                and color_id == train.on_complete.id
+            ):
+                # A receive train's queued re-post, at the go task's end.
+                self.schedule_activation(pe, train.fabin.id, pe.busy_until)
         if pe.pending and not pe.halted:
             self._schedule_task(pe, pe.busy_until)
+
+    def _run(self, pe: ProcessingElement, fn, name: str, start: float) -> None:
+        """Run one task body on ``pe`` from cycle ``start``: the arithmetic
+        every task run shares (a queued task, or one block of a receive
+        train's ready run)."""
+        ctx = TaskContext(self, pe, start)
+        fn(ctx)
+        spent = ctx.cycles_spent
+        pe.busy_until = start + spent
+        pe.tasks_run += 1
+        if self._timeline:
+            self.tracer.pe_event(pe.row, pe.col, name, start, spent)

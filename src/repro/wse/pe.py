@@ -29,10 +29,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True)
 class Task:
-    """A named unit of PE code bound to a color."""
+    """A named unit of PE code bound to a color.
+
+    ``run`` is an optional run form of ``fn`` for a receive train's go task
+    (see "Receive trains" in :mod:`repro.wse.engine`): ``run(stack)`` takes
+    an ``m x extent`` stack of received blocks and returns ``m`` commits,
+    each a task body that charges and emits one block exactly as ``fn``
+    would with that block in the receive buffer — or ``None`` to have the
+    engine take the run block by block through ``fn``.
+    """
 
     name: str
     fn: Callable[["TaskContext"], None]
+    run: Callable[[np.ndarray], list | None] | None = None
 
 
 @dataclass
@@ -62,9 +71,9 @@ class ProcessingElement:
     #: heap entry instead of N.
     task_scheduled: bool = False
     #: ``activate`` events in the heap, and receive/relay descriptors
-    #: posted, for this PE; with ``train`` (the counted relay the engine
-    #: is stepping here, until its last block is taken) they decide the
-    #: engine's quiet rule.
+    #: posted, for this PE; with ``train`` (the counted relay or receive
+    #: the engine is stepping here, until its last block is taken) they
+    #: decide the engine's quiet rule.
     activations_in_flight: int = 0
     posted: int = 0
     train: object = None
@@ -235,6 +244,11 @@ class TaskContext:
         ``on_complete`` after the last one. This task is the first block's
         step; the engine runs the rest (the relay trains of
         :mod:`repro.wse.engine`).
+
+        A receive may be counted too: ``count=k`` receives the next ``k``
+        blocks into ``dst`` and activates ``on_complete`` (required) after
+        each one; the engine re-posts the receive when that task ends (the
+        receive trains of :mod:`repro.wse.engine`).
         """
         self._engine.submit_transfer(
             self._pe, dst, src, self.now, on_complete, relay=relay,

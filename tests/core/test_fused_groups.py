@@ -113,11 +113,11 @@ def _compress_hop(make, group, src, first, last, plan, ctx, nc):
     """One compression hop: the forwarded vector, or the tail's record."""
     outputs = ProgramOutputs()
     ctx.buffers["stage_in"] = src
-    run = make(
+    run_group, _ = make(
         group, "stage_in", first, None if last else OUT, [0], {"done": 0},
-        plan, PAPER_CYCLE_MODEL, outputs, nc,
+        plan, PAPER_CYCLE_MODEL, outputs, nc, True,
     )
-    run(ctx)
+    run_group(ctx)
     return outputs.records[0] if last else ctx.sent[0]
 
 
@@ -225,6 +225,79 @@ def test_compress_groups_match_stepped(data, block_size, fl, seed):
     assert fused == stepped
     if planned >= fl:
         assert stepped[-1][:2] == ("ok", _record(values)[0])
+
+
+def _run_hop(group, stack, first, last, plan):
+    """One hop of the run kernel over ``stack``, as a ready receive train
+    takes it: the run form computes once and the rows commit in order, or,
+    when it declines, each row runs through the one-block body; either way
+    the run stops at its first error. Returns each row's ``_outcome``
+    record, the forwarded vectors (or records) and whether it declined."""
+    nc, outputs = _Counters(), ProgramOutputs()
+    body, run = _make_fused_group(
+        group, "stage_in", first, None if last else OUT,
+        list(range(len(stack))), {"done": 0}, plan, PAPER_CYCLE_MODEL,
+        outputs, nc, True,
+    )
+    commits = run(stack.copy())
+    hops, results = [], []
+    for r, row in enumerate(stack):
+        ctx, before = _Ctx(), len(nc.items)
+        try:
+            if commits is None:
+                ctx.buffers["stage_in"] = row.copy()
+                body(ctx)
+            else:
+                commits[r](ctx)
+        except CompressionError as exc:
+            hops.append(("error", str(exc), ctx.cycles, nc.items[before:]))
+            break
+        result = outputs.records[r] if last else ctx.sent[0]
+        hops.append(("ok", _bits(result), ctx.cycles, nc.items[before:]))
+        results.append(result)
+    return hops, results, commits is None
+
+
+def _run_chain(groups, blocks, plan):
+    """Every block's hops through the run kernel, one run per group."""
+    chains = [[] for _ in blocks]
+    stack = np.array(blocks)
+    for i, group in enumerate(groups):
+        last = i == len(groups) - 1
+        hops, results, declined = _run_hop(group, stack, i == 0, last, plan)
+        # Valid blocks never fail, and the run form takes any stack of them.
+        assert len(hops) == len(blocks) and not declined
+        for chain, hop in zip(chains, hops):
+            chain.append(hop)
+        if not last:
+            stack = np.array(results)
+    return chains
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    block_size=st.sampled_from([32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_kernel_matches_stepped(data, block_size, seed):
+    """A stack of 1-40 blocks of mixed fixed lengths (zero blocks
+    included) through the run kernel: every row equals its own block's
+    stepped chain, hop by hop."""
+    planned = data.draw(st.integers(0, 21), label="planned bits")
+    stages = compression_substages(planned, block_size)
+    groups = data.draw(_groups(stages), label="groups")
+    fls = data.draw(
+        st.lists(st.integers(0, 20), min_size=1, max_size=40),
+        label="fixed lengths",
+    )
+    blocks = [_block(block_size, fl, seed + i) for i, fl in enumerate(fls)]
+    plan = _compress_plan(block_size, planned)
+    stepped = [
+        _compress_chain(_make_stepped_group, groups, values, plan)
+        for values in blocks
+    ]
+    assert _run_chain(groups, blocks, plan) == stepped
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,6 +434,54 @@ def test_corrupt_count_word_fails_like_stepped(word, name, value):
     assert fused == stepped
     assert stepped[0] == "error" and f"invalid {name}" in stepped[1]
     assert stepped[2:] == (0, [])
+
+
+@pytest.mark.parametrize("row", [0, 1, 6])
+@pytest.mark.parametrize(
+    "word, value",
+    [(0, 2.5), (0, np.nan), (0, 0.0), (0, 2.0), (0, 6.0), (0, 7.0),
+     (2, 2.5), (3, np.nan), (3, _flip(-1.0, 62)), (3, 1.0), (4, 0.0)],
+)
+@pytest.mark.parametrize("last", [True, False])
+@pytest.mark.parametrize("split", [2, 7])
+def test_corrupt_row_fails_the_run_like_stepped(split, last, word, value, row):
+    """A run of seven states (fixed lengths 0-12) with one corrupt phase,
+    count or bits word: the run form declines exactly when a row fails a
+    check, the rows before it commit as their stepped hops do, and the
+    corrupt row fails (or, with a word still legal for the group,
+    forwards or stores) as its stepped hop does. A legal but wrong fl or
+    bits word leaves that row's planes out of line with the others'.
+    ``split`` 2 makes the second group start at Lorenzo; 7 makes it a
+    shuffle-only group; ``last`` makes it the tail (records) or three
+    sub-stages that forward their state."""
+    stages = compression_substages(8, 32)
+    head = tuple(stages[:split])
+    group = tuple(stages[split:] if last else stages[split : split + 3])
+    plan = _compress_plan(32, 8)
+    vecs = [
+        _outcome(
+            _compress_hop, _make_stepped_group, head, _block(32, fl, fl),
+            True, False, plan,
+        )[1]
+        for fl in (0, 1, 3, 5, 8, 12, 2)
+    ]
+    vecs[row][word] = value
+    hops, _, declined = _run_hop(group, np.array(vecs), False, last, plan)
+    stepped = [
+        _outcome(
+            _compress_hop, _make_stepped_group, group, vec.copy(), False,
+            last, plan,
+        )[0]
+        for vec in vecs
+    ]
+    failed = [hop[0] == "error" for hop in stepped]
+    expected = stepped[: failed.index(True) + 1] if any(failed) else stepped
+    assert hops == expected
+    # A block that cannot finalize fails in its commit, after its charges,
+    # as the one-block path does; a failed check declines the run, and so
+    # may a wrong bits word that puts a row's new planes out of line.
+    checked = any(failed) and "finalize" not in expected[-1][1]
+    assert declined == checked or word == 4
 
 
 def test_non_contiguous_group_is_rejected_at_lowering():

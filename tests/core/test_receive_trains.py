@@ -1,0 +1,469 @@
+"""Receive trains: Algorithm 1's stage loop against its queued oracle.
+
+A stage PE's receive, group kernel and re-arm is one engine primitive
+(``mov32(mem1d, fabin, on_complete=go, count=k)``). A ready PE takes whole
+runs of handed or fed blocks (committing a row-vectorized kernel's run
+block by block); every other block, and every run with a fault injector,
+takes the queued path — the events a re-arming receive task would cost.
+Under the never-firing fault plan every per-PE result must therefore equal
+the clean run: only the engine's event count may differ. The queued path
+itself is checked against the re-arming receive task it replaces, on a
+hand-built stage.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.lower import host_block_records
+from repro.core.plan import (
+    plan_pipeline,
+    plan_pipeline_decompress,
+    plan_row_parallel,
+    plan_row_parallel_decompress,
+)
+from repro.core.schedule import distribute_substages
+from repro.core.stages import compression_substages, decompression_substages
+from repro.errors import TaskError
+from repro.obs.tracing import Tracer
+from repro.wse.color import ColorAllocator
+from repro.wse.dsd import FabinDsd, Mem1dDsd
+from repro.wse.engine import Engine
+from repro.wse.fabric import Fabric
+from repro.wse.pe import Task
+from repro.wse.wavelet import Direction
+from tests.core.test_relay_trains import EPS, NEVER, _plan as _relay_plan
+from tests.core.test_relay_trains import _run
+
+
+def _blocks(n: int, block_size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, block_size)).cumsum(axis=1)
+
+
+def _pipeline(blocks, rows, cols, length, *, decode=False):
+    """Algorithm 1 pipelines over ``blocks``, compressing or decoding their
+    wafer records."""
+    n, block_size = blocks.shape
+    if not decode:
+        dist = distribute_substages(
+            compression_substages(8, block_size), length
+        )
+        return plan_pipeline(blocks, EPS, dist, rows=rows, cols=cols)
+    records = host_block_records(blocks, EPS, range(n))
+    body = b"".join(records[i] for i in range(n))
+    max_fl = max(int.from_bytes(r[:4], "little") for r in records.values())
+    dist = distribute_substages(
+        decompression_substages(max_fl, block_size), length
+    )
+    return plan_pipeline_decompress(
+        body, n, EPS, dist, rows=rows, cols=cols, block_size=block_size
+    )
+
+
+def _rows(blocks, rows, *, decode=False):
+    n, block_size = blocks.shape
+    if not decode:
+        return plan_row_parallel(blocks, EPS, rows=rows, cols=1)
+    records = host_block_records(blocks, EPS, range(n))
+    body = b"".join(records[i] for i in range(n))
+    return plan_row_parallel_decompress(
+        body, n, EPS, rows=rows, cols=1, block_size=block_size
+    )
+
+
+def _same(make_plan, *, sample_every: int = 1):
+    """The clean run equals the never-firing-fault run; returns both event
+    counts."""
+    clean, clean_events = _run(make_plan(), sample_every=sample_every)
+    queued, queued_events = _run(make_plan(), NEVER, sample_every=sample_every)
+    assert clean == queued
+    return clean_events, queued_events
+
+
+#: (rows, cols, pipeline length) of the pipeline meshes.
+PIPELINES = [(1, 4, 4), (2, 3, 3), (2, 8, 8), (3, 6, 3)]
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("block_size", [32, 64])
+@pytest.mark.parametrize("per_row", [1, 2, 7])
+@pytest.mark.parametrize("mesh", PIPELINES)
+@pytest.mark.parametrize("decode", [False, True])
+def test_pipelines_match_the_queued_oracle(
+    decode, mesh, per_row, block_size, sample_every
+):
+    rows, cols, length = mesh
+    # One block short of full rounds leaves the last row a block short.
+    blocks = _blocks(rows * per_row - (rows > 1), block_size, per_row + cols)
+    clean, queued = _same(
+        lambda: _pipeline(blocks, rows, cols, length, decode=decode),
+        sample_every=sample_every,
+    )
+    if per_row > 1:
+        assert clean < queued
+    else:  # a PE with one block posts a single receive, no train
+        assert clean == queued
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("block_size", [32, 64])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("decode", [False, True])
+def test_rows_match_the_queued_oracle(decode, rows, block_size, sample_every):
+    blocks = _blocks(4 * rows + 1, block_size, rows)
+    clean, queued = _same(
+        lambda: _rows(blocks, rows, decode=decode), sample_every=sample_every
+    )
+    if decode:
+        # The decode head's two-phase header/body receive keeps its tasks.
+        assert clean == queued
+    else:
+        assert clean < queued
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("rounds", [1, 3])
+@pytest.mark.parametrize("mesh", ["multi", "staged", "staged-3"])
+def test_relay_plans_match_the_queued_oracle(mesh, rounds, sample_every):
+    """Multi and staged plans post no receive train (their stage PEs keep a
+    relay duty) and still match their oracle."""
+    _same(lambda: _relay_plan(mesh, rounds, 32), sample_every=sample_every)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    decode=st.booleans(),
+    rows=st.integers(1, 3),
+    length=st.integers(2, 6),
+    extra_cols=st.integers(0, 2),
+    n=st.integers(1, 40),
+    block_size=st.sampled_from([32, 64]),
+    seed=st.integers(0, 2**16),
+)
+def test_random_pipelines_match_the_queued_oracle(
+    decode, rows, length, extra_cols, n, block_size, seed
+):
+    blocks = _blocks(n, block_size, seed)
+    clean, queued = _same(
+        lambda: _pipeline(
+            blocks, rows, length + extra_cols, length, decode=decode
+        )
+    )
+    assert clean <= queued
+
+
+def test_wafer_pipeline_runs_whole_rows_in_one_event():
+    """A 16x16 L=8 pipeline (the wafer-pipeline shape) at 32 blocks per
+    row: each row's 32 edge feeds travel the 8 stage PEs as one run."""
+    blocks = _blocks(16 * 32, 32, 5)
+    clean, queued = _same(lambda: _pipeline(blocks, 16, 16, 8))
+    # 128 stage PEs x (activate + task) to post their trains, then one
+    # feed event per row. Queued, each block pays six events at each of the
+    # 8 PEs: deliver, match, activate and task for the go task, activate
+    # and task for the receive (the first block's is the posting task).
+    assert clean == 16 * 8 * 2 + 16
+    assert queued == 16 * 32 * 8 * 6
+
+
+# --- the primitive on hand-built chains -------------------------------------
+
+
+def _stage(blocks: int, *, counted: bool, spacing: float, post_at: float,
+           faults=None):
+    """Feed ``blocks`` 8-wavelet blocks, one every ``spacing`` cycles from
+    the west edge, into a stage PE whose go task spends 40 cycles and
+    forwards each block to a sink, halting after the last one.
+
+    ``counted`` posts one receive train at ``post_at``; otherwise the
+    receive task posts one receive and the go task re-activates it per
+    block, the pattern a receive train replaces (and the one lowered stage
+    PEs ran before it).
+    """
+    fabric = Fabric(1, 2)
+    tracer = Tracer(level="timeline")
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    colors = ColorAllocator()
+    c_x, c_y, c_go, c_sink, c_got = (
+        colors.allocate(n) for n in ("x", "y", "go", "sink", "got")
+    )
+    fabric.set_route(0, 0, c_x, Direction.WEST, Direction.RAMP)
+    fabric.route_row_segment(0, 0, 1, c_y)
+    stage, sink = fabric.pe(0, 0), fabric.pe(0, 1)
+    stage.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+    sink.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+    box = {"done": 0, "got": []}
+
+    def recv(ctx):
+        ctx.mov32(
+            Mem1dDsd("in"), FabinDsd(c_x, extent=8), on_complete=c_go,
+            count=blocks if counted else 1,
+        )
+
+    def compute(ctx):
+        ctx.spend(40)
+        ctx.send(c_y, ctx.buffer("in").copy())
+        box["done"] += 1
+        if box["done"] == blocks:
+            ctx.halt()
+        elif not counted:
+            ctx.activate(c_x)
+
+    def sink_recv(ctx):
+        ctx.mov32(Mem1dDsd("in"), FabinDsd(c_y, extent=8), on_complete=c_got)
+
+    def got(ctx):
+        box["got"].append(int(ctx.buffer("in")[0]))
+        if len(box["got"]) < blocks:
+            ctx.activate(c_sink)
+
+    stage.bind_task(c_x, Task("recv", recv))
+    stage.bind_task(c_go, Task("compute", compute))
+    sink.bind_task(c_sink, Task("recv", sink_recv))
+    sink.bind_task(c_got, Task("got", got))
+    engine.schedule_activation(stage, c_x.id, post_at)
+    engine.schedule_activation(sink, c_sink.id, 0.0)
+    for i in range(blocks):
+        engine.inject(
+            0, 0, c_x, np.full(8, i, dtype=np.float32), at=spacing * i
+        )
+    report = engine.run()
+    timeline: dict = {}
+    for e in tracer.pe_events:  # recording order within each PE
+        timeline.setdefault((e.row, e.col), []).append(
+            (e.name, e.start_cycles, e.dur_cycles)
+        )
+    return (
+        box["got"],
+        report.makespan_cycles,
+        report.tasks_run,
+        [(t.row, t.col, t.compute_cycles, t.relay_cycles, t.tasks_run,
+          t.finished_at)
+         for t in report.trace.traces],
+        timeline,
+        [pe.max_inbox_depth for pe in fabric],
+    ), report.events_processed
+
+
+class TestReceiveTrainReplaysARearmingReceive:
+    @pytest.mark.parametrize("post_at", [0.0, 20.0])
+    @pytest.mark.parametrize("spacing", [8.0, 64.0])
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    def test_train_replays_a_rearming_recv_task(
+        self, blocks, spacing, post_at
+    ):
+        """Clean and under the never-firing fault plan, the counted receive
+        charges exactly what the re-arming receive task did: order, tasks,
+        per-PE traces, timelines and inbox depths. Blocks 8 cycles apart
+        back up behind the 40-cycle go task; 64 apart, the stage idles
+        between them; posted at cycle 20, the first blocks wait for the
+        train in the inbox."""
+        runs = {
+            (counted, faults is None): _stage(
+                blocks, counted=counted, spacing=spacing, post_at=post_at,
+                faults=faults,
+            )
+            for counted in (True, False)
+            for faults in (None, NEVER)
+        }
+        rearming, rearming_events = runs[(False, True)]
+        assert rearming[0] == list(range(blocks))
+        for result, _ in runs.values():
+            assert result == rearming
+        assert runs[(True, False)][1] == rearming_events  # queued = re-armed
+        counted_events = runs[(True, True)][1]
+        if blocks > 1 and (post_at == 0.0 or spacing == 64.0):
+            # The train is ready for a block of the feed and takes the rest
+            # of it in that dispatch.
+            assert counted_events < rearming_events
+        else:
+            # One block posts a single receive, no train. Blocks 8 cycles
+            # apart reaching a train posted at cycle 20 each wait in the
+            # inbox or behind a busy go task: every one is queued.
+            assert counted_events == rearming_events
+
+
+def _train(case: str, *, faults=None):
+    """PE M takes 8-wavelet blocks on color x with a receive train; its go
+    task spends 40 cycles and forwards each block to a sink on color y.
+
+    ``"two-producers"``: PEs A and B both send x into M, which accepts it
+    from the west and the east (a 2x3 mesh; the sink is below M). A sends
+    later than B in cycles but earlier in event order.
+    ``"in-flight"``: P sends block 1 before M posts its train and blocks 2
+    and 3 after (a 1x3 mesh), so block 1 is still on its way when they are
+    sent, and both arrive while M forwards block 1 (its inbox backs up to
+    two). ``"busy"``: as ``"in-flight"``, but M also holds a receive on
+    another color that never matches, so it is never quiet. ``"burst"``:
+    one task on P sends all three blocks after M posts its train, so M
+    takes them as one handed run, and M's go task also activates a side
+    task: the PE is no longer quiet after the first block, so its re-post
+    queues and the rest of the run is delivered. ``"cross"``: M takes block
+    1 as a handed run and re-posts its receive inline at the go task's end;
+    meanwhile PE Q (below M) sends M a block on a color M never receives,
+    which is on its way when P sends blocks 2 and 3, so they get deliver
+    events and block 2 is matched before that re-post's cycle. Returns the
+    blocks in the order the sink got them and the run's per-PE results.
+    """
+    two, cross = case == "two-producers", case == "cross"
+    fabric = Fabric(2, 3) if two or cross else Fabric(1, 3)
+    tracer = Tracer(level="timeline")
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    colors = ColorAllocator()
+    c_x, c_y, c_z, c_go, c_later, c_last, c_got, c_m, c_idle, c_side = (
+        colors.allocate(n)
+        for n in (
+            "x", "y", "z", "go", "later", "last", "got", "m", "idle", "side"
+        )
+    )
+    m = fabric.pe(0, 1)
+    sink = fabric.pe(1, 1) if two else fabric.pe(0, 2)
+    if two:
+        fabric.set_route(0, 0, c_x, Direction.RAMP, Direction.EAST)
+        fabric.set_route(0, 2, c_x, Direction.RAMP, Direction.WEST)
+        fabric.set_route(
+            0, 1, c_x, (Direction.WEST, Direction.EAST), Direction.RAMP
+        )
+        fabric.set_route(0, 1, c_y, Direction.RAMP, Direction.SOUTH)
+        fabric.set_route(1, 1, c_y, Direction.NORTH, Direction.RAMP)
+        m_at = 0.0
+        senders = [(fabric.pe(0, 0), c_go, 0.0, 20, (1.0,)),
+                   (fabric.pe(0, 2), c_go, 5.0, 0, (2.0,))]
+    else:
+        fabric.route_row_segment(0, 0, 1, c_x)
+        fabric.route_row_segment(0, 1, 2, c_y)
+        m_at = 2.0
+        senders = [(fabric.pe(0, 0), c_go, 0.0, 0, (1.0,)),
+                   (fabric.pe(0, 0), c_later, 4.0, 0, (2.0,)),
+                   (fabric.pe(0, 0), c_last, 5.0, 0, (3.0,))]
+        if cross:
+            fabric.set_route(1, 1, c_z, Direction.RAMP, Direction.NORTH)
+            fabric.set_route(0, 1, c_z, Direction.SOUTH, Direction.RAMP)
+            q = fabric.pe(1, 1)
+            q.bind_task(
+                c_go, Task("other", lambda ctx: ctx.send(c_z, np.zeros(1)))
+            )
+            engine.schedule_activation(q, c_go.id, 10.0)
+            m_at = 0.0
+            senders = [(fabric.pe(0, 0), c_go, 0.0, 0, (1.0,)),
+                       (fabric.pe(0, 0), c_later, 12.0, 0, (2.0,)),
+                       (fabric.pe(0, 0), c_last, 13.0, 0, (3.0,))]
+        if case == "burst":
+            senders = [(fabric.pe(0, 0), c_go, 4.0, 8, (1.0, 2.0, 3.0))]
+    blocks = sum(len(values) for *_, values in senders)
+    m.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+    m.alloc_buffer("idle", np.zeros(1, dtype=np.float32))
+    sink.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+    got = []
+
+    def recv(ctx):
+        if case == "busy":
+            ctx.mov32(Mem1dDsd("idle"), FabinDsd(c_idle, extent=1))
+        ctx.mov32(
+            Mem1dDsd("in"), FabinDsd(c_x, extent=8), on_complete=c_m,
+            count=blocks,
+        )
+
+    def forward(ctx):
+        ctx.spend(40)
+        ctx.send(c_y, ctx.buffer("in").copy())
+        if case == "burst":
+            ctx.activate(c_side)
+
+    def sink_recv(ctx):
+        ctx.mov32(Mem1dDsd("in"), FabinDsd(c_y, extent=8), on_complete=c_got)
+
+    def record(ctx):
+        got.append(int(ctx.buffer("in")[0]))
+        if len(got) < blocks:
+            ctx.activate(c_go)
+
+    def sender(delay, values):
+        def send(ctx):
+            for value in values:
+                ctx.spend(delay)
+                ctx.send(c_x, np.full(8, value, dtype=np.float32))
+        return send
+
+    m.bind_task(c_x, Task("recv", recv))
+    m.bind_task(c_m, Task("forward", forward))
+    m.bind_task(c_side, Task("side", lambda ctx: ctx.spend(3)))
+    sink.bind_task(c_go, Task("recv", sink_recv))
+    sink.bind_task(c_got, Task("got", record))
+    engine.schedule_activation(m, c_x.id, m_at)
+    engine.schedule_activation(sink, c_go.id, 0.0)
+    for pe, color, at, delay, values in senders:
+        pe.bind_task(color, Task(f"send{values[0]:g}", sender(delay, values)))
+        engine.schedule_activation(pe, color.id, at)
+    report = engine.run(allow_pending=case == "busy")
+    return (
+        got,
+        report.makespan_cycles,
+        report.tasks_run,
+        [(t.row, t.col, t.compute_cycles, t.tasks_run, t.finished_at)
+         for t in report.trace.traces],
+        sorted(
+            (e.row, e.col, e.name, e.start_cycles, e.dur_cycles)
+            for e in tracer.pe_events
+        ),
+        [pe.max_inbox_depth for pe in fabric],
+    ), report.events_processed
+
+
+class TestReceiveTrainGuards:
+    def test_two_producers_hand_nothing_ahead(self):
+        clean, _ = _train("two-producers")
+        queued, _ = _train("two-producers", faults=NEVER)
+        assert clean == queued
+        assert clean[0] == [2, 1]  # arrival order, not send order
+
+    def test_a_block_in_flight_is_not_overtaken(self):
+        clean, _ = _train("in-flight")
+        queued, _ = _train("in-flight", faults=NEVER)
+        assert clean == queued
+        assert clean[0] == [1, 2, 3]
+        assert clean[5][1] == 2  # blocks 2 and 3 wait while M is busy
+
+    def test_a_block_taken_before_the_re_post_stays_in_the_inbox(self):
+        clean, clean_events = _train("cross")
+        queued, queued_events = _train("cross", faults=NEVER)
+        assert clean == queued
+        assert clean[0] == [1, 2, 3]
+        assert clean[5][1] == 2  # block 2 still counts when block 3 lands
+        assert clean_events < queued_events  # block 1 was handed
+
+    def test_busy_pe_takes_the_queued_step(self):
+        clean, clean_events = _train("busy")
+        queued, queued_events = _train("busy", faults=NEVER)
+        assert clean == queued
+        assert clean_events == queued_events
+
+    def test_a_go_task_that_leaves_work_queues_its_re_post(self):
+        clean, clean_events = _train("burst")
+        queued, queued_events = _train("burst", faults=NEVER)
+        assert clean == queued
+        assert clean[0] == [1, 2, 3]
+        assert clean_events < queued_events  # the run's first block only
+
+
+def test_a_receive_train_needs_an_on_complete():
+    """Its go task is the only thing that consumes each block (the
+    relay-only arguments are tested in tests/core/test_relay_trains.py)."""
+    fabric = Fabric(1, 1)
+    engine = Engine(fabric)
+    c_in = ColorAllocator().allocate("in")
+    pe = fabric.pe(0, 0)
+    pe.alloc_buffer("b", np.zeros(4, dtype=np.float32))
+    pe.bind_task(
+        c_in,
+        Task(
+            "recv",
+            lambda ctx: ctx.mov32(
+                Mem1dDsd("b"), FabinDsd(c_in, extent=4), count=2
+            ),
+        ),
+    )
+    engine.schedule_activation(pe, c_in.id, 0.0)
+    with pytest.raises(TaskError, match="needs an on_complete"):
+        engine.run()

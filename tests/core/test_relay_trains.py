@@ -64,6 +64,13 @@ def _plan(mesh: str, rounds: int, block_size: int):
     return plan_staged_multi_pipeline(blocks, EPS, dist, rows=rows, cols=cols)
 
 
+def _output(outputs, plan) -> bytes:
+    """Stream bytes of a compress plan, decoded value bits of a decode plan."""
+    if plan.direction == "compress":
+        return outputs.stream(plan.num_blocks)
+    return outputs.assemble(plan.num_blocks, plan.block_size).tobytes()
+
+
 def _run(plan, faults=None, sample_every: int = 1, model=PAPER_CYCLE_MODEL):
     fabric = Fabric(plan.rows, plan.cols)
     tracer = Tracer(level="timeline", sample_every=sample_every)
@@ -81,7 +88,7 @@ def _run(plan, faults=None, sample_every: int = 1, model=PAPER_CYCLE_MODEL):
         if ev["ph"] == "X"
     ]
     return {
-        "stream": lowered.outputs.stream(plan.num_blocks),
+        "stream": _output(lowered.outputs, plan),
         "makespan": report.makespan_cycles,
         "tasks": report.tasks_run,
         "traces": [
@@ -296,23 +303,30 @@ class TestCountedRelay:
         assert counted_events == stepped_events
 
     def test_count_is_for_relays_only(self):
-        fabric = Fabric(1, 1)
-        engine = Engine(fabric)
-        c_go = ColorAllocator().allocate("go")
-        pe = fabric.pe(0, 0)
-        pe.alloc_buffer("b", np.zeros(4, dtype=np.float32))
-        pe.bind_task(
-            c_go,
-            Task(
-                "recv",
-                lambda ctx: ctx.mov32(
-                    Mem1dDsd("b"), FabinDsd(c_go, extent=4), count=2
-                ),
-            ),
+        """``count=`` also makes a receive a train (tests/core/
+        test_receive_trains.py), so what stays relay-only is narrower: a
+        counted send, and ``overhead``/``counters`` on a receive."""
+        counted_send = lambda ctx, c_in, c_done: ctx.mov32(  # noqa: E731
+            FaboutDsd(c_in, extent=4), Mem1dDsd("b"), count=2
         )
-        engine.schedule_activation(pe, c_go.id, 0.0)
-        with pytest.raises(TaskError, match="only to relays"):
-            engine.run()
+        receive_overhead = lambda ctx, c_in, c_done: ctx.mov32(  # noqa: E731
+            Mem1dDsd("b"), FabinDsd(c_in, extent=4), on_complete=c_done,
+            count=2, overhead=3,
+        )
+        for post in (counted_send, receive_overhead):
+            fabric = Fabric(1, 1)
+            engine = Engine(fabric)
+            colors = ColorAllocator()
+            c_go, c_done = colors.allocate("go"), colors.allocate("done")
+            pe = fabric.pe(0, 0)
+            pe.alloc_buffer("b", np.zeros(4, dtype=np.float32))
+            pe.bind_task(
+                c_go, Task("recv", lambda ctx: post(ctx, c_go, c_done))
+            )
+            pe.bind_task(c_done, Task("done", lambda ctx: None))
+            engine.schedule_activation(pe, c_go.id, 0.0)
+            with pytest.raises(TaskError, match="only to relays"):
+                engine.run()
 
     def test_train_needs_a_task_on_its_fabin_color(self):
         fabric = Fabric(1, 2)

@@ -46,14 +46,31 @@ EPS = 0.01
 #: 122: a ready train takes handed and fed blocks without their deliver
 #: events. Staged stays at 214 because its PEs that relay more than one
 #: block per train are never quiet.
+#:
+#: Receive trains took rows 78 -> 9 and pipeline 234 -> 14: every compute
+#: or stage PE posts one train (an activate and a task event), then each
+#: row's ready first PE takes its whole edge feed in one feed event and
+#: hands the run down its pipeline (3 rows x 2 + 3; 6 PEs x 2 + 2 rows).
+#: Pipeline decode 286 -> 138: its head keeps the two-phase header/body
+#: receive per block, and its two stage PEs per row take each handed state
+#: inline (13 blocks x 2 PEs x 6 events saved, their 4 x 2 posting events
+#: added). Rows decode has no train (its head decodes whole blocks through
+#: the two-phase receive) and stays at 130; multi and staged post none.
 EXACT_EVENTS = {
-    "rows": 78,
-    "pipeline": 234,
+    "rows": 9,
+    "pipeline": 14,
     "multi": 122,
     "staged": 214,
     "rows-decompress": 130,
-    "pipeline-decompress": 286,
+    "pipeline-decompress": 138,
 }
+
+#: A wafer-pipeline-shaped plan (2x16, L=8, 64 blocks): compress is 16
+#: posting activations and tasks plus one feed event per row; decode pays
+#: the head's ten events per block (header and body feed, match, activate
+#: and task each, then the re-arm's activate and task) plus the 14 stage
+#: PEs' posting events. Per-block stage events would add 6 per block-stage.
+WAFER_PIPELINE_EVENTS = {"compress": 34, "decompress": 668}
 
 
 def _blocks(num_blocks: int, seed: int = 11) -> np.ndarray:
@@ -223,6 +240,22 @@ class TestExecutionModeEquivalence:
     def test_exact_event_count(self, strategy):
         run = simulate_plan(_plan(strategy, _blocks(13)))
         assert run.report.events_processed == EXACT_EVENTS[strategy]
+
+
+@pytest.mark.parametrize("direction", ["compress", "decompress"])
+def test_wafer_pipeline_event_count(direction):
+    blocks = _blocks(64)
+    if direction == "compress":
+        dist = distribute_substages(compression_substages(8, BLOCK_SIZE), 8)
+        plan = plan_pipeline(blocks, EPS, dist, rows=2, cols=16)
+    else:
+        records = host_block_records(blocks, EPS, range(64))
+        body = b"".join(records[i] for i in range(64))
+        max_fl = max(int.from_bytes(r[:4], "little") for r in records.values())
+        dist = distribute_substages(decompression_substages(max_fl), 8)
+        plan = plan_pipeline_decompress(body, 64, EPS, dist, rows=2, cols=16)
+    run = simulate_plan(plan)
+    assert run.report.events_processed == WAFER_PIPELINE_EVENTS[direction]
 
 
 class TestRowPartitioning:

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.harness import figures
 from repro.harness.figures import (
+    DEFAULT_FIELD_LIMITS,
     fig7_row_scaling,
     fig10_relay_and_execution,
+    fig11_compression_throughput,
+    fig11_fig12_throughput,
+    fig12_decompression_throughput,
     fig13_pipeline_lengths,
     fig14_wse_sizes,
     fig14_wse_sizes_simulated,
+    iter_fields,
+    measure_workload,
 )
 from repro.wse.cost import PAPER_CYCLE_MODEL
 
@@ -121,6 +128,28 @@ class TestFigs11And12:
         }
         for dataset in ("QMCPack", "HACC"):
             assert c[(dataset, 1e-2)] > c[(dataset, 1e-4)]
+
+
+def test_figs_11_and_12_measure_each_field_once(monkeypatch):
+    """The shared pass measures every field x bound once and gives the
+    bars Fig 11 and Fig 12 give computed alone."""
+    narrow = {"datasets": ("QMCPack",), "rel_bounds": (1e-2, 1e-4)}
+    calls = []
+
+    def counted(arr, eps):
+        calls.append(eps)
+        return measure_workload(arr, eps)
+
+    monkeypatch.setattr(figures, "measure_workload", counted)
+    fig11, fig12 = fig11_fig12_throughput(**narrow)
+    shared = len(calls)
+    assert fig11 == fig11_compression_throughput(**narrow)
+    assert fig12 == fig12_decompression_throughput(**narrow)
+    assert len(calls) == 3 * shared  # each figure alone measures as much
+    fields = sum(1 for _ in iter_fields(
+        "QMCPack", limit=DEFAULT_FIELD_LIMITS.get("QMCPack")
+    ))
+    assert shared == fields * 2
 
 
 class TestFig13:

@@ -15,22 +15,25 @@ from repro.harness.tables import (
 
 
 class TestTable1:
-    def test_rows_cover_profiled_datasets(self):
-        rows = table1_stage_cycles()
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return table1_stage_cycles()
+
+    def test_rows_cover_profiled_datasets(self, rows):
         assert [r.dataset for r in rows] == ["CESM-ATM", "HACC", "QMCPack"]
 
-    def test_prequant_within_paper_band(self):
-        for row in table1_stage_cycles():
+    def test_prequant_within_paper_band(self, rows):
+        for row in rows:
             paper_pq = row.paper[0]
             assert row.prequant == pytest.approx(paper_pq, rel=0.03)
 
-    def test_lorenzo_exact(self):
-        for row in table1_stage_cycles():
+    def test_lorenzo_exact(self, rows):
+        for row in rows:
             assert row.lorenzo == pytest.approx(975)
 
-    def test_encode_dominates(self):
+    def test_encode_dominates(self, rows):
         """Table 1's key observation: encoding is the heavy step."""
-        for row in table1_stage_cycles():
+        for row in rows:
             assert row.fl_encode > row.prequant > row.lorenzo
 
 
@@ -52,24 +55,26 @@ class TestTable2:
 
 
 class TestTable3:
-    def test_split_sums_to_encode(self):
-        for row in table3_encoding_breakdown():
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return table3_encoding_breakdown()
+
+    def test_split_sums_to_encode(self, rows):
+        for row in rows:
             total = row.sign + row.max + row.get_length + row.bit_shuffle
             assert total == pytest.approx(row.fl_encode)
 
-    def test_bitshuffle_dominates(self):
-        for row in table3_encoding_breakdown():
+    def test_bitshuffle_dominates(self, rows):
+        for row in rows:
             assert row.bit_shuffle > 0.8 * row.fl_encode
 
-    def test_fixed_stages_stable_across_datasets(self):
-        rows = table3_encoding_breakdown()
+    def test_fixed_stages_stable_across_datasets(self, rows):
         assert len({r.sign for r in rows}) == 1
         assert len({r.max for r in rows}) == 1
         assert len({r.get_length for r in rows}) == 1
 
-    def test_bitshuffle_proportional_to_fl(self):
+    def test_bitshuffle_proportional_to_fl(self, rows):
         """Table 3's observation: ~uniform overhead per effective bit."""
-        rows = table3_encoding_breakdown()
         per_bit = {r.bit_shuffle / r.fixed_length for r in rows}
         assert max(per_bit) - min(per_bit) < 1e-6
 
