@@ -35,9 +35,11 @@ Likewise every PE whose only duty is a loop of receive and compute (the
 rows strategy's ComputeNode, pipeline StageNodes in both directions)
 posts one receive train, ``mov32(buffer, fabin, on_complete=go,
 count=k)``, and its go task no longer re-arms: the engine re-posts the
-receive after each block ("Receive trains"). Staged StageNodes (which
-also relay raw blocks), RelayNodes and the decode HeaderNode keep their
-re-arming tasks.
+receive after each block ("Receive trains"). The decode HeaderNode's
+two-phase header/body receive is a record train (``body=`` the body
+completion color): the engine re-posts its header receive after each
+record. Staged StageNodes (which also relay raw blocks) and RelayNodes
+keep their re-arming tasks.
 
 Instrumentation: every lowered node counts blocks relayed, wavelets sent,
 blocks emitted, and busy cycles per sub-stage into its
@@ -58,17 +60,16 @@ Fused kernels: no node steps the per-sub-stage state machine by default.
   ``from_array``, runs the group's contiguous sub-stage run in a few
   vectorized operations, and writes the outgoing state vector directly in
   the wire layout.
-* The compression group kernel is row-vectorized: it computes over an
+* Both group kernels are row-vectorized: each computes over an
   ``m x state_len`` stack of received blocks (all of the above, row by
-  row, in one set of numpy calls) and returns one commit per block, which
-  charges, counts and forwards or stores that block. The one-block task
-  body is the one-row call; a ready receive train hands the kernel its
-  whole run (the task's run form, :attr:`repro.wse.pe.Task.run`) and
-  commits each block at that block's own cycles. A stack with a row that
-  fails a header or phase check is declined, and the engine takes that
-  run block by block, so the error is raised at the same block. The decode
-  group kernel stays one block a call: the decode head receives per
-  block, so its stage trains only ever take runs of one.
+  row, in one set of numpy calls; the decode head's over a stack of
+  records) and returns one commit per block, which charges, counts and
+  forwards or stores that block. The one-block task body is the one-row
+  call; a ready receive train hands the kernel its whole run (the task's
+  run form, :attr:`repro.wse.pe.Task.run`) and commits each block at that
+  block's own cycles. A stack with a row that fails a header or phase
+  check is declined, and the engine takes that run block by block, so the
+  error is raised at the same block.
 * Whole-block decode (the rows decompression HeaderNode) looks its
   accounting up per fixed length.
 
@@ -117,6 +118,7 @@ from repro.core.mapping_decompress import (
     DecompressState,
     decode_block_from_words,
     decode_state_header,
+    decode_state_headers,
     finalize_decompressed,
     run_decompress_substage,
 )
@@ -471,7 +473,6 @@ def _split_group(
 
 def _make_emit(
     out_color: Color | None,
-    rearm_color: Color | None,
     halts: bool,
     my: list[int],
     box: dict,
@@ -484,9 +485,7 @@ def _make_emit(
 
     ``store`` is the outputs' record or decoded-block dict. Forwarded
     states are always ``state_len`` float64 vectors. With ``halts`` the
-    task halts after its last block; before that, a ``rearm_color`` (the
-    decode head's two-phase receive) re-arms its receive. A receive
-    train's go task needs no re-arm: the engine re-posts the receive.
+    task halts after its last block.
     """
     forward = model.forward_block_cycles(plan.block_size)
     wavelets = wavelet_count(np.zeros(plan.state_len, dtype=np.float64))
@@ -501,10 +500,7 @@ def _make_emit(
             ctx.spend(forward)
             ctx.send(out_color, result)
             nc.wavelets_sent += wavelets
-        if box["done"] < len(my):
-            if rearm_color is not None:
-                ctx.activate(rearm_color)
-        elif halts:
+        if halts and box["done"] == len(my):
             ctx.halt()
 
     return emit
@@ -559,7 +555,7 @@ def _make_stepped_group(
     block_size = plan.block_size
     state_len = plan.state_len
     emit = _make_emit(
-        out_color, None, halts, my, box, plan, model, outputs.records, nc
+        out_color, halts, my, box, plan, model, outputs.records, nc
     )
 
     def run_group(ctx: TaskContext) -> None:
@@ -638,7 +634,7 @@ def _make_fused_group(
     dispatch = model.task_dispatch
     shifts = np.array(ks, dtype=np.int64)[:, None]
     emit = _make_emit(
-        out_color, None, halts, my, box, plan, model, outputs.records, nc
+        out_color, halts, my, box, plan, model, outputs.records, nc
     )
 
     @functools.cache
@@ -1047,8 +1043,8 @@ def _lower_stage(
 
 def _make_decompress_process(
     group,
+    first: bool,
     out_color: Color | None,
-    rearm_color: Color | None,
     my: list[int],
     box: dict,
     plan: MappingPlan,
@@ -1059,15 +1055,15 @@ def _make_decompress_process(
     """One reverse stage group stepped through the state machine.
 
     The fused decode kernel's oracle: ``process(ctx, state)`` runs a
-    :class:`DecompressState`, then emits the block or forwards the state,
-    re-arms ``rearm_color`` (None: a receive train's go task) and halts
-    after the last block.
+    :class:`DecompressState`, then emits the block or forwards the state
+    and halts after the last block. Returns ``process`` and no run form
+    (a receive train takes its runs block by block through it); ``first``
+    is unused, as the caller builds the state.
     """
     eps = plan.eps
     state_len = plan.state_len
     emit = _make_emit(
-        out_color, rearm_color, True, my, box, plan, model, outputs.blocks,
-        nc,
+        out_color, True, my, box, plan, model, outputs.blocks, nc
     )
 
     def process(ctx: TaskContext, state: DecompressState) -> None:
@@ -1094,7 +1090,7 @@ def _make_decompress_process(
         else:
             emit(ctx, _padded(state.to_array(), state_len))
 
-    return process
+    return process, None
 
 
 _NO_WORDS = np.zeros(0, dtype=np.uint32)
@@ -1147,8 +1143,8 @@ def _wire_entry(arr: np.ndarray):
 
 def _make_fused_decode(
     group,
+    first: bool,
     out_color: Color | None,
-    rearm_color: Color | None,
     my: list[int],
     box: dict,
     plan: MappingPlan,
@@ -1156,35 +1152,49 @@ def _make_fused_decode(
     outputs: DecompressOutputs,
     nc: NodeCounters,
 ):
-    """One reverse stage group as a single fused kernel (one block a call:
-    the decode head receives per block, so its stage trains only ever
-    take runs of one).
+    """One reverse stage group as a single fused, row-vectorized kernel.
 
-    ``process(ctx, entry)`` takes the tuple :func:`_record_entry` or
-    :func:`_wire_entry` builds and matches :func:`_make_decompress_process`
-    exactly. The group's control flow depends only on the entry phase and
-    the block's fixed length, so it is run once symbolically per (phase,
-    fl) — charges, dispatch skips and the phase-order error included — and
-    each block then applies the result: its live bit planes unpacked in
-    one call, the sign restore, prefix sum and de-quantization as whole
-    vectors, and the outgoing state written straight into a ``state_len``
-    vector in the ``DecompressState.to_array`` layout.
+    Same inputs, outputs and accounting as :func:`_make_decompress_process`,
+    for a stack of blocks at once. The group's control flow depends only
+    on a block's entry phase and fixed length, so it is run once
+    symbolically per (phase, fl) — charges, dispatch skips and the
+    phase-order error included. ``compute`` applies that to every row:
+    each live bit plane is added over all rows in bit order (the stepped
+    path's exact float64 sums; a plane at or past a row's fl adds nothing
+    to it), the sign restore, prefix sum and de-quantization run over the
+    whole stack, and the outgoing states are written straight into an
+    ``m x state_len`` matrix in the ``DecompressState.to_array`` layout.
+    It returns one commit per row, which replays the block's charges (one
+    ``ctx.spend``/``add_stages`` pair) and stores the values or forwards
+    the state.
+
+    Returns ``(process, run)``. ``process(ctx, entry)`` is the one-row call
+    on the tuple :func:`_record_entry` or :func:`_wire_entry` builds.
+    ``run(stack)`` is the run form of a receive train's go task
+    (:attr:`repro.wse.pe.Task.run`): the head (``first``) reads a record
+    train's stack (each row a record's fl, sign words and plane words), a
+    stage an ``m x state_len`` stack of states through
+    :func:`~repro.core.mapping_decompress.decode_state_headers`. It
+    declines a stack with a row that fails a header or phase check, so the
+    run goes block by block and raises the same ``CompressionError`` at the
+    same block.
     """
     _split_group(group, _DECODE_TAIL, "unshuffle_bit_", bits_first=True)
     two_eps = 2.0 * plan.eps
+    block_size = plan.block_size
     state_len = plan.state_len
     dispatch = model.task_dispatch
     emit = _make_emit(
-        out_color, rearm_color, True, my, box, plan, model, outputs.blocks,
-        nc,
+        out_color, True, my, box, plan, model, outputs.blocks, nc
     )
 
     @functools.cache
     def program(phase: str, fl: int):
-        """``(spend, items, error, lo, hi, sign, prefix, dequant, phase)``:
-        the charges up to the end (or the failing sub-stage), the stepped
-        path's CompressionError message or None, the live bits
-        ``lo..hi-1``, which whole-vector steps run, and the exit phase."""
+        """``(spend, items, error, lo, hi, sign, prefix, dequant, phase,
+        phase index)``: the charges up to the end (or the failing
+        sub-stage), the stepped path's CompressionError message or None,
+        the live bits ``lo..hi-1``, which whole-vector steps run, and the
+        exit phase."""
         items = []
         lo = hi = -1
         sign = prefix = dequant = False
@@ -1225,50 +1235,152 @@ def _make_fused_decode(
                 phase = "values"
             items.append((name, stage.cycles))
         return (
-            *_batched(items), error, lo, hi, sign, prefix, dequant, phase
+            *_batched(items), error, lo, hi, sign, prefix, dequant, phase,
+            DECODE_PHASES.index(phase),
         )
 
-    def process(ctx: TaskContext, entry) -> None:
-        phase, bs, fl, bits, values, signs, planes = entry
-        spend, items, error, lo, hi, sign, prefix, dequant, phase = program(
-            phase, fl
-        )
-        ctx.spend(spend)
-        nc.add_stages(items)
-        if error is not None:
-            raise CompressionError(error)
-        if hi > lo:
-            words = bs // 32
-            planes_bits = np.unpackbits(
-                planes[lo * words : hi * words]
-                .reshape(hi - lo, words)
-                .view(np.uint8),
+    def compute(phases, bs, fls, bits, values, signs, planes) -> list | None:
+        """Every row's commit, or None when a row fails its phase order.
+
+        ``values`` is ``m x bs`` float64, ``signs`` ``m x bs/8`` uint8 and
+        ``planes`` ``m x P`` uint32 with at least every row's ``fl``
+        planes (a row's words past them are not read).
+        """
+        programs = [program(p, f) for p, f in zip(phases, fls)]
+        (
+            spends, items, errors, los, his, signed, prefix, dequant, exits,
+            indices,
+        ) = zip(*programs)
+        if any(errors):
+            return None
+        m = len(programs)
+        words = bs // 32
+        top = max(his)
+        if top > 0:  # live bits lo..hi-1 per row
+            los, his = np.array(los), np.array(his)
+            base = int(los[his > los].min())
+            ks = np.arange(base, top)
+            live = (los[:, None] <= ks) & (ks < his[:, None])
+            everyone = live.all(axis=0)
+            unpacked = np.unpackbits(
+                planes[:, base * words : top * words]
+                .view(np.uint8)
+                .reshape(m, top - base, 4 * words),
                 axis=-1,
                 bitorder="little",
             )
             # One add per plane, in bit order: the stepped path's exact
-            # float64 accumulation.
-            for k, plane in zip(range(lo, hi), planes_bits):
-                values = values + plane * float(1 << k)
-            bits += hi - lo
-        if sign:
-            negs = np.unpackbits(signs, bitorder="little").astype(bool)
-            values = np.where(negs, -values, values)
-        if prefix:
-            values = np.cumsum(values.astype(np.int64)).astype(np.float64)
-        if dequant:
-            values = values * two_eps
-        if out_color is None:
-            if phase != "values":
-                raise CompressionError(
-                    f"block not fully decompressed (phase {phase!r})"
+            # float64 accumulation. Rows the plane is not live for keep
+            # their values untouched.
+            for j, k in enumerate(range(base, top)):
+                added = values + unpacked[:, j] * float(1 << k)
+                values = (
+                    added if everyone[j]
+                    else np.where(live[:, j, None], added, values)
                 )
-            emit(ctx, values.astype(np.float32))
-            return
-        header = (DECODE_PHASES.index(phase), bs, fl, bits)
-        emit(ctx, _wire_vector(state_len, header, (values, signs, planes)))
+            bits = np.add(bits, live.sum(axis=1))
+        if any(signed):
+            negs = np.unpackbits(signs, axis=-1, bitorder="little") == 1
+            if not all(signed):
+                negs &= np.array(signed)[:, None]
+            values = np.where(negs, -values, values)
+        # Rows that pass their phase order agree on the whole-stack steps.
+        if prefix[0]:
+            values = np.cumsum(values.astype(np.int64), axis=1).astype(
+                np.float64
+            )
+        if dequant[0]:
+            values = values * two_eps
+        at = 4 + bs + bs // 8
+        fit = at + max(fls) * words <= state_len  # every row's state fits
+        if out_color is None:
+            out = values.astype(np.float32)
+        elif fit or at <= state_len:
+            width = min(max(fls) * words, state_len - at)
+            wire = np.zeros((m, state_len))
+            wire[:, 0] = indices
+            wire[:, 1] = bs
+            wire[:, 2] = fls
+            wire[:, 3] = bits
+            wire[:, 4 : 4 + bs] = values
+            wire[:, 4 + bs : at] = signs
+            if width > 0:
+                kept = planes[:, :width]
+                if min(fls) * words < width:  # a row's planes end sooner
+                    kept = kept * (
+                        np.arange(width) < words * np.array(fls)[:, None]
+                    )
+                wire[:, at : at + width] = kept
 
-    return process
+        def commit(r: int, ctx: TaskContext) -> None:
+            ctx.spend(spends[r])
+            nc.add_stages(items[r])
+            if out_color is None:
+                if exits[r] != "values":
+                    raise CompressionError(
+                        f"block not fully decompressed (phase {exits[r]!r})"
+                    )
+                emit(ctx, out[r])
+            elif fit or at + fls[r] * words <= state_len:
+                emit(ctx, wire[r])
+            else:  # raises where the one-block wire write overflows
+                header = (indices[r], bs, fls[r], int(bits[r]))
+                _wire_vector(
+                    state_len,
+                    header,
+                    (values[r], signs[r], planes[r, : fls[r] * words]),
+                )
+
+        return [functools.partial(commit, r) for r in range(m)]
+
+    def process(ctx: TaskContext, entry) -> None:
+        phase, bs, fl, bits, values, signs, planes = entry
+        commits = compute(
+            [phase], bs, [fl], [bits], values[None], signs[None], planes[None]
+        )
+        if commits is None:  # the phase-order error, after its charges
+            spend, items, error = program(phase, fl)[:3]
+            ctx.spend(spend)
+            nc.add_stages(items)
+            raise CompressionError(error)
+        commits[0](ctx)
+
+    def run(stack: np.ndarray) -> list | None:
+        if first:
+            fls = stack[:, 0].tolist()
+            if min(fls) < 0:
+                return None
+            m = len(fls)
+            sign_words = block_size // 32
+            # Each row's sign and plane words; a header-only row has none.
+            words = np.zeros((m, sign_words * (1 + max(fls))), np.uint32)
+            used = min(words.shape[1], stack.shape[1] - 1)
+            words[:, :used] = stack[:, 1 : 1 + used]
+            return compute(
+                ["encoded" if fl else "signed" for fl in fls],
+                block_size,
+                fls,
+                [0] * m,
+                np.zeros((m, block_size)),
+                words[:, :sign_words].view(np.uint8),
+                words[:, sign_words:],
+            )
+        try:
+            phases, bs, fls, bits = decode_state_headers(stack)
+        except CompressionError:
+            return None
+        at = 4 + bs + bs // 8
+        return compute(
+            phases,
+            bs,
+            fls,
+            bits,
+            stack[:, 4 : 4 + bs],
+            stack[:, 4 + bs : at].astype(np.uint8),
+            stack[:, at : at + max(fls) * (bs // 32)].astype(np.uint32),
+        )
+
+    return process, run
 
 
 def _lower_header(
@@ -1282,7 +1394,15 @@ def _lower_header(
     nc: NodeCounters,
     fast_kernels: bool,
 ) -> None:
-    """Two-phase header/body receive, then whole-block decode or group 0."""
+    """Two-phase header/body receive, then whole-block decode or group 0.
+
+    The receive loop is one record train (see "Receive trains" in
+    :mod:`repro.wse.engine`): ``recv_header`` posts it once, ``on_header``
+    decodes a zero block or posts the record's body receive, ``on_body``
+    decodes the rest, and the engine re-posts the header receive after
+    each record. Stage group 0's run form decodes a ready train's whole
+    run of records at once.
+    """
     block_size = plan.block_size
     eps = plan.eps
     sign_words = block_size // 32
@@ -1291,6 +1411,7 @@ def _lower_header(
     c_body = cmap[node.body]
     my = list(node.blocks)
     box = {"done": 0}
+    run = None
 
     if node.group is None:
         zero_flag = model.zero_flag.cycles(block_size)
@@ -1325,9 +1446,7 @@ def _lower_header(
                 fl, words, eps, block_size
             )
             nc.blocks_emitted += 1
-            if box["done"] < len(my):
-                ctx.activate(c_in)
-            else:
+            if box["done"] == len(my):
                 ctx.halt()
 
     else:
@@ -1337,8 +1456,8 @@ def _lower_header(
             if fast_kernels
             else (_make_decompress_process, DecompressState.from_record)
         )
-        process = make(
-            node.group, c_send, c_in, my, box, plan, model, outputs, nc
+        process, run = make(
+            node.group, True, c_send, my, box, plan, model, outputs, nc
         )
 
         def decode_and_emit(
@@ -1348,8 +1467,13 @@ def _lower_header(
 
     hdr, fabin = Mem1dDsd("hdr"), FabinDsd(c_in, extent=1)
 
+    @functools.cache
+    def body_receive(fl: int) -> tuple[Mem1dDsd, FabinDsd]:
+        extent = sign_words * (1 + fl)
+        return Mem1dDsd("body", length=extent), FabinDsd(c_in, extent=extent)
+
     def recv_header(ctx: TaskContext) -> None:
-        ctx.mov32(hdr, fabin, on_complete=c_hdr)
+        ctx.mov32(hdr, fabin, on_complete=c_hdr, count=len(my), body=c_body)
 
     def on_header(ctx: TaskContext) -> None:
         fl = int(ctx.buffer("hdr")[0])
@@ -1357,11 +1481,8 @@ def _lower_header(
             # Zero block: no body follows; decode is trivial.
             decode_and_emit(ctx, 0, None)
         else:
-            ctx.mov32(
-                Mem1dDsd("body", length=sign_words * (1 + fl)),
-                FabinDsd(c_in, extent=sign_words * (1 + fl)),
-                on_complete=c_body,
-            )
+            body, src = body_receive(fl)
+            ctx.mov32(body, src, on_complete=c_body)
 
     def on_body(ctx: TaskContext) -> None:
         fl = int(ctx.buffer("hdr")[0])
@@ -1373,7 +1494,7 @@ def _lower_header(
         decode_and_emit(ctx, fl, words)
 
     pe.bind_task(c_in, Task("recv_header", recv_header))
-    pe.bind_task(c_hdr, Task("on_header", on_header))
+    pe.bind_task(c_hdr, Task("on_header", on_header, run))
     pe.bind_task(c_body, Task("on_body", on_body))
     if my:
         engine.schedule_activation(pe, c_in.id, 0.0)
@@ -1392,7 +1513,7 @@ def _lower_decompress_stage(
 ) -> None:
     """A non-head decompression pipeline PE: a receive train of states
     (see "Receive trains" in :mod:`repro.wse.engine`), each run through the
-    group."""
+    group (a ready train's whole run through its run form)."""
     c_recv = cmap[node.recv]
     c_go = cmap[node.go]
     c_send = cmap[node.send] if node.send is not None else None
@@ -1404,7 +1525,9 @@ def _lower_decompress_stage(
         if fast_kernels
         else (_make_decompress_process, DecompressState.from_array)
     )
-    process = make(node.group, c_send, None, my, box, plan, model, outputs, nc)
+    process, run = make(
+        node.group, False, c_send, my, box, plan, model, outputs, nc
+    )
 
     stage_in, fabin = Mem1dDsd("stage_in"), FabinDsd(c_recv, extent=state_len)
 
@@ -1415,6 +1538,6 @@ def _lower_decompress_stage(
         process(ctx, enter(ctx.buffer("stage_in")))
 
     pe.bind_task(c_recv, Task("recv_state", recv_state))
-    pe.bind_task(c_go, Task("on_state", on_state))
+    pe.bind_task(c_go, Task("on_state", on_state, run))
     if my:
         engine.schedule_activation(pe, c_recv.id, 0.0)

@@ -236,6 +236,48 @@ def decode_state_header(arr: np.ndarray) -> tuple[str, int, int, int]:
     return DECODE_PHASES[int(raw_phase)], block_size, fl, int(raw_bits)
 
 
+def decode_state_headers(
+    stack: np.ndarray,
+) -> tuple[list[str], int, list[int], list[int]]:
+    """:func:`decode_state_header` over every row of an ``m x n`` stack.
+
+    Returns ``(phases, block size, fls, bits_done)``, one list entry per
+    row: the decode twin of :func:`repro.core.mapping.state_headers`. The
+    checks run on column extremes: every word an integer
+    (``float.is_integer``: finite and equal to its floor), one block size,
+    each column's minimum and maximum in range, and the largest fl's
+    planes inside the stack. When a row fails, :func:`decode_state_header`
+    re-reads the rows in order and raises the first one's error; rows that
+    all pass alone but disagree on the block size raise too.
+    """
+    head = stack[:, :4]
+    if head.shape[1] == 4 and np.isfinite(head).all():
+        lo = head.min(axis=0).tolist()
+        hi = head.max(axis=0).tolist()
+        bs = lo[1]
+        if (
+            (np.floor(head) == head).all()
+            and lo[0] >= 0
+            and hi[0] < len(DECODE_PHASES)
+            and bs == hi[1]
+            and bs > 0
+            and bs % 32 == 0
+            and lo[2] >= 0
+            and lo[3] >= 0
+            and 4 + bs + bs // 8 + hi[2] * (bs // 32) <= stack.shape[1]
+        ):
+            phases, _, fls, bits = head.T.tolist()
+            return (
+                [DECODE_PHASES[int(p)] for p in phases],
+                int(bs),
+                [int(f) for f in fls],
+                [int(b) for b in bits],
+            )
+    for row in stack:
+        decode_state_header(row)  # raises the first bad row's error
+    raise CompressionError("decode state rows disagree on the block size")
+
+
 def run_decompress_substage(
     stage, state: DecompressState, eps: float
 ) -> DecompressState:

@@ -1331,14 +1331,24 @@ def plan_pipeline_decompress(
     rows: int,
     cols: int,
     block_size: int = BLOCK_SIZE,
+    records: list[tuple[np.ndarray, np.ndarray | None]] | None = None,
 ) -> MappingPlan:
-    """One decompression pipeline per row (Algorithm 1 over reverse stages)."""
+    """One decompression pipeline per row (Algorithm 1 over reverse stages).
+
+    ``records`` is ``body`` already split by
+    :func:`~repro.core.mapping_decompress.records_to_words`, for a caller
+    that split it to size ``distribution``.
+    """
     pl = distribution.length
     if pl > cols:
         raise CompressionError(
             f"decompression pipeline of {pl} stages needs {pl} columns"
         )
-    packed = records_to_words(body, num_blocks, block_size)
+    packed = (
+        records_to_words(body, num_blocks, block_size)
+        if records is None
+        else records
+    )
     max_fl = max((int(h[0]) for h, _ in packed), default=0)
     # Header, values, sign bytes, and max_fl bit planes of block_size bits.
     state_len = 4 + block_size + block_size // 8 + max_fl * (block_size // 32)

@@ -563,6 +563,7 @@ class WSECereSZ:
                 rows=self.rows,
                 cols=self.cols,
                 block_size=header.block_size,
+                records=packed,
             )
         else:
             plan = plan_row_parallel_decompress(

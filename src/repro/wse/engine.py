@@ -151,17 +151,40 @@ A block takes one of two paths:
   the same block. The buffer ends the run holding the last block, as the
   block-by-block path leaves it.
 
+*Record trains.* The decompression head's two-phase receive (Section 4.2:
+records have data-dependent length) is a receive train too:
+``mov32(hdr, fabin, on_complete=on_header, count=k, body=c)`` receives
+``k`` records. Each starts with a one-wavelet header; a zero header is the
+whole record, and for any other the ``on_header`` task posts the record's
+body receive on the same color with completion color ``c`` (its length
+comes from the header). The engine re-posts the header receive at the end
+of the record's last task: ``on_header`` when it posted no body receive,
+else the body's task. A ready head takes its run of edge-fed records in
+one dispatch, counted in records, not feed items: only whole records
+(header and body both fed) are taken, the rest stay in the feed. It
+commits each record at its own cycles: the header as a block of the run;
+then ``on_header``, which posts the body receive; then the body, which
+waits for that posting as the queued match would; then the body's task.
+A header task that leaves other work behind, or posts no body receive,
+ends the run there, and the body and the rest are delivered. With a run
+form the stack holds one record per row (its header, then its body,
+zero-padded to the longest), ``on_header`` still posts each body
+receive, and each record's commit replaces its last task. Task runs,
+timeline events and inbox depths are those of the re-arming two-phase
+receive it replaces.
+
 Unlike a relay train, a receive train has no per-block inline path at a
 deliver or match event. Algorithm 1's plans hand or feed each stage
-block to a ready PE (on wafer-pipeline every one of the 4,096 compress
-and 3,584 decode stage blocks), so such a path would serve no lowered
-plan.
+block, and feed each decode head's records, to a ready PE (on
+wafer-pipeline every one of the 4,096 compress and 3,584 decode stage
+blocks and all 512 records), so such a path would serve no lowered plan.
 
 :meth:`Engine._run` is the one copy of the task-run arithmetic, shared by
 the queued task and each block of a ready run. The never-firing fault
 plan is again the oracle: ``tests/core/test_receive_trains.py`` requires
 every per-PE result to match it, and the queued path to match the
-re-arming receive task it replaces.
+re-arming receive task it replaces (and, for a record train, the
+re-arming two-phase receive).
 """
 
 from __future__ import annotations
@@ -223,6 +246,7 @@ class _Train:
     counters: object  # NodeCounters-like (blocks_relayed, wavelets_sent)
     name: str  # timeline name of the task bound to ``fabin``
     dst: Mem1dDsd | None = None  # a receive train's buffer
+    body: Color | None = None  # a record train's body completion color
 
 
 @dataclass(slots=True)
@@ -251,6 +275,36 @@ class _Event:
     color_id: int = -1
     data: np.ndarray | None = None
     fault: object = None  # the armed fault of a "fault" event
+
+
+def _record_span(records: int, datas: list[np.ndarray]) -> int:
+    """How many leading ``datas`` (a header first) make up at most
+    ``records`` whole records: a zero header alone, any other followed by
+    its body (see "Receive trains")."""
+    at = 0
+    while records and at < len(datas):
+        head = datas[at]
+        step = 2 if head.size == 1 and head[0] else 1
+        if at + step > len(datas):
+            break
+        at += step
+        records -= 1
+    return at
+
+
+def _stack(heads: list, bodies: list | None, dtype) -> np.ndarray:
+    """A ready receive train's run, one row per block, for its go task's
+    run form: the blocks themselves, or each record's header followed by
+    its body (``bodies``), zero-padded to the longest."""
+    if bodies is None:
+        return np.array([data for _, data in heads], dtype=dtype)
+    width = max(0 if body is None else body[1].size for body in bodies)
+    stack = np.zeros((len(heads), 1 + width), dtype=dtype)
+    for row, (_, header), body in zip(stack, heads, bodies):
+        row[0] = header[0]
+        if body is not None:
+            row[1 : 1 + body[1].size] = body[1]
+    return stack
 
 
 class Engine:
@@ -388,27 +442,29 @@ class Engine:
         count: int = 1,
         overhead: float = 0.0,
         counters=None,
+        body: Color | None = None,
     ) -> None:
         """Interpret a ``mov32`` issued by a task on ``pe`` at cycle ``now``.
 
         ``count`` makes a relay or a receive a train (see "Relay trains"
         and "Receive trains" above); ``overhead`` and ``counters`` belong
         to a counted relay, whose issuing task is its first step and
-        spends the first block's ``overhead`` itself.
+        spends the first block's ``overhead`` itself; ``body`` makes a
+        counted receive a record train.
         """
         if isinstance(src, FabinDsd) and isinstance(
             dst, (FaboutDsd, Mem1dDsd)
         ):
             self._post_train(
                 pe, dst, src, now, on_complete, relay, count, overhead,
-                counters,
+                counters, body,
             )
             return
-        if count != 1 or overhead or counters is not None:
+        if count != 1 or overhead or counters is not None or body is not None:
             raise TaskError(
                 f"PE{pe.coord}: count applies only to relays and receives "
                 f"(<- fabin), overhead/counters only to relays (fabout <- "
-                f"fabin)"
+                f"fabin), body only to receives (mem1d <- fabin)"
             )
         if isinstance(dst, FaboutDsd) and isinstance(src, Mem1dDsd):
             data = np.array(src.resolve(pe.buffers), copy=True)
@@ -577,12 +633,20 @@ class Engine:
         the feed (the head and as many blocks behind it as it wants)."""
         feed = self._feeds[(pe.row, pe.col, color_id)]
         _, _, data = feed.popleft()
-        if not self._ready(pe, color_id, len(feed)):
+        more = -1
+        if self._ready(pe, color_id, len(feed)):
+            train = pe.train
+            if train.body is None:
+                more = min(train.left, len(feed))
+            else:  # whole records: -1 when the head's body is not fed yet
+                datas = [data, *(d for _, _, d in feed)]
+                more = _record_span(train.left + 1, datas) - 1
+        if more < 0:
             if feed:
                 self._push_feed(pe, color_id, feed)
             return False
         run = [(time, data)]
-        for _ in range(min(pe.train.left, len(feed))):
+        for _ in range(more):
             arrive, _, data = feed.popleft()
             run.append((arrive, data))
         pe.inbound -= len(run) - 1
@@ -709,6 +773,7 @@ class Engine:
         count: int,
         overhead: float,
         counters,
+        body: Color | None,
     ) -> None:
         """Post a relay's or a receive's first block; ``count > 1`` makes
         it a train (a relay's issuing task is its first step)."""
@@ -717,6 +782,11 @@ class Engine:
             raise TaskError(
                 f"PE{pe.coord}: overhead/counters apply only to relays "
                 f"(fabout <- fabin)"
+            )
+        if body is not None and (not receive or src.extent != 1):
+            raise TaskError(
+                f"PE{pe.coord}: body applies only to receives of a "
+                f"one-wavelet header (mem1d <- fabin, extent 1)"
             )
         if count < 1:
             raise TaskError(f"PE{pe.coord}: train count must be >= 1")
@@ -746,6 +816,7 @@ class Engine:
                 counters=counters,
                 name=task.name,
                 dst=dst if receive else None,
+                body=body,
             )
             if not receive:
                 on_complete = src.color  # the next block's step
@@ -1094,19 +1165,34 @@ class Engine:
         color_id: int,
         blocks: list[tuple[float, np.ndarray]],
     ) -> None:
-        """A ready receive train takes a run of blocks (arrival, data), in
-        arrival order: each is charged what the queued path charges it —
-        inbox depth, its go task from the later of its arrival and the
-        receive's posting, the re-post at the task's end (see "Receive
-        trains")."""
+        """A ready receive train takes a run of blocks (arrival, data), or
+        of whole records, in arrival order: each is charged what the queued
+        path charges it — inbox depth, its go task (and a record's body
+        task) from the later of its arrival and its receive's posting, the
+        re-post at the end (see "Receive trains")."""
         key = (pe.row, pe.col, color_id)
+        train = pe.train
+        bodies = None  # a record train's: each header's body, or None
+        if train.body is None:
+            heads = blocks[: train.left + 1]
+        else:
+            span = _record_span(train.left + 1, [data for _, data in blocks])
+            if not span:  # a header whose body is still on its way
+                self._deliver_at(pe, color_id, blocks)
+                return
+            heads, bodies = [], []
+            blocks_in = iter(blocks[:span])
+            for head in blocks_in:
+                data = head[1]
+                heads.append(head)
+                bodies.append(
+                    next(blocks_in) if data.size == 1 and data[0] else None
+                )
         pending = self._recv[key].popleft()
         pe.posted -= 1
-        train = pending.train
         posted_at = pending.posted_at
         target = train.dst.resolve(pe.buffers)
-        take = blocks[: train.left + 1]
-        for _, data in take:
+        for _, data in heads:
             if data.size != train.extent or target.size != data.size:
                 raise TaskError(
                     f"PE{pe.coord}: receive on color {color_id} expected "
@@ -1115,43 +1201,103 @@ class Engine:
                 )
         go = pe.tasks[train.on_complete.id]
         commits = None
-        if go.run is not None and len(take) > 1:
-            commits = go.run(
-                np.array([data for _, data in take], dtype=target.dtype)
-            )
-        ahead = self._ahead.get(key)
+        if go.run is not None and len(heads) > 1:
+            commits = go.run(_stack(heads, bodies, target.dtype))
+        ahead = self._ahead.setdefault(key, deque())
         if pe.max_inbox_depth < 1:  # each block arrives to an empty inbox
             pe.max_inbox_depth = 1
-        taken = 0
-        for arrive, data in take:
-            if commits is None:
+        taken = 0  # blocks, headers and bodies alike
+        for r, (arrive, data) in enumerate(heads):
+            body = None if bodies is None else bodies[r]
+            if commits is None or bodies is not None:
                 target[:] = data.astype(target.dtype, copy=False)
-            if ahead:
-                self._backlog(pe, ahead, arrive, 1)
-            at = posted_at if posted_at > arrive else arrive
-            if at > arrive:
-                if ahead is None:
-                    ahead = self._ahead[key] = deque()
-                ahead.append(at)
+            at = self._waited(pe, ahead, arrive, posted_at)
             if not train.left:  # the train's last block
                 pe.train = None
-            fn = go.fn if commits is None else commits[taken]
             taken += 1
+            fn = go.fn if commits is None or body else commits[r]
             self._run(
                 pe, fn, go.name, at if at > pe.busy_until else pe.busy_until
             )
+            if body:  # the go task posted the body's receive
+                recvs = self._recv.get(key)
+                if (
+                    not recvs
+                    or recvs[0].on_complete != train.body
+                    or not self._quiet(pe, 1)
+                ):  # not as a record train's go task does: queue the rest
+                    if train.left and not recvs:
+                        self._requeue(pe, train)
+                    break
+                taken += 1
+                self._take_body(
+                    pe, key, ahead, body,
+                    None if commits is None else commits[r],
+                )
             if not train.left:
                 break
-            if not self._quiet(pe):  # the go task left work: queue re-post
-                self.schedule_activation(pe, train.fabin.id, pe.busy_until)
+            if not self._quiet(pe):  # the task left work: queue re-post
+                self._requeue(pe, train)
                 break
             posted_at = self._step(pe, train, pe.busy_until)
         else:  # the train goes on: its next receive waits for a block
             self._post_step(pe, train, posted_at, probe=False)
-        if commits is not None:
-            target[:] = take[taken - 1][1]
+        if commits is not None and bodies is None:
+            target[:] = heads[r][1]
         if taken < len(blocks):  # past the train's count, or queued
             self._deliver_at(pe, color_id, blocks[taken:])
+
+    def _take_body(
+        self,
+        pe: ProcessingElement,
+        key: tuple[int, int, int],
+        ahead: deque,
+        body: tuple[float, np.ndarray],
+        commit,
+    ) -> None:
+        """A ready record train's body: pair it with the receive its go
+        task just posted, and run the body task (or the record's
+        ``commit``) when the queued match and activation would."""
+        pending = self._recv[key].popleft()
+        pe.posted -= 1
+        arrive, data = body
+        target = pending.dst.resolve(pe.buffers)
+        if data.size != pending.extent or target.size != data.size:
+            raise TaskError(
+                f"PE{pe.coord}: receive on color {key[2]} expected "
+                f"{pending.extent} wavelets into a {target.size}-element "
+                f"window, got {data.size}"
+            )
+        target[:] = data.astype(target.dtype, copy=False)
+        at = self._waited(pe, ahead, arrive, pending.posted_at)
+        task = pe.tasks[pending.on_complete.id]
+        self._run(
+            pe, commit or task.fn, task.name,
+            at if at > pe.busy_until else pe.busy_until,
+        )
+
+    def _waited(
+        self,
+        pe: ProcessingElement,
+        ahead: deque,
+        arrive: float,
+        posted_at: float,
+    ) -> float:
+        """The cycle a block a ready receive train takes at ``arrive``
+        leaves the inbox: its receive's posting, if later, and until then
+        it counts in later deliveries' inbox depth (the ``ahead``
+        backlog)."""
+        if ahead:
+            self._backlog(pe, ahead, arrive, 1)
+        if posted_at <= arrive:
+            return arrive
+        ahead.append(posted_at)
+        return posted_at
+
+    def _requeue(self, pe: ProcessingElement, train: _Train) -> None:
+        """Queue a receive train's re-post at the end of the task that
+        just ran (the queued path's activation of its fabin color)."""
+        self.schedule_activation(pe, train.fabin.id, pe.busy_until)
 
     def _schedule_task(self, pe: ProcessingElement, at: float) -> None:
         """Push a ``task`` event for ``pe``, at most one in flight.
@@ -1190,10 +1336,16 @@ class Engine:
                 train is not None
                 and train.left
                 and train.dst is not None
-                and color_id == train.on_complete.id
+                and (
+                    color_id == train.on_complete.id
+                    or (train.body is not None and color_id == train.body.id)
+                )
+                and not self._recv.get((pe.row, pe.col, train.fabin.id))
             ):
-                # A receive train's queued re-post, at the go task's end.
-                self.schedule_activation(pe, train.fabin.id, pe.busy_until)
+                # A receive train's queued re-post, at the end of its go
+                # task (unless it posted a record's body receive) or of a
+                # record's body task.
+                self._requeue(pe, train)
         if pe.pending and not pe.halted:
             self._schedule_task(pe, pe.busy_until)
 

@@ -36,7 +36,10 @@ class Task:
     an ``m x extent`` stack of received blocks and returns ``m`` commits,
     each a task body that charges and emits one block exactly as ``fn``
     would with that block in the receive buffer — or ``None`` to have the
-    engine take the run block by block through ``fn``.
+    engine take the run block by block through ``fn``. A record train's
+    stack holds one record a row (its header, then its body zero-padded to
+    the longest), and each commit replaces the record's last task: ``fn``
+    for a header alone, else the body's task.
     """
 
     name: str
@@ -223,6 +226,7 @@ class TaskContext:
         count: int = 1,
         overhead: float = 0.0,
         counters=None,
+        body: Color | None = None,
     ) -> None:
         """``@mov32``: asynchronous DSD-to-DSD move.
 
@@ -248,11 +252,15 @@ class TaskContext:
         A receive may be counted too: ``count=k`` receives the next ``k``
         blocks into ``dst`` and activates ``on_complete`` (required) after
         each one; the engine re-posts the receive when that task ends (the
-        receive trains of :mod:`repro.wse.engine`).
+        receive trains of :mod:`repro.wse.engine`). With ``body`` it is a
+        *record train*: ``src`` is a one-wavelet header, and for a non-zero
+        header the ``on_complete`` task posts the record's body receive on
+        the same color with completion color ``body``; the engine re-posts
+        after that task instead.
         """
         self._engine.submit_transfer(
             self._pe, dst, src, self.now, on_complete, relay=relay,
-            count=count, overhead=overhead, counters=counters,
+            count=count, overhead=overhead, counters=counters, body=body,
         )
         if overhead:
             self.spend(overhead, relay=True)

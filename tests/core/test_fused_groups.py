@@ -48,7 +48,6 @@ from repro.wse.trace import NodeCounters
 #: 2 eps = 1, so integer-valued blocks quantize to themselves exactly.
 EPS = 0.5
 OUT = Color(1, "fwd")
-REARM = Color(2, "rearm")
 
 
 class _Ctx:
@@ -67,9 +66,6 @@ class _Ctx:
 
     def send(self, color, array) -> None:
         self.sent.append(array)
-
-    def activate(self, color) -> None:
-        pass
 
     def halt(self) -> None:
         pass
@@ -121,11 +117,11 @@ def _compress_hop(make, group, src, first, last, plan, ctx, nc):
     return outputs.records[0] if last else ctx.sent[0]
 
 
-def _decode_hop(make, group, entry, last, plan, ctx, nc):
+def _decode_hop(make, group, entry, first, last, plan, ctx, nc):
     """One decode hop: the forwarded vector, or the tail's values."""
     outputs = DecompressOutputs()
-    process = make(
-        group, None if last else OUT, REARM, [0], {"done": 0}, plan,
+    process, _ = make(
+        group, first, None if last else OUT, [0], {"done": 0}, plan,
         PAPER_CYCLE_MODEL, outputs, nc,
     )
     process(ctx, entry)
@@ -135,7 +131,7 @@ def _decode_hop(make, group, entry, last, plan, ctx, nc):
 def _entered_hop(make, group, enter, vec, last, plan, ctx, nc):
     """A decode hop that first reads its entry state from a wire vector,
     so a header the reader rejects counts as the hop's outcome."""
-    return _decode_hop(make, group, enter(vec), last, plan, ctx, nc)
+    return _decode_hop(make, group, enter(vec), False, last, plan, ctx, nc)
 
 
 def _outcome(hop, *args):
@@ -168,7 +164,9 @@ def _decode_chain(make, from_record, from_wire, groups, fl, words, plan):
     entry = from_record(fl, words, plan.block_size)
     for i, group in enumerate(groups):
         last = i == len(groups) - 1
-        hop, result = _outcome(_decode_hop, make, group, entry, last, plan)
+        hop, result = _outcome(
+            _decode_hop, make, group, entry, i == 0, last, plan
+        )
         hops.append(hop)
         if result is None:
             break
@@ -330,6 +328,146 @@ def test_decode_groups_match_stepped(data, block_size, fl, seed):
     assert stepped[-1][:2] == ("ok", expected.tobytes())
 
 
+def _record_stack(records) -> np.ndarray:
+    """A decode head's run as a record train hands it to the run form: one
+    row per record, its fl and then its words, zero-padded."""
+    width = max((0 if words is None else words.size) for _, words in records)
+    stack = np.zeros((len(records), 1 + width), dtype=np.int64)
+    for row, (fl, words) in zip(stack, records):
+        row[0] = fl
+        if words is not None:
+            row[1 : 1 + words.size] = words
+    return stack
+
+
+def _decode_run_hop(group, stack, entries, first, last, plan):
+    """One decode hop of the run form over ``stack``, as a ready receive
+    train takes it: the rows commit in order or, when it declines, each
+    row's ``entries`` one runs through the one-block ``process``; either
+    way the run stops at its first error. Returns each row's ``_outcome``
+    record, the forwarded vectors (or values) and whether it declined."""
+    nc, outputs = _Counters(), DecompressOutputs()
+    process, run = _make_fused_decode(
+        group, first, None if last else OUT, list(range(len(stack))),
+        {"done": 0}, plan, PAPER_CYCLE_MODEL, outputs, nc,
+    )
+    commits = run(stack.copy())
+    hops, results = [], []
+    for r in range(len(stack)):
+        ctx, before = _Ctx(), len(nc.items)
+        try:
+            if commits is None:
+                process(ctx, entries[r]())
+            else:
+                commits[r](ctx)
+        except CompressionError as exc:
+            hops.append(("error", str(exc), ctx.cycles, nc.items[before:]))
+            break
+        result = outputs.blocks[r] if last else ctx.sent[0]
+        hops.append(("ok", _bits(result), ctx.cycles, nc.items[before:]))
+        results.append(result)
+    return hops, results, commits is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    block_size=st.sampled_from([32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_run_kernel_matches_stepped(data, block_size, seed):
+    """A run of 1-40 records of mixed fixed lengths (header-only fl-0
+    records included) through the decode run form, head first: every row
+    equals its own record's stepped chain, hop by hop, and no valid stack
+    is declined."""
+    fls = data.draw(
+        st.lists(st.integers(0, 20), min_size=1, max_size=40),
+        label="fixed lengths",
+    )
+    max_fl = max(fls) + data.draw(st.integers(0, 3), label="extra bits")
+    stages = decompression_substages(max_fl, block_size)
+    groups = data.draw(_groups(stages), label="groups")
+    plan = _decode_plan(block_size, max_fl)
+    records = [
+        _record(_block(block_size, fl, seed + i))[1:]
+        for i, fl in enumerate(fls)
+    ]
+    stepped = [
+        _decode_chain(
+            _make_decompress_process,
+            DecompressState.from_record,
+            DecompressState.from_array,
+            groups, fl, words, plan,
+        )
+        for fl, words in records
+    ]
+    chains = [[] for _ in records]
+    stack = _record_stack(records)
+    for i, group in enumerate(groups):
+        last = i == len(groups) - 1
+        hops, results, declined = _decode_run_hop(
+            group, stack, [None] * len(records), i == 0, last, plan
+        )
+        assert len(hops) == len(records) and not declined
+        for chain, hop in zip(chains, hops):
+            chain.append(hop)
+        if not last:
+            stack = np.array(results)
+    assert chains == stepped
+
+
+@pytest.mark.parametrize("row", [0, 4, 6])
+@pytest.mark.parametrize(
+    "word, value",
+    [(0, 2.5), (0, np.nan), (0, -1.0), (0, 5.0), (0, 3.0), (0, 2.0),
+     (1, 48.0), (2, -1.0), (2, 2.5), (2, 13.0), (2, 1.0), (2, 0.0),
+     (3, np.inf)],
+)
+@pytest.mark.parametrize("last", [True, False])
+@pytest.mark.parametrize("split", [3, 10])
+def test_corrupt_decode_row_fails_the_run_like_stepped(
+    split, last, word, value, row
+):
+    """A run of seven decode states (fixed lengths 0-12 of 12 planned
+    bits) with one corrupt header word: the run form declines exactly when
+    a row fails a header or phase check, the rows before it commit as
+    their stepped hops do, and the corrupt row fails (or, with a word
+    still legal for the group, forwards or stores) as its stepped hop
+    does. ``split`` 3 makes the second group start at unshuffle bit 3; 10
+    puts the last planes and the sign restore in it; ``last`` makes it run
+    to the tail (values) or forward its states. A wrong but legal phase
+    or fl word changes which of its planes row 4 (fl 8) adds; 13 puts its
+    planes past the vector's end."""
+    stages = decompression_substages(12, 32)
+    head = tuple(stages[:split])
+    group = tuple(stages[split:] if last else stages[split : split + 3])
+    plan = _decode_plan(32, 12)
+    vecs = [
+        _outcome(
+            _decode_hop, _make_decompress_process, head,
+            DecompressState.from_record(*_record(_block(32, fl, fl))[1:], 32),
+            True, False, plan,
+        )[1]
+        for fl in (0, 1, 3, 5, 8, 12, 2)
+    ]
+    vecs[row][word] = value
+    entries = [lambda vec=vec: _wire_entry(vec.copy()) for vec in vecs]
+    hops, _, declined = _decode_run_hop(
+        group, np.array(vecs), entries, False, last, plan
+    )
+    stepped = [
+        _outcome(
+            _entered_hop, _make_decompress_process, group,
+            DecompressState.from_array, vec.copy(), last, plan,
+        )[0]
+        for vec in vecs
+    ]
+    failed = [hop[0] == "error" for hop in stepped]
+    expected = stepped[: failed.index(True) + 1] if any(failed) else stepped
+    assert hops == expected
+    assert declined == any(failed)
+
+
 #: Header words a bit flip could leave in the phase slot.
 PHASE_WORDS = [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5, np.nan]
 
@@ -377,7 +515,7 @@ def test_corrupt_decode_phase_fails_like_stepped(length, phase_word, fl):
     _, fl, words = _record(_block(32, fl, 2))
     _, vec = _outcome(
         _decode_hop, _make_decompress_process, groups[0],
-        DecompressState.from_record(fl, words, 32), False, plan,
+        DecompressState.from_record(fl, words, 32), True, False, plan,
     )
     vec[0] = phase_word
     stepped, fused = (

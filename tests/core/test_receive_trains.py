@@ -28,7 +28,7 @@ from repro.core.stages import compression_substages, decompression_substages
 from repro.errors import TaskError
 from repro.obs.tracing import Tracer
 from repro.wse.color import ColorAllocator
-from repro.wse.dsd import FabinDsd, Mem1dDsd
+from repro.wse.dsd import FabinDsd, FaboutDsd, Mem1dDsd
 from repro.wse.engine import Engine
 from repro.wse.fabric import Fabric
 from repro.wse.pe import Task
@@ -116,11 +116,45 @@ def test_rows_match_the_queued_oracle(decode, rows, block_size, sample_every):
     clean, queued = _same(
         lambda: _rows(blocks, rows, decode=decode), sample_every=sample_every
     )
-    if decode:
-        # The decode head's two-phase header/body receive keeps its tasks.
-        assert clean == queued
+    # Decode too: the head's two-phase header/body receive is a record
+    # train, which takes each row's whole feed in one event.
+    assert clean < queued
+
+
+def _mixed_blocks(n: int, block_size: int, rows: int, zeros: str):
+    """Random walks whose records mix dense blocks with header-only zero
+    blocks: ``"row"`` zeroes every block of row 0 (with one row, every
+    other block), ``"all"`` every block."""
+    blocks = _blocks(n, block_size, n + rows)
+    if zeros == "all":
+        blocks[:] = 0.0
     else:
-        assert clean < queued
+        blocks[:: rows if rows > 1 else 2] = 0.0
+    return blocks
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("block_size", [32, 64])
+@pytest.mark.parametrize("zeros", ["row", "all"])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("strategy", ["rows", "pipeline"])
+def test_decode_of_zero_and_dense_records_matches_the_queued_oracle(
+    strategy, rows, zeros, block_size, sample_every
+):
+    """Each head's record train takes its row's header-only and
+    header-and-body records in one run; the last row is a record short."""
+    blocks = _mixed_blocks(5 * rows - (rows > 1), block_size, rows, zeros)
+    if strategy == "rows":
+        clean, queued = _same(
+            lambda: _rows(blocks, rows, decode=True),
+            sample_every=sample_every,
+        )
+    else:
+        clean, queued = _same(
+            lambda: _pipeline(blocks, rows, 4, 3, decode=True),
+            sample_every=sample_every,
+        )
+    assert clean < queued
 
 
 @pytest.mark.parametrize("sample_every", [1, 3])
@@ -156,15 +190,22 @@ def test_random_pipelines_match_the_queued_oracle(
 
 def test_wafer_pipeline_runs_whole_rows_in_one_event():
     """A 16x16 L=8 pipeline (the wafer-pipeline shape) at 32 blocks per
-    row: each row's 32 edge feeds travel the 8 stage PEs as one run."""
+    row, in both directions: each row's 32 edge-fed blocks, or records,
+    travel the 8 PEs as one run."""
     blocks = _blocks(16 * 32, 32, 5)
-    clean, queued = _same(lambda: _pipeline(blocks, 16, 16, 8))
-    # 128 stage PEs x (activate + task) to post their trains, then one
-    # feed event per row. Queued, each block pays six events at each of the
-    # 8 PEs: deliver, match, activate and task for the go task, activate
-    # and task for the receive (the first block's is the posting task).
-    assert clean == 16 * 8 * 2 + 16
-    assert queued == 16 * 32 * 8 * 6
+    # 128 PEs x (activate + task) to post their trains, then one feed event
+    # per row. Queued, each block pays six events at each stage PE:
+    # deliver, match, activate and task for the go task, activate and task
+    # for the receive (the first block's is the posting task). The decode
+    # head pays ten a record: deliver, match, activate and task for the
+    # header and for the body (every record here has one), then the
+    # re-post's activate and task.
+    for decode, queued_events in ((False, 8 * 6), (True, 10 + 7 * 6)):
+        clean, queued = _same(
+            lambda: _pipeline(blocks, 16, 16, 8, decode=decode)
+        )
+        assert clean == 16 * 8 * 2 + 16
+        assert queued == 16 * 32 * queued_events
 
 
 # --- the primitive on hand-built chains -------------------------------------
@@ -282,6 +323,199 @@ class TestReceiveTrainReplaysARearmingReceive:
             # apart reaching a train posted at cycle 20 each wait in the
             # inbox or behind a busy go task: every one is queued.
             assert counted_events == rearming_events
+
+
+def _head(fls, *, counted: bool, spacing: float, post_at: float,
+          faults=None, side: bool = False):
+    """Feed records of fixed lengths ``fls`` from the west edge into a
+    decode head, one every ``spacing`` cycles: a one-word header, then for
+    a non-zero fl a body of ``1 + fl`` words. ``on_header`` decodes a
+    header-only record in 30 cycles or posts the record's body receive,
+    ``on_body`` decodes the rest in ``40 + fl``, and each record's last
+    task sends its index to a sink; the head halts after the last record.
+
+    ``counted`` posts one record train at ``post_at``; otherwise the
+    header task posts one receive and each record's last task re-activates
+    it, the two-phase receive a record train replaces (and the one lowered
+    decode heads ran before it). With ``side``, ``on_header`` also
+    activates a 3-cycle side task when it posts a body receive.
+    """
+    fabric = Fabric(1, 2)
+    tracer = Tracer(level="timeline")
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    colors = ColorAllocator()
+    c_x, c_hdr, c_body, c_y, c_sink, c_got, c_side = (
+        colors.allocate(n)
+        for n in ("x", "hdr", "body", "y", "sink", "got", "side")
+    )
+    fabric.set_route(0, 0, c_x, Direction.WEST, Direction.RAMP)
+    fabric.route_row_segment(0, 0, 1, c_y)
+    head, sink = fabric.pe(0, 0), fabric.pe(0, 1)
+    head.alloc_buffer("hdr", np.zeros(1, dtype=np.int64))
+    head.alloc_buffer("body", np.zeros(1 + max(fls), dtype=np.int64))
+    sink.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+    records = len(fls)
+    box = {"done": 0, "got": []}
+
+    def recv_header(ctx):
+        ctx.mov32(
+            Mem1dDsd("hdr"), FabinDsd(c_x, extent=1), on_complete=c_hdr,
+            count=records if counted else 1,
+            body=c_body if counted else None,
+        )
+
+    def finish(ctx, cycles):
+        ctx.spend(cycles)
+        ctx.send(c_y, np.full(8, box["done"], dtype=np.float32))
+        box["done"] += 1
+        if box["done"] == records:
+            ctx.halt()
+        elif not counted:
+            ctx.activate(c_x)
+
+    def on_header(ctx):
+        fl = int(ctx.buffer("hdr")[0])
+        if fl == 0:
+            finish(ctx, 30)
+        else:
+            ctx.mov32(
+                Mem1dDsd("body", length=1 + fl),
+                FabinDsd(c_x, extent=1 + fl),
+                on_complete=c_body,
+            )
+            if side:
+                ctx.activate(c_side)
+
+    def on_body(ctx):
+        fl = int(ctx.buffer("hdr")[0])
+        assert ctx.buffer("body")[fl] == 100 * box["done"] + fl
+        finish(ctx, 40 + fl)
+
+    def sink_recv(ctx):
+        ctx.mov32(Mem1dDsd("in"), FabinDsd(c_y, extent=8), on_complete=c_got)
+
+    def got(ctx):
+        box["got"].append(int(ctx.buffer("in")[0]))
+        if len(box["got"]) < records:
+            ctx.activate(c_sink)
+
+    head.bind_task(c_x, Task("recv_header", recv_header))
+    head.bind_task(c_hdr, Task("on_header", on_header))
+    head.bind_task(c_body, Task("on_body", on_body))
+    head.bind_task(c_side, Task("side", lambda ctx: ctx.spend(3)))
+    sink.bind_task(c_sink, Task("recv", sink_recv))
+    sink.bind_task(c_got, Task("got", got))
+    engine.schedule_activation(head, c_x.id, post_at)
+    engine.schedule_activation(sink, c_sink.id, 0.0)
+    for i, fl in enumerate(fls):
+        at = spacing * i
+        engine.inject(0, 0, c_x, np.array([fl], dtype=np.uint32), at=at)
+        if fl:
+            body = np.arange(1 + fl, dtype=np.uint32) + 100 * i
+            engine.inject(0, 0, c_x, body, at=at + 1)
+    report = engine.run()
+    timeline: dict = {}
+    for e in tracer.pe_events:  # recording order within each PE
+        timeline.setdefault((e.row, e.col), []).append(
+            (e.name, e.start_cycles, e.dur_cycles)
+        )
+    return (
+        box["got"],
+        report.makespan_cycles,
+        report.tasks_run,
+        [(t.row, t.col, t.compute_cycles, t.relay_cycles, t.tasks_run,
+          t.finished_at)
+         for t in report.trace.traces],
+        timeline,
+        [pe.max_inbox_depth for pe in fabric],
+    ), report.events_processed
+
+
+class TestRecordTrainReplaysATwoPhaseReceive:
+    @pytest.mark.parametrize("post_at", [0.0, 20.0])
+    @pytest.mark.parametrize("spacing", [8.0, 96.0])
+    @pytest.mark.parametrize(
+        "fls", [(0,), (3,), (0, 2), (4, 0), (3, 0, 0, 5, 1), (0, 0, 2, 0, 0)]
+    )
+    def test_record_train_replays_the_two_phase_receive(
+        self, fls, spacing, post_at
+    ):
+        """Clean and under the never-firing fault plan, the record train
+        charges exactly what the re-arming two-phase receive did: order,
+        tasks, per-PE traces, timelines with each ``recv_header``,
+        ``on_header`` and ``on_body`` event's cycle, and inbox depths.
+        Records 8 cycles apart back up behind the 40-cycle body task; 96
+        apart, the head idles between them; posted at cycle 20, the first
+        record waits for the train in the inbox."""
+        runs = {
+            (counted, faults is None): _head(
+                fls, counted=counted, spacing=spacing, post_at=post_at,
+                faults=faults,
+            )
+            for counted in (True, False)
+            for faults in (None, NEVER)
+        }
+        rearming, rearming_events = runs[(False, True)]
+        assert rearming[0] == list(range(len(fls)))
+        for result, _ in runs.values():
+            assert result == rearming
+        assert runs[(True, False)][1] == rearming_events  # queued = re-armed
+        counted_events = runs[(True, True)][1]
+        if len(fls) > 1 and (post_at == 0.0 or spacing == 96.0):
+            # The train is ready for a record of the feed and takes the
+            # rest of it in that dispatch.
+            assert counted_events < rearming_events
+        elif len(fls) == 1:  # one record posts a single receive, no train
+            assert counted_events == rearming_events
+        else:
+            assert counted_events <= rearming_events
+
+    @pytest.mark.parametrize("spacing", [8.0, 96.0])
+    def test_a_header_task_that_leaves_work_queues_the_body(self, spacing):
+        """A header task that also activates a side task leaves the head
+        busy, so the ready run stops before the record's body: the body and
+        the rest of the feed are delivered, and the re-post follows the
+        body task."""
+        fls = (3, 0, 2, 4)
+        clean, clean_events = _head(
+            fls, counted=True, spacing=spacing, post_at=0.0, side=True
+        )
+        queued, queued_events = _head(
+            fls, counted=True, spacing=spacing, post_at=0.0, side=True,
+            faults=NEVER,
+        )
+        rearming, _ = _head(
+            fls, counted=False, spacing=spacing, post_at=0.0, side=True
+        )
+        assert clean == queued == rearming
+        assert clean[0] == [0, 1, 2, 3]
+        assert clean_events < queued_events
+
+
+def test_a_record_train_needs_a_one_wavelet_header():
+    """``body`` makes a counted receive of one-wavelet headers a record
+    train; it is refused on a wider receive and on a relay."""
+    colors = ColorAllocator()
+    c_in, c_go, c_body = (colors.allocate(n) for n in ("in", "go", "body"))
+    for post in (
+        lambda ctx: ctx.mov32(
+            Mem1dDsd("b"), FabinDsd(c_in, extent=4), on_complete=c_go,
+            count=2, body=c_body,
+        ),
+        lambda ctx: ctx.mov32(
+            FaboutDsd(c_go, extent=1), FabinDsd(c_in, extent=1),
+            count=2, body=c_body,
+        ),
+    ):
+        fabric = Fabric(1, 1)
+        engine = Engine(fabric)
+        pe = fabric.pe(0, 0)
+        pe.alloc_buffer("b", np.zeros(4, dtype=np.float32))
+        pe.bind_task(c_in, Task("recv", post))
+        pe.bind_task(c_go, Task("go", lambda ctx: None))
+        engine.schedule_activation(pe, c_in.id, 0.0)
+        with pytest.raises(TaskError, match="one-wavelet header"):
+            engine.run()
 
 
 def _train(case: str, *, faults=None):

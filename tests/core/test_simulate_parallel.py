@@ -51,26 +51,31 @@ EPS = 0.01
 #: or stage PE posts one train (an activate and a task event), then each
 #: row's ready first PE takes its whole edge feed in one feed event and
 #: hands the run down its pipeline (3 rows x 2 + 3; 6 PEs x 2 + 2 rows).
-#: Pipeline decode 286 -> 138: its head keeps the two-phase header/body
-#: receive per block, and its two stage PEs per row take each handed state
-#: inline (13 blocks x 2 PEs x 6 events saved, their 4 x 2 posting events
-#: added). Rows decode has no train (its head decodes whole blocks through
-#: the two-phase receive) and stays at 130; multi and staged post none.
+#: Pipeline decode 286 -> 138: its two stage PEs per row took each handed
+#: state inline (13 blocks x 2 PEs x 6 events saved, their 4 x 2 posting
+#: events added). Multi and staged post no receive train.
+#:
+#: Record trains took the decode heads' two-phase header/body receive off
+#: ten events a block: each head posts one train (an activate and a task
+#: event) and takes its row's whole feed of records in one feed event, so
+#: rows decode 130 -> 9 (3 rows x 2 + 3) and pipeline decode 138 -> 14 (6
+#: PEs x 2 + 2 rows), the same counts as their compress twins.
 EXACT_EVENTS = {
     "rows": 9,
     "pipeline": 14,
     "multi": 122,
     "staged": 214,
-    "rows-decompress": 130,
-    "pipeline-decompress": 138,
+    "rows-decompress": 9,
+    "pipeline-decompress": 14,
 }
 
-#: A wafer-pipeline-shaped plan (2x16, L=8, 64 blocks): compress is 16
-#: posting activations and tasks plus one feed event per row; decode pays
-#: the head's ten events per block (header and body feed, match, activate
-#: and task each, then the re-arm's activate and task) plus the 14 stage
-#: PEs' posting events. Per-block stage events would add 6 per block-stage.
-WAFER_PIPELINE_EVENTS = {"compress": 34, "decompress": 668}
+#: A wafer-pipeline-shaped plan (2x16, L=8, 64 blocks), in both directions
+#: 16 posting activations and tasks plus one feed event per row: the
+#: compress head takes its row's raw blocks, the decode head (a record
+#: train) its row's records, and each hands the run down its pipeline.
+#: Per-block stage events would add 6 per block-stage, and the decode
+#: head's per-record receive 10 per block (it cost 668 events).
+WAFER_PIPELINE_EVENTS = {"compress": 34, "decompress": 34}
 
 
 def _blocks(num_blocks: int, seed: int = 11) -> np.ndarray:

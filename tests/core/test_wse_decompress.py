@@ -172,6 +172,28 @@ class TestPipelineDecompression:
         out, report = sim.decompress_on_wafer(result.stream)
         assert np.max(np.abs(out - silent)) <= 0.5
 
+    def test_records_are_split_once_per_decode(self, stream, monkeypatch):
+        """``decompress_on_wafer`` sizes the pipeline from the split
+        records and hands the same split to the planner."""
+        import repro.core.mapping_decompress as md
+        import repro.core.plan as plan
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return records_to_words(*args, **kwargs)
+
+        monkeypatch.setattr(md, "records_to_words", counted)
+        monkeypatch.setattr(plan, "records_to_words", counted)
+        sim = WSECereSZ(
+            rows=2, cols=3, strategy="pipeline", pipeline_length=3
+        )
+        for expected in (1, 2):
+            out, _ = sim.decompress_on_wafer(stream.stream)
+            assert len(calls) == expected
+        assert np.array_equal(out, CereSZ().decompress(stream.stream))
+
     def test_error_bound_holds_through_pipeline(self, mixed_field, stream):
         sim = WSECereSZ(
             rows=2, cols=3, strategy="pipeline", pipeline_length=3
