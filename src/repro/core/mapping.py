@@ -338,14 +338,73 @@ def substage_cycles(
 # --- run outputs ---------------------------------------------------------------------
 
 
-@dataclass
-class ProgramOutputs:
-    """Host-side collection of per-block results from a simulated run."""
+class ReplicatedOutputs:
+    """Per-block run outputs keyed by block index, replicas by reference.
 
-    records: dict[int, bytes] = dataclass_field(default_factory=dict)
+    A composed run hands over each representative's values once with its
+    copies' block indices (:meth:`merge_replicas`), O(1) per copy. The
+    full mapping is built on its first read, in merge order;
+    :meth:`ProgramOutputs.stream` joins an exact tiling of pending copies
+    without building it. A representative's values must not be mutated
+    once merged.
+    """
+
+    def __init__(self, store: dict | None = None) -> None:
+        self._store = {} if store is None else store
+        self._replicas: list[tuple[list, list]] = []
+
+    def merge_replicas(self, values: list, seqs: list) -> None:
+        """Fold in copies of one representative's values.
+
+        Each of ``seqs`` lists one copy's ``len(values)`` distinct,
+        non-negative block indices: copy ``k`` places ``values[i]`` at
+        block ``seqs[k][i]``. The mapping reads as
+        ``store.update(zip(seq, values))`` for each copy in order, after
+        everything already held.
+        """
+        self._replicas.append((values, seqs))
+
+    def _materialized(self) -> dict:
+        """The full mapping, with every pending replica placed."""
+        if self._replicas:
+            pending, self._replicas = self._replicas, []
+            store = self._store
+            for values, seqs in pending:
+                for seq in seqs:
+                    store.update(zip(seq, values))
+        return self._store
+
+
+class ProgramOutputs(ReplicatedOutputs):
+    """Host-side collection of per-block records from a simulated run.
+
+    :attr:`records` maps block index to record bytes; a composed run's
+    copies are placed in it on its first read.
+    """
+
+    def __init__(self, records: dict[int, bytes] | None = None) -> None:
+        super().__init__(records)
+
+    @property
+    def records(self) -> dict[int, bytes]:
+        return self._materialized()
 
     def stream(self, num_blocks: int) -> bytes:
-        """Concatenate records in block order (fails on gaps)."""
+        """Concatenate records in block order (fails on gaps).
+
+        When the pending copies tile the stream exactly (every copy a
+        step-1 ``range``, as a
+        :func:`~repro.core.simulate.simulate_replicated` copy is, and
+        together they cover blocks ``[0, num_blocks)`` once each), each
+        representative's records are joined once and every copy takes
+        that piece whole; a record stored directly cannot show, as the
+        copies are placed after it. Any other layout (a hybrid row's
+        interleaved blocks, a prefix, a gap, an overlap) joins the
+        materialized :attr:`records`.
+        """
+        pieces = self._tiled(num_blocks) if self._replicas else None
+        if pieces is not None:
+            return b"".join(pieces)
         records = self.records
         try:
             return b"".join(map(records.__getitem__, range(num_blocks)))
@@ -355,3 +414,22 @@ class ProgramOutputs:
                 f"simulation produced no record for blocks {missing[:8]}"
                 + ("..." if len(missing) > 8 else "")
             ) from None
+
+    def _tiled(self, num_blocks: int) -> list[bytes] | None:
+        """The stream's pieces when the copies tile it exactly, else None."""
+        spans = []
+        for rep, (_, seqs) in enumerate(self._replicas):
+            for seq in seqs:
+                if not isinstance(seq, range) or seq.step != 1:
+                    return None
+                spans.append((seq.start, seq.start + len(seq), rep))
+        spans.sort()
+        end = 0
+        for start, stop, _ in spans:
+            if start != end:
+                return None  # a gap or an overlap
+            end = stop
+        if end != num_blocks:
+            return None
+        joined = [b"".join(values) for values, _ in self._replicas]
+        return [joined[rep] for _, _, rep in spans]

@@ -26,23 +26,33 @@ every bit plane to ``bs // 32`` words each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.config import CERESZ_HEADER_BYTES
 from repro.errors import CompressionError
 from repro.core.encoding import scan_record_offsets
+from repro.core.mapping import ReplicatedOutputs
 
 
-@dataclass
-class DecompressOutputs:
-    """Host-side collection of reconstructed blocks."""
+class DecompressOutputs(ReplicatedOutputs):
+    """Host-side collection of reconstructed blocks.
 
-    blocks: dict[int, np.ndarray] = dataclass_field(default_factory=dict)
+    :attr:`blocks` maps block index to decoded values; a composed run's
+    copies are placed in it on its first read.
+    """
+
+    def __init__(self, blocks: dict[int, np.ndarray] | None = None) -> None:
+        super().__init__(blocks)
+
+    @property
+    def blocks(self) -> dict[int, np.ndarray]:
+        return self._materialized()
 
     def assemble(self, num_blocks: int, block_size: int) -> np.ndarray:
-        missing = [i for i in range(num_blocks) if i not in self.blocks]
+        blocks = self.blocks
+        missing = [i for i in range(num_blocks) if i not in blocks]
         if missing:
             raise CompressionError(
                 f"simulation produced no output for blocks {missing[:8]}"
@@ -50,7 +60,7 @@ class DecompressOutputs:
             )
         out = np.empty((num_blocks, block_size), dtype=np.float32)
         for i in range(num_blocks):
-            out[i] = self.blocks[i]
+            out[i] = blocks[i]
         return out
 
 

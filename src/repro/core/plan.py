@@ -1277,12 +1277,19 @@ def plan_staged_multi_pipeline(
 def _record_feeds(
     packed: list[tuple[np.ndarray, np.ndarray | None]], rows: int, color: str
 ) -> tuple[Feed, ...]:
+    """Header and body feeds per record, round-robin over the rows.
+
+    The feeds carry the split's own fresh uint32 arrays: the engine never
+    mutates a payload.
+    """
     feeds: list[Feed] = []
     for i, (header, words) in enumerate(packed):
         row = i % rows
-        feeds.append(Feed(row, 0, color, header.astype(np.uint32)))
-        if words is not None:
-            feeds.append(Feed(row, 0, color, words.astype(np.uint32)))
+        for payload in (header, words):
+            if payload is not None:
+                feeds.append(
+                    Feed(row, 0, color, payload.astype(np.uint32, copy=False))
+                )
     return tuple(feeds)
 
 

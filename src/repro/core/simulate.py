@@ -842,11 +842,13 @@ def _compose(
     :func:`simulate_replicated` passes the whole template and one copy
     per tile.
 
-    Everything scales exactly: records map position-for-position, traces
-    and counters are the representative's with the row coordinate
-    shifted (merged by reference in row-major order, the serial run's
-    recording order, and built on first read), events/tasks multiply by
-    copy count, the makespan is the max over representatives
+    Everything scales exactly, by reference: the outputs keep each
+    representative's values once with every copy's block indices
+    (:meth:`~repro.core.mapping.ReplicatedOutputs.merge_replicas`), and
+    traces and counters are the representative's with the row coordinate
+    shifted (merged in row-major order, the serial run's recording
+    order); both are built on first read. Events/tasks multiply by copy
+    count, the makespan is the max over representatives
     (replication cannot change a row's finish time), and metric
     counters/histograms scale linearly while gauges are
     replication-invariant. The known inexactness is the same as for
@@ -854,13 +856,9 @@ def _compose(
     on how rows share one event heap) and the *ordering* of sampled
     timeline events (multiset-equal to the serial capture).
     """
-    outputs: ProgramOutputs | DecompressOutputs
-    if direction == "compress":
-        outputs = ProgramOutputs()
-        store = outputs.records
-    else:
-        outputs = DecompressOutputs()
-        store = outputs.blocks
+    outputs: ProgramOutputs | DecompressOutputs = (
+        ProgramOutputs() if direction == "compress" else DecompressOutputs()
+    )
     for (rep_outputs, *_), rep_seq, copies in reps:
         rep_records = (
             rep_outputs.records if direction == "compress"
@@ -872,13 +870,13 @@ def _compose(
                 "disagree with the plan's emit sequence (internal invariant)"
             )
         values = [rep_records[idx] for idx in rep_seq]
-        for _, seq in copies:
-            if len(seq) != len(values):
-                raise ScheduleError(
-                    "replica composition: copy emit count diverges from "
-                    "its representative (internal invariant)"
-                )
-            store.update(zip(seq, values))
+        seqs = [seq for _, seq in copies]
+        if any(len(seq) != len(values) for seq in seqs):
+            raise ScheduleError(
+                "replica composition: copy emit count diverges from "
+                "its representative (internal invariant)"
+            )
+        outputs.merge_replicas(values, seqs)
     trace = TraceRecorder()
     placements = sorted(
         (offset, ci)
@@ -948,8 +946,9 @@ def simulate_replicated(
     is asserted at small scale by the hybrid test suite). Composition is
     :func:`simulate_plan(mode="hybrid") <simulate_plan>`'s, with each
     copy's block indices passed as a ``range``; the composed stream
-    equals the template's stream tiled ``copies`` times. Trace rows merge
-    by reference, O(1) per copy until the report's
+    equals the template's stream tiled ``copies`` times, and the stream
+    is built that way. Outputs and trace rows are kept by reference, O(1)
+    per copy, until ``outputs.records`` (or ``blocks``) and the report's
     ``traces``/``node_counters`` are first read.
     """
     if copies < 1:

@@ -29,10 +29,12 @@ class SramAllocator:
             raise ValueError("SRAM capacity must be positive")
         if not (0 <= self.reserved <= self.capacity):
             raise ValueError("reserved bytes outside [0, capacity]")
+        # A running sum of _allocs: `used` is read on every transmit.
+        self._total = sum(self._allocs.values())
 
     @property
     def used(self) -> int:
-        return self.reserved + sum(self._allocs.values())
+        return self.reserved + self._total
 
     @property
     def free(self) -> int:
@@ -46,8 +48,10 @@ class SramAllocator:
         """
         if nbytes < 0:
             raise ValueError(f"negative allocation for {name!r}")
-        self.require(name, nbytes, reclaim=self._allocs.get(name, 0))
+        old = self._allocs.get(name, 0)
+        self.require(name, nbytes, reclaim=old)
         self._allocs[name] = nbytes
+        self._total += nbytes - old
 
     def require(self, name: str, nbytes: int, *, reclaim: int = 0) -> None:
         """Raise :class:`MemoryError_` unless ``nbytes`` more would fit.
@@ -65,7 +69,7 @@ class SramAllocator:
     def release(self, name: str) -> None:
         if name not in self._allocs:
             raise MemoryError_(f"release of unknown buffer {name!r}")
-        del self._allocs[name]
+        self._total -= self._allocs.pop(name)
 
     def size_of(self, name: str) -> int:
         return self._allocs[name]

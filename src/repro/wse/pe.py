@@ -283,7 +283,9 @@ class TaskContext:
         data = np.ascontiguousarray(array)
         if data.size == 0:
             raise TaskError(f"PE{self.coord}: send of an empty array on {color}")
-        self._pe.sram.require(f"__tx_{color.id}", data.nbytes)
+        sram = self._pe.sram
+        if data.nbytes > sram.free:
+            sram.require(f"__tx_{color.id}", data.nbytes)  # raises
         self._engine._send(self._pe, color, data, self.now, on_complete, relay)
 
     def halt(self) -> None:

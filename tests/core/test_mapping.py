@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CompressionError
 from repro.core.encoding import encode_blocks
@@ -12,6 +14,7 @@ from repro.core.mapping import (
     run_substage,
     substage_cycles,
 )
+from repro.core.mapping_decompress import DecompressOutputs
 from repro.core.stages import compression_substages
 from repro.wse.cost import PAPER_CYCLE_MODEL
 
@@ -263,3 +266,134 @@ class TestProgramOutputsStream:
         assert str(exc_info.value) == (
             "simulation produced no record for blocks [1, 3, 5]"
         )
+
+
+# -- replicas by reference ---------------------------------------------------------
+
+#: A zero block's record: the 4-byte header alone.
+HEADER_ONLY = bytes(4)
+
+
+@st.composite
+def replica_layouts(draw):
+    """Direct records plus 1-3 representatives merged as 1-6 copies each.
+
+    Copies are mostly laid end to end, as the composer tiles them, but a
+    copy may also skip a block (a gap) or step back over earlier blocks
+    (an overlap), and its indices come as an ascending ``range`` or as a
+    permuted tuple (a hybrid row interleaves its blocks). Returns
+    ``(direct indices, [(record count, seqs)], num_blocks)``.
+    """
+    reps, cursor = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        seqs = []
+        for _ in range(draw(st.integers(1, 6))):
+            shift = draw(st.sampled_from([0, 0, 0, 1, -1, -n]))
+            start = max(0, cursor + shift)
+            seq = range(start, start + n)
+            if draw(st.booleans()):
+                seq = tuple(draw(st.permutations(list(seq))))
+            seqs.append(seq)
+            cursor = max(cursor, start + n)
+        reps.append((n, seqs))
+    direct = draw(
+        st.lists(st.integers(0, cursor + 2), max_size=4, unique=True)
+    )
+    num_blocks = draw(st.one_of(st.just(cursor), st.integers(0, cursor + 3)))
+    return direct, reps, num_blocks
+
+
+def _eager(direct: dict, reps: list) -> dict:
+    """The oracle: the per-block copy loop composition used to run."""
+    store = dict(direct)
+    for values, seqs in reps:
+        for seq in seqs:
+            store.update(zip(seq, values))
+    return store
+
+
+def _outcome(read):
+    try:
+        return "ok", read()
+    except CompressionError as exc:
+        return "error", str(exc)
+
+
+class TestReplicatedOutputs:
+    @settings(max_examples=300, deadline=None)
+    @given(layout=replica_layouts(), data=st.data())
+    def test_stream_matches_the_materialized_join(self, layout, data):
+        direct_idx, shapes, num_blocks = layout
+        record = st.one_of(
+            st.just(HEADER_ONLY), st.binary(min_size=5, max_size=9)
+        )
+        direct = {i: data.draw(record) for i in direct_idx}
+        reps = [
+            (data.draw(st.lists(record, min_size=n, max_size=n)), seqs)
+            for n, seqs in shapes
+        ]
+        outputs = ProgramOutputs(dict(direct))
+        for values, seqs in reps:
+            outputs.merge_replicas(values, seqs)
+        eager = _eager(direct, reps)
+        assert _outcome(lambda: outputs.stream(num_blocks)) == _outcome(
+            lambda: ProgramOutputs(dict(eager)).stream(num_blocks)
+        )
+        assert list(outputs.records.items()) == list(eager.items())
+        assert _outcome(lambda: outputs.stream(num_blocks)) == _outcome(
+            lambda: ProgramOutputs(dict(eager)).stream(num_blocks)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout=replica_layouts(), seed=st.integers(0, 2**16))
+    def test_assemble_matches_the_materialized_stack(self, layout, seed):
+        direct_idx, shapes, num_blocks = layout
+        rng = np.random.default_rng(seed)
+        bs = 4
+
+        def block():
+            return rng.normal(size=bs).astype(np.float32)
+
+        direct = {i: block() for i in direct_idx}
+        reps = [([block() for _ in range(n)], seqs) for n, seqs in shapes]
+        outputs = DecompressOutputs(dict(direct))
+        for values, seqs in reps:
+            outputs.merge_replicas(values, seqs)
+        eager = _eager(direct, reps)
+
+        def bits(out):
+            return _outcome(lambda: out.assemble(num_blocks, bs).tobytes())
+
+        assert bits(outputs) == bits(DecompressOutputs(dict(eager)))
+        blocks = outputs.blocks
+        assert list(blocks) == list(eager)
+        assert all(blocks[i] is eager[i] for i in eager)
+        assert bits(outputs) == bits(DecompressOutputs(dict(eager)))
+
+    def test_only_an_exact_tiling_skips_the_mapping(self):
+        outputs = ProgramOutputs()
+        outputs.merge_replicas([b"a", b"b", b"c"], [range(3, 6), range(0, 3)])
+        assert outputs.stream(6) == b"abcabc"
+        assert not outputs._store  # tiled: no per-block mapping built
+        assert outputs.stream(2) == b"ab"  # a prefix reads the mapping
+        assert list(outputs._store) == [3, 4, 5, 0, 1, 2]
+
+    def test_an_empty_copy_does_not_end_the_tiling(self):
+        outputs = ProgramOutputs()
+        outputs.merge_replicas([b"a"] * 5, [range(0, 5)])
+        outputs.merge_replicas([], [range(5, 3)])  # empty, stop < start
+        assert outputs.stream(3) == b"aaa"
+
+    def test_gap_reads_the_mapping(self):
+        outputs = ProgramOutputs()
+        outputs.merge_replicas([b"a", b"b", b"c"], [range(0, 3), range(4, 7)])
+        assert outputs.stream(3) == b"abc"
+        with pytest.raises(CompressionError) as exc_info:
+            outputs.stream(7)
+        assert str(exc_info.value) == (
+            "simulation produced no record for blocks [3]"
+        )
+        assert outputs.records == {
+            0: b"a", 1: b"b", 2: b"c", 4: b"a", 5: b"b", 6: b"c"
+        }

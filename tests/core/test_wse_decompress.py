@@ -194,6 +194,33 @@ class TestPipelineDecompression:
             assert len(calls) == expected
         assert np.array_equal(out, CereSZ().decompress(stream.stream))
 
+    def test_feeds_are_the_split_arrays(self, stream, monkeypatch):
+        """The plan feeds the split's own uint32 arrays, no copies, and
+        the decode leaves them as they were."""
+        import repro.core.wse_compressor as wc
+
+        build, seen = wc.plan_pipeline_decompress, []
+
+        def kept(*args, **kwargs):
+            plan = build(*args, **kwargs)
+            payloads = [
+                a for pair in kwargs["records"] for a in pair if a is not None
+            ]
+            seen.append((plan, payloads, [a.copy() for a in payloads]))
+            return plan
+
+        monkeypatch.setattr(wc, "plan_pipeline_decompress", kept)
+        sim = WSECereSZ(
+            rows=2, cols=3, strategy="pipeline", pipeline_length=3
+        )
+        out, _ = sim.decompress_on_wafer(stream.stream)
+        ((plan, payloads, before),) = seen
+        assert len(plan.feeds) == len(payloads)
+        assert all(f.data is a for f, a in zip(plan.feeds, payloads))
+        assert all(np.array_equal(a, b) for a, b in zip(payloads, before))
+        expected = CereSZ().decompress(stream.stream)
+        assert out.tobytes() == expected.tobytes()
+
     def test_error_bound_holds_through_pipeline(self, mixed_field, stream):
         sim = WSECereSZ(
             rows=2, cols=3, strategy="pipeline", pipeline_length=3

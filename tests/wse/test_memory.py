@@ -1,6 +1,8 @@
 """Tests for the per-PE 48 KB SRAM allocator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import PE_SRAM_BYTES
 from repro.errors import MemoryError_
@@ -74,3 +76,33 @@ class TestSramAllocator:
         snap = sram.snapshot()
         snap["a"] = 999
         assert sram.size_of("a") == 10
+
+
+NAMES = st.sampled_from(["a", "b", "c"])
+SRAM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), NAMES, st.integers(0, 120)),
+        st.tuples(st.just("release"), NAMES),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reserved=st.integers(0, 60), ops=SRAM_OPS)
+def test_running_total_matches_the_allocation_table(reserved, ops):
+    """After any allocs, resizes, releases and refused allocs, ``used``
+    and ``free`` read what the sum over ``snapshot()`` gives."""
+    sram = SramAllocator(capacity=200, reserved=reserved)
+    for op in ops:
+        before = sram.snapshot()
+        try:
+            if op[0] == "alloc":
+                sram.alloc(op[1], op[2])
+            else:
+                sram.release(op[1])
+        except MemoryError_:
+            assert sram.snapshot() == before  # a refusal changes nothing
+        used = reserved + sum(sram.snapshot().values())
+        assert sram.used == used
+        assert sram.free == sram.capacity - used
