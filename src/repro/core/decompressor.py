@@ -458,7 +458,7 @@ def _structural_salvage_layout(
         offsets, fls = scan_record_offsets(
             stream, nb, header.block_size, header.header_width, start=offset
         )
-        return offsets, fls, np.ones(nb, dtype=bool)
+        return fls, offsets, np.ones(nb, dtype=bool)
     except FormatError as exc:
         notes.append(
             f"v1 stream walk failed ({exc}): no index to salvage from"

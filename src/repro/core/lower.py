@@ -63,13 +63,20 @@ Fused kernels: no node steps the per-sub-stage state machine by default.
 * Both group kernels are row-vectorized: each computes over an
   ``m x state_len`` stack of received blocks (all of the above, row by
   row, in one set of numpy calls; the decode head's over a stack of
-  records) and returns one commit per block, which charges, counts and
-  forwards or stores that block. The one-block task body is the one-row
-  call; a ready receive train hands the kernel its whole run (the task's
-  run form, :attr:`repro.wse.pe.Task.run`) and commits each block at that
-  block's own cycles. A stack with a row that fails a header or phase
-  check is declined, and the engine takes that run block by block, so the
-  error is raised at the same block.
+  records) and returns every row's charge and stage items and the rows'
+  payload (forwarded states, records or decoded values). A kernel reads
+  no per-PE state, so one is built per distinct (group, entry, tail) and
+  shared by every PE that runs it; each PE adds its epilogue
+  (:func:`_make_emit`). The one-block task body is the one-row call,
+  charged and emitted through its task context; a ready receive train
+  hands the kernel its whole run (the task's run form,
+  :attr:`repro.wse.pe.Task.run`), and the engine commits the returned
+  :class:`~repro.wse.pe.RunCommit` in one pass, each row at its own
+  cycles ("Run commits" in :mod:`repro.wse.engine`). A row that cannot
+  finalize or forward runs through the task body, which raises; a stack
+  with a row that fails a header or phase check is declined, and the
+  engine takes that run block by block. Either way the error is raised at
+  the same block.
 * Whole-block decode (the rows decompression HeaderNode) looks its
   accounting up per fixed length.
 
@@ -100,6 +107,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,7 +149,7 @@ from repro.wse.cost import CycleModel, PAPER_CYCLE_MODEL
 from repro.wse.dsd import FabinDsd, FaboutDsd, Mem1dDsd
 from repro.wse.engine import Engine
 from repro.wse.fabric import Fabric
-from repro.wse.pe import Task, TaskContext
+from repro.wse.pe import RunCommit, Task, TaskContext
 from repro.wse.trace import NodeCounters
 from repro.wse.wavelet import Direction, wavelet_count
 
@@ -240,6 +248,7 @@ def _lower_plan(
         outputs = DecompressOutputs()
     lowered = LoweredProgram(plan=plan, colors=cmap, outputs=outputs)
 
+    kernels: dict = {}  # fused group kernels, shared across PEs
     for node in plan.nodes:
         if isinstance(node, (IngestNode, EgressNode)):
             continue
@@ -262,7 +271,8 @@ def _lower_plan(
             )
         elif isinstance(node, RelayNode):
             _lower_relay(
-                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
+                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels,
+                kernels,
             )
         elif isinstance(node, StageNode):
             if plan.direction == "compress":
@@ -270,11 +280,13 @@ def _lower_plan(
             else:
                 lower_stage = _lower_decompress_stage
             lower_stage(
-                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
+                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels,
+                kernels,
             )
         elif isinstance(node, HeaderNode):
             _lower_header(
-                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
+                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels,
+                kernels,
             )
         else:  # pragma: no cover - plan.validate() rejects unknown kinds
             raise ScheduleError(f"cannot lower node kind {node.kind!r}")
@@ -481,11 +493,16 @@ def _make_emit(
     store: dict,
     nc: NodeCounters,
 ):
-    """A stage group's epilogue: store the block's result or forward it.
+    """A stage group's epilogue on one PE: store the block's result or
+    forward it.
 
     ``store`` is the outputs' record or decoded-block dict. Forwarded
     states are always ``state_len`` float64 vectors. With ``halts`` the
-    task halts after its last block.
+    task halts after its last block. Returns ``(emit, commit)``:
+    ``emit(ctx, result)`` ends one block's task, and ``commit(rows)`` turns
+    a group kernel's :class:`_Rows` into the run form's
+    :class:`~repro.wse.pe.RunCommit`, whose rows charge, book and send
+    exactly what ``emit`` after the kernel's charges does.
     """
     forward = model.forward_block_cycles(plan.block_size)
     wavelets = wavelet_count(np.zeros(plan.state_len, dtype=np.float64))
@@ -503,7 +520,56 @@ def _make_emit(
         if halts and box["done"] == len(my):
             ctx.halt()
 
-    return emit
+    def commit(rows: _Rows) -> RunCommit:
+        items, payload = rows.items, rows.payload
+
+        def book(lo: int, hi: int) -> bool:
+            add = nc.add_stages
+            for r in range(lo, hi):
+                add(items[r])
+            done = box["done"]
+            box["done"] = done + hi - lo
+            if out_color is None:
+                for r in range(lo, hi):
+                    store[my[done + r - lo]] = payload[r]
+                nc.blocks_emitted += hi - lo
+            else:
+                nc.wavelets_sent += wavelets * (hi - lo)
+            return halts and box["done"] == len(my)
+
+        if out_color is None:
+            return RunCommit(rows.spends, rows.ok, book)
+        spend = int(round(forward))
+        return RunCommit(
+            [s + spend for s in rows.spends], rows.ok, book, out_color,
+            payload,
+        )
+
+    return emit, commit
+
+
+class _Rows(NamedTuple):
+    """A fused group kernel's result for an ``m``-row stack."""
+
+    spends: list[int]  # each row's charge before its epilogue
+    items: list  # each row's stage items (``NodeCounters.add_stages``)
+    #: Forwarded states (``m x state_len``), or the rows' records or
+    #: decoded values (the first ``ok`` at least).
+    payload: object
+    ok: int  # rows before the first that cannot finalize or forward
+    fail: Callable[[int], None]  # raises that row's error
+
+
+def _shared(kernels: dict | None, key: tuple, build: Callable):
+    """The group kernel ``build()`` makes, built once per ``key`` (group,
+    entry, tail) in ``kernels``: it reads no per-PE state, so every PE
+    running the group shares it."""
+    if kernels is None:
+        return build()
+    kernel = kernels.get(key)
+    if kernel is None:
+        kernel = kernels[key] = build()
+    return kernel
 
 
 def _wire_vector(state_len: int, header: tuple, parts) -> np.ndarray:
@@ -554,7 +620,7 @@ def _make_stepped_group(
     eps = plan.eps
     block_size = plan.block_size
     state_len = plan.state_len
-    emit = _make_emit(
+    emit, _ = _make_emit(
         out_color, halts, my, box, plan, model, outputs.records, nc
     )
 
@@ -595,26 +661,66 @@ def _make_fused_group(
     outputs: ProgramOutputs,
     nc: NodeCounters,
     halts: bool,
+    kernels: dict | None = None,
 ):
     """One Algorithm-1 stage group as a single fused, row-vectorized kernel.
 
-    Same inputs, outputs and accounting as :func:`_make_stepped_group`, for
-    a stack of received blocks at once: the states are read in place
-    through :func:`~repro.core.mapping.state_headers` (the checks of
-    ``PipelineState.from_array``, per row); the group's fixed sub-stages run
-    in order over the whole stack and its live shuffle bits are packed in
-    one vectorized call; and the outgoing states are written straight into
-    an ``m x state_len`` matrix in the ``PipelineState.to_array`` layout
-    (header, values, sign bytes, planes). ``compute(stack)`` does all that
-    and returns one commit per row, which replays the block's charges (one
-    ``ctx.spend``/``add_stages`` pair, memoized per (phase, fl) at the
-    group's shuffle run) and stores the record or forwards the state.
+    Same inputs, outputs and accounting as :func:`_make_stepped_group`.
+    The kernel (:func:`_group_kernel`, shared through ``kernels`` by every
+    PE that runs the same group) computes a whole stack of blocks; this PE
+    adds the epilogue (:func:`_make_emit`).
 
     Returns ``(run_group, run)``: the one-block task body, which is the
-    one-row call on buffer ``source``, and the run form of a receive
-    train's go task (:attr:`repro.wse.pe.Task.run`), which declines a
-    stack that fails a header or phase check so that the run goes block by
-    block and raises the same ``CompressionError`` at the same block.
+    one-row call on buffer ``source`` and charges, stores or forwards the
+    block through its task context, and the run form of a receive train's
+    go task (:attr:`repro.wse.pe.Task.run`), which returns the stack's
+    :class:`~repro.wse.pe.RunCommit` or declines a stack that fails a
+    header or phase check, so that the run goes block by block and raises
+    the same ``CompressionError`` at the same block.
+    """
+    compute = _shared(
+        kernels,
+        (group, first, out_color is None),
+        lambda: _group_kernel(group, first, out_color is None, plan, model),
+    )
+    emit, commit = _make_emit(
+        out_color, halts, my, box, plan, model, outputs.records, nc
+    )
+
+    def run_group(ctx: TaskContext) -> None:
+        rows = compute(ctx.buffer(source)[None, :])
+        ctx.spend(rows.spends[0])
+        nc.add_stages(rows.items[0])
+        if not rows.ok:
+            rows.fail(0)
+        emit(ctx, rows.payload[0])
+
+    def run(stack: np.ndarray) -> RunCommit | None:
+        try:
+            return commit(compute(stack))
+        except CompressionError:
+            return None
+
+    return run_group, run
+
+
+def _group_kernel(
+    group, first: bool, last: bool, plan: MappingPlan, model: CycleModel
+):
+    """The fused compression kernel of one stage group: ``compute(stack)``
+    returns the :class:`_Rows` of an ``m x extent`` stack of blocks.
+
+    The states are read in place through
+    :func:`~repro.core.mapping.state_headers` (the checks of
+    ``PipelineState.from_array``, per row); the group's fixed sub-stages
+    run in order over the whole stack and its live shuffle bits are packed
+    in one vectorized call; and the outgoing states are written straight
+    into an ``m x state_len`` matrix in the ``PipelineState.to_array``
+    layout (header, values, sign bytes, planes), or, at the tail
+    (``last``), into each row's record. Each row's charge is one
+    ``spend``/``add_stages`` pair, memoized per (phase, fl) at the group's
+    shuffle run. A row that fails a header or phase check raises
+    ``CompressionError``.
     """
     fixed, ks = _split_group(
         group, _FIXED_STAGES, "shuffle_bit_", bits_first=False
@@ -633,9 +739,6 @@ def _make_fused_group(
     per_bit = model.bit_shuffle.cycles(block_size, 1)
     dispatch = model.task_dispatch
     shifts = np.array(ks, dtype=np.int64)[:, None]
-    emit = _make_emit(
-        out_color, halts, my, box, plan, model, outputs.records, nc
-    )
 
     @functools.cache
     def shuffle_run(phase: int, fl: int | None):
@@ -659,7 +762,7 @@ def _make_fused_group(
         )
         return spend, items, sum(k < fl for k in ks)
 
-    def compute(stack: np.ndarray) -> list:
+    def compute(stack: np.ndarray) -> _Rows:
         m = len(stack)
         if first:
             bs, values = block_size, stack
@@ -746,8 +849,33 @@ def _make_fused_group(
                     bits[r] += n
                     if bits[r] >= fls[r]:
                         phases[r] = _ENCODED
+        if last:
+            # A record needs its length and sign bytes.
+            ok = m
+            if None in fls or not all(has_signs):
+                ok = next(
+                    r for r in range(m) if fls[r] is None or not has_signs[r]
+                )
+            records = []
+            for r in range(ok):
+                record = int(fls[r]).to_bytes(CERESZ_HEADER_BYTES, "little")
+                if fls[r]:
+                    record += tails[r, : ends[r]].tobytes()
+                records.append(record)
+
+            def fail(r: int) -> None:
+                raise CompressionError(
+                    f"cannot finalize a block in phase "
+                    f"{PHASES[phases[r]]!r}"
+                )
+
+            return _Rows(spends, items, records, ok, fail)
         wire = None
-        if out_color is not None and width >= 0:
+        ok = 0
+        if width >= 0:
+            ok = m
+            if max(ends) > width:
+                ok = next(r for r, end in enumerate(ends) if end > width)
             wire = np.empty((m, state_len))
             wire[:, 0] = phases
             wire[:, 1] = bs
@@ -763,46 +891,19 @@ def _make_fused_group(
             wire[:, 5 : 5 + bs] = values
             wire[:, 5 + bs :] = tails[:, :width]
 
-        def commit(r: int, ctx: TaskContext) -> None:
-            ctx.spend(spends[r])
-            nc.add_stages(items[r])
-            if out_color is None:
-                fl = fls[r]
-                if fl is None or not has_signs[r]:
-                    raise CompressionError(
-                        f"cannot finalize a block in phase "
-                        f"{PHASES[phases[r]]!r}"
-                    )
-                record = int(fl).to_bytes(CERESZ_HEADER_BYTES, "little")
-                if fl:
-                    record += tails[r, : ends[r]].tobytes()
-                emit(ctx, record)
-            elif ends[r] <= width:
-                emit(ctx, wire[r])
-            else:  # raises where the one-block wire write overflows
-                header = (
-                    phases[r],
-                    bs,
-                    -1 if mags[r] is None else mags[r],
-                    -1 if fls[r] is None else fls[r],
-                    bits[r],
-                )
-                _wire_vector(
-                    state_len, header, (values[r], tails[r, : ends[r]])
-                )
+        def fail(r: int) -> None:  # raises where the one-block write would
+            header = (
+                phases[r],
+                bs,
+                -1 if mags[r] is None else mags[r],
+                -1 if fls[r] is None else fls[r],
+                bits[r],
+            )
+            _wire_vector(state_len, header, (values[r], tails[r, : ends[r]]))
 
-        return [functools.partial(commit, r) for r in range(m)]
+        return _Rows(spends, items, wire, ok, fail)
 
-    def run_group(ctx: TaskContext) -> None:
-        compute(ctx.buffer(source)[None, :])[0](ctx)
-
-    def run(stack: np.ndarray) -> list | None:
-        try:
-            return compute(stack)
-        except CompressionError:
-            return None
-
-    return run_group, run
+    return compute
 
 
 # --- compression nodes -----------------------------------------------------------------
@@ -871,6 +972,7 @@ def _lower_relay(
     outputs: ProgramOutputs,
     nc: NodeCounters,
     fast_kernels: bool,
+    kernels: dict,
 ) -> None:
     """Fig 9 counted relay + compute (multi-pipeline PE or staged head)."""
     block_size = plan.block_size
@@ -938,7 +1040,11 @@ def _lower_relay(
 
     else:
         c_out = cmap[node.out] if node.out is not None else None
-        make = _make_fused_group if fast_kernels else _make_stepped_group
+        make = (
+            functools.partial(_make_fused_group, kernels=kernels)
+            if fast_kernels
+            else _make_stepped_group
+        )
         consume, _ = make(
             node.group, "inbox", True, c_out, my, box, plan, model, outputs,
             nc, False,
@@ -970,6 +1076,7 @@ def _lower_stage(
     outputs: ProgramOutputs,
     nc: NodeCounters,
     fast_kernels: bool,
+    kernels: dict,
 ) -> None:
     """One compression stage group, with an optional raw-relay side duty.
 
@@ -985,7 +1092,11 @@ def _lower_stage(
     extent = block_size if node.first else plan.state_len
     my = list(node.blocks)
     box = {"done": 0}
-    make = _make_fused_group if fast_kernels else _make_stepped_group
+    make = (
+        functools.partial(_make_fused_group, kernels=kernels)
+        if fast_kernels
+        else _make_stepped_group
+    )
     run_group, run = make(
         node.group, "stage_in", node.first, c_send, my, box, plan, model,
         outputs, nc, node.relay is None,
@@ -1062,7 +1173,7 @@ def _make_decompress_process(
     """
     eps = plan.eps
     state_len = plan.state_len
-    emit = _make_emit(
+    emit, _ = _make_emit(
         out_color, True, my, box, plan, model, outputs.blocks, nc
     )
 
@@ -1151,42 +1262,84 @@ def _make_fused_decode(
     model: CycleModel,
     outputs: DecompressOutputs,
     nc: NodeCounters,
+    kernels: dict | None = None,
 ):
     """One reverse stage group as a single fused, row-vectorized kernel.
 
-    Same inputs, outputs and accounting as :func:`_make_decompress_process`,
-    for a stack of blocks at once. The group's control flow depends only
-    on a block's entry phase and fixed length, so it is run once
-    symbolically per (phase, fl) — charges, dispatch skips and the
-    phase-order error included. ``compute`` applies that to every row:
-    each live bit plane is added over all rows in bit order (the stepped
-    path's exact float64 sums; a plane at or past a row's fl adds nothing
-    to it), the sign restore, prefix sum and de-quantization run over the
-    whole stack, and the outgoing states are written straight into an
-    ``m x state_len`` matrix in the ``DecompressState.to_array`` layout.
-    It returns one commit per row, which replays the block's charges (one
-    ``ctx.spend``/``add_stages`` pair) and stores the values or forwards
-    the state.
+    Same inputs, outputs and accounting as :func:`_make_decompress_process`.
+    The kernel (:func:`_decode_kernel`, shared through ``kernels`` by every
+    PE that runs the same group) computes a whole stack of blocks; this PE
+    adds the epilogue (:func:`_make_emit`).
 
     Returns ``(process, run)``. ``process(ctx, entry)`` is the one-row call
-    on the tuple :func:`_record_entry` or :func:`_wire_entry` builds.
+    on the tuple :func:`_record_entry` or :func:`_wire_entry` builds, and
+    charges, stores or forwards the block through its task context.
     ``run(stack)`` is the run form of a receive train's go task
-    (:attr:`repro.wse.pe.Task.run`): the head (``first``) reads a record
-    train's stack (each row a record's fl, sign words and plane words), a
-    stage an ``m x state_len`` stack of states through
-    :func:`~repro.core.mapping_decompress.decode_state_headers`. It
-    declines a stack with a row that fails a header or phase check, so the
-    run goes block by block and raises the same ``CompressionError`` at the
-    same block.
+    (:attr:`repro.wse.pe.Task.run`): it returns the stack's
+    :class:`~repro.wse.pe.RunCommit`, or declines a stack with a row that
+    fails a header or phase check, so the run goes block by block and
+    raises the same ``CompressionError`` at the same block.
+    """
+    program, compute, read = _shared(
+        kernels,
+        (group, first, out_color is None),
+        lambda: _decode_kernel(group, first, out_color is None, plan, model),
+    )
+    emit, commit = _make_emit(
+        out_color, True, my, box, plan, model, outputs.blocks, nc
+    )
+
+    def process(ctx: TaskContext, entry) -> None:
+        phase, bs, fl, bits, values, signs, planes = entry
+        rows = compute(
+            [phase], bs, [fl], [bits], values[None], signs[None], planes[None]
+        )
+        if rows is None:  # the phase-order error, after its charges
+            spend, items, error = program(phase, fl)[:3]
+            ctx.spend(spend)
+            nc.add_stages(items)
+            raise CompressionError(error)
+        ctx.spend(rows.spends[0])
+        nc.add_stages(rows.items[0])
+        if not rows.ok:
+            rows.fail(0)
+        emit(ctx, rows.payload[0])
+
+    def run(stack: np.ndarray) -> RunCommit | None:
+        rows = read(stack)
+        return None if rows is None else commit(rows)
+
+    return process, run
+
+
+def _decode_kernel(
+    group, first: bool, last: bool, plan: MappingPlan, model: CycleModel
+):
+    """The fused decode kernel of one reverse stage group: returns
+    ``(program, compute, read)``.
+
+    The group's control flow depends only on a block's entry phase and
+    fixed length, so ``program`` runs it once symbolically per (phase, fl)
+    — charges, dispatch skips and the phase-order error included.
+    ``compute`` applies that to every row of a stack: each live bit plane
+    is added over all rows in bit order (the stepped path's exact float64
+    sums; a plane at or past a row's fl adds nothing to it), the sign
+    restore, prefix sum and de-quantization run over the whole stack, and
+    the outgoing states are written straight into an ``m x state_len``
+    matrix in the ``DecompressState.to_array`` layout, or, at the tail
+    (``last``), the rows are the decoded float32 values. It returns the
+    stack's :class:`_Rows`, or None when a row fails its phase order.
+    ``read(stack)`` is ``compute`` on a receive train's stack: at the head
+    (``first``) a record train's (each row a record's fl, sign words and
+    plane words), at a stage an ``m x state_len`` stack of states read
+    through :func:`~repro.core.mapping_decompress.decode_state_headers`;
+    it is None when a row fails a header or phase check.
     """
     _split_group(group, _DECODE_TAIL, "unshuffle_bit_", bits_first=True)
     two_eps = 2.0 * plan.eps
     block_size = plan.block_size
     state_len = plan.state_len
     dispatch = model.task_dispatch
-    emit = _make_emit(
-        out_color, True, my, box, plan, model, outputs.blocks, nc
-    )
 
     @functools.cache
     def program(phase: str, fl: int):
@@ -1239,8 +1392,8 @@ def _make_fused_decode(
             DECODE_PHASES.index(phase),
         )
 
-    def compute(phases, bs, fls, bits, values, signs, planes) -> list | None:
-        """Every row's commit, or None when a row fails its phase order.
+    def compute(phases, bs, fls, bits, values, signs, planes) -> _Rows | None:
+        """The stack's rows, or None when a row fails its phase order.
 
         ``values`` is ``m x bs`` float64, ``signs`` ``m x bs/8`` uint8 and
         ``planes`` ``m x P`` uint32 with at least every row's ``fl``
@@ -1291,11 +1444,26 @@ def _make_fused_decode(
             )
         if dequant[0]:
             values = values * two_eps
+        if last:
+            ok = m
+            if exits.count("values") < m:
+                ok = next(r for r in range(m) if exits[r] != "values")
+
+            def fail(r: int) -> None:
+                raise CompressionError(
+                    f"block not fully decompressed (phase {exits[r]!r})"
+                )
+
+            return _Rows(spends, items, values.astype(np.float32), ok, fail)
         at = 4 + bs + bs // 8
-        fit = at + max(fls) * words <= state_len  # every row's state fits
-        if out_color is None:
-            out = values.astype(np.float32)
-        elif fit or at <= state_len:
+        wire = None
+        ok = 0
+        if at <= state_len:
+            ok = m
+            if at + max(fls) * words > state_len:
+                ok = next(
+                    r for r in range(m) if at + fls[r] * words > state_len
+                )
             width = min(max(fls) * words, state_len - at)
             wire = np.zeros((m, state_len))
             wire[:, 0] = indices
@@ -1312,40 +1480,17 @@ def _make_fused_decode(
                     )
                 wire[:, at : at + width] = kept
 
-        def commit(r: int, ctx: TaskContext) -> None:
-            ctx.spend(spends[r])
-            nc.add_stages(items[r])
-            if out_color is None:
-                if exits[r] != "values":
-                    raise CompressionError(
-                        f"block not fully decompressed (phase {exits[r]!r})"
-                    )
-                emit(ctx, out[r])
-            elif fit or at + fls[r] * words <= state_len:
-                emit(ctx, wire[r])
-            else:  # raises where the one-block wire write overflows
-                header = (indices[r], bs, fls[r], int(bits[r]))
-                _wire_vector(
-                    state_len,
-                    header,
-                    (values[r], signs[r], planes[r, : fls[r] * words]),
-                )
+        def fail(r: int) -> None:  # raises where the one-block write would
+            header = (indices[r], bs, fls[r], int(bits[r]))
+            _wire_vector(
+                state_len,
+                header,
+                (values[r], signs[r], planes[r, : fls[r] * words]),
+            )
 
-        return [functools.partial(commit, r) for r in range(m)]
+        return _Rows(spends, items, wire, ok, fail)
 
-    def process(ctx: TaskContext, entry) -> None:
-        phase, bs, fl, bits, values, signs, planes = entry
-        commits = compute(
-            [phase], bs, [fl], [bits], values[None], signs[None], planes[None]
-        )
-        if commits is None:  # the phase-order error, after its charges
-            spend, items, error = program(phase, fl)[:3]
-            ctx.spend(spend)
-            nc.add_stages(items)
-            raise CompressionError(error)
-        commits[0](ctx)
-
-    def run(stack: np.ndarray) -> list | None:
+    def read(stack: np.ndarray) -> _Rows | None:
         if first:
             fls = stack[:, 0].tolist()
             if min(fls) < 0:
@@ -1380,7 +1525,7 @@ def _make_fused_decode(
             stack[:, at : at + max(fls) * (bs // 32)].astype(np.uint32),
         )
 
-    return process, run
+    return program, compute, read
 
 
 def _lower_header(
@@ -1393,6 +1538,7 @@ def _lower_header(
     outputs: DecompressOutputs,
     nc: NodeCounters,
     fast_kernels: bool,
+    kernels: dict,
 ) -> None:
     """Two-phase header/body receive, then whole-block decode or group 0.
 
@@ -1452,7 +1598,8 @@ def _lower_header(
     else:
         c_send = cmap[node.send] if node.send is not None else None
         make, enter = (
-            (_make_fused_decode, _record_entry)
+            (functools.partial(_make_fused_decode, kernels=kernels),
+             _record_entry)
             if fast_kernels
             else (_make_decompress_process, DecompressState.from_record)
         )
@@ -1510,6 +1657,7 @@ def _lower_decompress_stage(
     outputs: DecompressOutputs,
     nc: NodeCounters,
     fast_kernels: bool,
+    kernels: dict,
 ) -> None:
     """A non-head decompression pipeline PE: a receive train of states
     (see "Receive trains" in :mod:`repro.wse.engine`), each run through the
@@ -1521,7 +1669,7 @@ def _lower_decompress_stage(
     my = list(node.blocks)
     box = {"done": 0}
     make, enter = (
-        (_make_fused_decode, _wire_entry)
+        (functools.partial(_make_fused_decode, kernels=kernels), _wire_entry)
         if fast_kernels
         else (_make_decompress_process, DecompressState.from_array)
     )

@@ -389,8 +389,10 @@ class ProgramOutputs(ReplicatedOutputs):
     def records(self) -> dict[int, bytes]:
         return self._materialized()
 
-    def stream(self, num_blocks: int) -> bytes:
-        """Concatenate records in block order (fails on gaps).
+    def stream(self, num_blocks: int, *, head: bytes = b"") -> bytes:
+        """Concatenate records in block order (fails on gaps), after
+        ``head`` (a container header) in the same join, so the stream is
+        copied once.
 
         When the pending copies tile the stream exactly (every copy a
         step-1 ``range``, as a
@@ -404,10 +406,12 @@ class ProgramOutputs(ReplicatedOutputs):
         """
         pieces = self._tiled(num_blocks) if self._replicas else None
         if pieces is not None:
-            return b"".join(pieces)
+            return b"".join([head, *pieces])
         records = self.records
         try:
-            return b"".join(map(records.__getitem__, range(num_blocks)))
+            return b"".join(
+                [head, *map(records.__getitem__, range(num_blocks))]
+            )
         except KeyError:
             missing = [i for i in range(num_blocks) if i not in records]
             raise CompressionError(

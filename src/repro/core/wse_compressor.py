@@ -258,7 +258,7 @@ class WSECereSZ:
         )
         n = int(np.prod(shape, dtype=np.int64))
         result = CompressionResult(
-            stream=header.pack() + run.outputs.stream(num_blocks),
+            stream=run.outputs.stream(num_blocks, head=header.pack()),
             eps=bound,
             original_bytes=n * 4,
             shape=shape,

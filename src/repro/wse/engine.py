@@ -144,12 +144,12 @@ A block takes one of two paths:
   the run is delivered. A block taken before its receive's posting cycle
   goes into the ahead backlog, so inbox depths stay exact. A go task
   with a *run form* (:attr:`~repro.wse.pe.Task.run`) computes the whole
-  run in one call over the stacked blocks first and returns one commit
-  per block, which charges and emits that block exactly as the task body
-  would; a run form that declines (``None``: a row failed a check) sends
-  the run block by block through the task body, so an error is raised at
-  the same block. The buffer ends the run holding the last block, as the
-  block-by-block path leaves it.
+  run in one call over the stacked blocks first, and the engine commits
+  it in one pass ("Run commits" below); a run form that declines
+  (``None``: a row failed a check) sends the run block by block through
+  the task body, so an error is raised at the same block. The buffer
+  ends the run holding the last block, as the block-by-block path leaves
+  it.
 
 *Record trains.* The decompression head's two-phase receive (Section 4.2:
 records have data-dependent length) is a receive train too:
@@ -168,10 +168,34 @@ waits for that posting as the queued match would; then the body's task.
 A header task that leaves other work behind, or posts no body receive,
 ends the run there, and the body and the rest are delivered. With a run
 form the stack holds one record per row (its header, then its body,
-zero-padded to the longest), ``on_header`` still posts each body
-receive, and each record's commit replaces its last task. Task runs,
+zero-padded to the longest), ``on_header`` still runs and posts each
+body receive, and each record's row replaces its last task. Task runs,
 timeline events and inbox depths are those of the re-arming two-phase
 receive it replaces.
+
+*Run commits.* A run form returns one
+:class:`~repro.wse.pe.RunCommit` for the run: each row's cycles, how many
+leading rows may commit (``ok``), the rows' payload (the forwarded
+states, sent on one color) and ``book``, which records rows in the
+lowering's outputs and counters. The engine commits the rows in one pass
+(:meth:`Engine._take_run`, :meth:`Engine._take_body`). Per row it charges
+only timing and that row's task run: the start (the later of its arrival
+or re-post and ``busy_until``), the ahead backlog, ``busy_until``,
+``compute_cycles``, ``tasks_run`` and the timeline event, then the
+zero-cycle re-post step. Once per run it resolves the send color's route,
+counts the wavelets of one row and makes the transmit-SRAM check. The
+rows are booked, in row order, and their sends handed on, each at
+``(row end + injection) + hops``, as one :meth:`Engine._arrive`. That
+*settling* happens before anything else can draw an event sequence number
+or take a hand-off: before a requeue, before the rest of a run is
+delivered, before any task body runs (a record's header task, or a
+failing row), and at the run's end. So heap order, and every per-PE
+result, is exactly the block-by-block path's. A row that must fail ends
+the batch: a row past ``ok`` (a record that cannot finalize, a forwarded
+state past ``state_len``), or every row when one row's transmit array
+exceeds the free SRAM, runs through the task body with its block in the
+buffer, which raises the same error at the same block after the same
+charges.
 
 Unlike a relay train, a receive train has no per-block inline path at a
 deliver or match event. Algorithm 1's plans hand or feed each stage
@@ -179,12 +203,14 @@ block, and feed each decode head's records, to a ready PE (on
 wafer-pipeline every one of the 4,096 compress and 3,584 decode stage
 blocks and all 512 records), so such a path would serve no lowered plan.
 
-:meth:`Engine._run` is the one copy of the task-run arithmetic, shared by
-the queued task and each block of a ready run. The never-firing fault
-plan is again the oracle: ``tests/core/test_receive_trains.py`` requires
-every per-PE result to match it, and the queued path to match the
-re-arming receive task it replaces (and, for a record train, the
-re-arming two-phase receive).
+:meth:`Engine._run` is the one copy of the task-run arithmetic for a
+task body, shared by the queued task and every block of a ready run that
+runs one; :meth:`Engine._commit_row` replays it for a run commit's row.
+The never-firing fault plan is again the oracle:
+``tests/core/test_receive_trains.py`` requires every per-PE result to
+match it (a failure inside a ready run included), and the queued path to
+match the re-arming receive task it replaces (and, for a record train,
+the re-arming two-phase receive).
 """
 
 from __future__ import annotations
@@ -192,7 +218,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,7 +229,7 @@ from repro.faults.plan import FaultPlan
 from repro.wse.color import Color
 from repro.wse.dsd import Dsd, FabinDsd, FaboutDsd, Mem1dDsd
 from repro.wse.fabric import Fabric
-from repro.wse.pe import ProcessingElement, TaskContext
+from repro.wse.pe import ProcessingElement, RunCommit, TaskContext
 from repro.wse.trace import TraceRecorder
 from repro.wse.wavelet import Direction, wavelet_count
 
@@ -266,6 +292,19 @@ class _PendingRelay:
     posted_at: float
     charge_relay: bool
     train: _Train | None = None
+
+
+@dataclass(slots=True)
+class _Batch:
+    """A run commit while its ready run is committed (see "Run commits")."""
+
+    commit: RunCommit
+    ok: int  # rows committed in one pass (a failing row ends them)
+    route: object  # the sends' ResolvedRoute (None: nothing is sent)
+    inject: int  # each send's injection cycles
+    done: int = 0  # rows committed
+    settled: int = 0  # rows booked and sent
+    ends: list = field(default_factory=list)  # unsent rows' end cycles
 
 
 @dataclass(slots=True)
@@ -1169,7 +1208,8 @@ class Engine:
         of whole records, in arrival order: each is charged what the queued
         path charges it — inbox depth, its go task (and a record's body
         task) from the later of its arrival and its receive's posting, the
-        re-post at the end (see "Receive trains")."""
+        re-post at the end (see "Receive trains"). A go task with a run
+        form commits the run in one pass ("Run commits")."""
         key = (pe.row, pe.col, color_id)
         train = pe.train
         bodies = None  # a record train's: each header's body, or None
@@ -1200,50 +1240,55 @@ class Engine:
                     f"window, got {data.size}"
                 )
         go = pe.tasks[train.on_complete.id]
-        commits = None
+        batch = None
         if go.run is not None and len(heads) > 1:
-            commits = go.run(_stack(heads, bodies, target.dtype))
+            commit = go.run(_stack(heads, bodies, target.dtype))
+            if commit is not None:
+                batch = self._batch(pe, commit)
         ahead = self._ahead.setdefault(key, deque())
         if pe.max_inbox_depth < 1:  # each block arrives to an empty inbox
             pe.max_inbox_depth = 1
         taken = 0  # blocks, headers and bodies alike
         for r, (arrive, data) in enumerate(heads):
             body = None if bodies is None else bodies[r]
-            if commits is None or bodies is not None:
-                target[:] = data.astype(target.dtype, copy=False)
             at = self._waited(pe, ahead, arrive, posted_at)
             if not train.left:  # the train's last block
                 pe.train = None
             taken += 1
-            fn = go.fn if commits is None or body else commits[r]
-            self._run(
-                pe, fn, go.name, at if at > pe.busy_until else pe.busy_until
-            )
-            if body:  # the go task posted the body's receive
-                recvs = self._recv.get(key)
-                if (
-                    not recvs
-                    or recvs[0].on_complete != train.body
-                    or not self._quiet(pe, 1)
-                ):  # not as a record train's go task does: queue the rest
-                    if train.left and not recvs:
-                        self._requeue(pe, train)
+            start = at if at > pe.busy_until else pe.busy_until
+            if body is None and batch is not None and batch.done < batch.ok:
+                self._commit_row(pe, batch, go.name, start)
+            else:  # the task body: a header task, or a row that fails
+                if batch is not None:
+                    self._settle(pe, batch)
+                target[:] = data.astype(target.dtype, copy=False)
+                self._run(pe, go.fn, go.name, start)
+                if body:  # the go task posted the body's receive
+                    recvs = self._recv.get(key)
+                    if (
+                        not recvs
+                        or recvs[0].on_complete != train.body
+                        or not self._quiet(pe, 1)
+                    ):  # unlike a record train's go task: queue the rest
+                        if train.left and not recvs:
+                            self._requeue(pe, train)
+                        break
+                    taken += 1
+                    self._take_body(pe, key, ahead, body, batch)
+                if train.left and not self._quiet(pe):
+                    # The task left work: queue the re-post.
+                    if batch is not None:
+                        self._settle(pe, batch)
+                    self._requeue(pe, train)
                     break
-                taken += 1
-                self._take_body(
-                    pe, key, ahead, body,
-                    None if commits is None else commits[r],
-                )
             if not train.left:
-                break
-            if not self._quiet(pe):  # the task left work: queue re-post
-                self._requeue(pe, train)
                 break
             posted_at = self._step(pe, train, pe.busy_until)
         else:  # the train goes on: its next receive waits for a block
             self._post_step(pe, train, posted_at, probe=False)
-        if commits is not None and bodies is None:
-            target[:] = heads[r][1]
+        if batch is not None:
+            self._settle(pe, batch)
+            target[:] = heads[r][1]  # the last block, as block by block
         if taken < len(blocks):  # past the train's count, or queued
             self._deliver_at(pe, color_id, blocks[taken:])
 
@@ -1253,11 +1298,11 @@ class Engine:
         key: tuple[int, int, int],
         ahead: deque,
         body: tuple[float, np.ndarray],
-        commit,
+        batch: "_Batch | None",
     ) -> None:
         """A ready record train's body: pair it with the receive its go
-        task just posted, and run the body task (or the record's
-        ``commit``) when the queued match and activation would."""
+        task just posted, and run the body task (or commit the record's
+        row of ``batch``) when the queued match and activation would."""
         pending = self._recv[key].popleft()
         pe.posted -= 1
         arrive, data = body
@@ -1271,10 +1316,67 @@ class Engine:
         target[:] = data.astype(target.dtype, copy=False)
         at = self._waited(pe, ahead, arrive, pending.posted_at)
         task = pe.tasks[pending.on_complete.id]
-        self._run(
-            pe, commit or task.fn, task.name,
-            at if at > pe.busy_until else pe.busy_until,
-        )
+        start = at if at > pe.busy_until else pe.busy_until
+        if batch is not None and batch.done < batch.ok:
+            self._commit_row(pe, batch, task.name, start)
+            return
+        if batch is not None:  # the row fails: its task body raises
+            self._settle(pe, batch)
+        self._run(pe, task.fn, task.name, start)
+
+    def _batch(self, pe: ProcessingElement, commit: RunCommit) -> "_Batch":
+        """Start committing a run form's rows on ``pe``: the sends' route,
+        wavelet count and transmit-SRAM check, once for the run."""
+        ok = commit.ok
+        route = None
+        inject = 0
+        if commit.color is not None and ok:
+            row = commit.sends[0]
+            if not row.size or row.nbytes > pe.sram.free:
+                ok = 0  # the first row's send fails: its task body raises
+            else:
+                route = self.fabric.resolve(pe.row, pe.col, commit.color)
+                inject = wavelet_count(row) * HOP_CYCLES
+        return _Batch(commit, ok, route, inject)
+
+    def _commit_row(
+        self, pe: ProcessingElement, batch: "_Batch", name: str, start: float
+    ) -> None:
+        """Commit ``batch``'s next row as a task run from cycle ``start``
+        (:meth:`_run`'s arithmetic with the row's cycles); its booking and
+        send wait for :meth:`_settle`."""
+        spent = batch.commit.cycles[batch.done]
+        batch.done += 1
+        end = pe.busy_until = start + spent
+        pe.compute_cycles += spent
+        pe.tasks_run += 1
+        if self._timeline:
+            self.tracer.pe_event(pe.row, pe.col, name, start, spent)
+        batch.ends.append(end)
+
+    def _settle(self, pe: ProcessingElement, batch: "_Batch") -> None:
+        """Book ``batch``'s committed rows and hand their sends on as one
+        run, before anything else on ``pe`` can draw a sequence number."""
+        lo, hi = batch.settled, batch.done
+        if lo == hi:
+            return
+        batch.settled = hi
+        commit = batch.commit
+        if commit.book(lo, hi):
+            pe.halted = True
+        route = batch.route
+        if route is not None and not route.dropped:
+            inject, lag = batch.inject, route.hops * HOP_CYCLES
+            sends = commit.sends
+            self._arrive(
+                self.fabric.pe(*route.destination),
+                commit.color.id,
+                [
+                    ((end + inject) + lag, sends[r])
+                    for r, end in zip(range(lo, hi), batch.ends)
+                ],
+            )
+        batch.ends.clear()
 
     def _waited(
         self,

@@ -27,24 +27,50 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.wse.engine import Engine
 
 
+@dataclass(slots=True)
+class RunCommit:
+    """What a run form (:attr:`Task.run`) returns for an ``m``-row stack:
+    each row's charge and what the rows emit, for the engine to commit in
+    one pass (see "Run commits" in :mod:`repro.wse.engine`)."""
+
+    #: Row ``r``'s cycles: everything its task spends.
+    cycles: list[int]
+    #: Rows before the first one that must fail (``m`` when none must): a
+    #: row that cannot finalize, or whose forwarded state overflows.
+    ok: int
+    #: ``book(lo, hi)`` records rows ``lo..hi-1`` in row order (stage
+    #: items, stored outputs, counters) and returns True when the PE halts
+    #: after row ``hi - 1``.
+    book: Callable[[int, int], bool]
+    #: The color the rows are sent on (None: they send nothing) ...
+    color: Color | None = None
+    #: ... and one row per sent payload, row ``r`` at row ``r``'s end.
+    sends: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class Task:
     """A named unit of PE code bound to a color.
 
     ``run`` is an optional run form of ``fn`` for a receive train's go task
     (see "Receive trains" in :mod:`repro.wse.engine`): ``run(stack)`` takes
-    an ``m x extent`` stack of received blocks and returns ``m`` commits,
-    each a task body that charges and emits one block exactly as ``fn``
-    would with that block in the receive buffer — or ``None`` to have the
-    engine take the run block by block through ``fn``. A record train's
-    stack holds one record a row (its header, then its body zero-padded to
-    the longest), and each commit replaces the record's last task: ``fn``
-    for a header alone, else the body's task.
+    an ``m x extent`` stack of received blocks and computes them all in one
+    call, touching no engine or PE state. It returns one
+    :class:`RunCommit`, whose row ``r`` is exactly what ``fn`` does with
+    block ``r`` in the receive buffer: spend ``cycles[r]``, record the row
+    (``book``, which also says when the PE halts), and send its payload,
+    if any, at its end; but for a record's body receive, ``fn`` activates
+    and posts nothing. It returns ``None`` to have the engine take the run
+    block by block through ``fn`` (a row failed a header or phase check).
+    A row that must fail (past ``ok``) runs through ``fn``, which raises.
+    A record train's stack holds one record a row (its header, then its
+    body zero-padded to the longest), and each row replaces the record's
+    last task: ``fn`` for a header alone, else the body's task.
     """
 
     name: str
     fn: Callable[["TaskContext"], None]
-    run: Callable[[np.ndarray], list | None] | None = None
+    run: Callable[[np.ndarray], RunCommit | None] | None = None
 
 
 @dataclass

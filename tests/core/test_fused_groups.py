@@ -225,35 +225,58 @@ def test_compress_groups_match_stepped(data, block_size, fl, seed):
         assert stepped[-1][:2] == ("ok", _record(values)[0])
 
 
+def _commit_rows(commit, rows, body, outputs, last, nc):
+    """Commit a run's rows as the engine does, recording each row as
+    ``_outcome`` does: the run form's rows before ``commit.ok`` are booked
+    one at a time (their cycles, items and output or send), and every other
+    row, all of them when the run form declined (``commit`` is None), runs
+    through the one-block ``body(ctx, r)``; the run stops at its first
+    error. Returns the records, the results and whether it declined."""
+    hops, results = [], []
+    for r in range(rows):
+        before = len(nc.items)
+        if commit is not None and r < commit.ok:
+            commit.book(r, r + 1)
+            if last:
+                result = outputs[r]
+            else:
+                assert commit.color is OUT
+                result = commit.sends[r]
+            cycles = commit.cycles[r]
+        else:
+            ctx = _Ctx()
+            try:
+                body(ctx, r)
+            except CompressionError as exc:
+                hops.append(
+                    ("error", str(exc), ctx.cycles, nc.items[before:])
+                )
+                break
+            result = outputs[r] if last else ctx.sent[0]
+            cycles = ctx.cycles
+        hops.append(("ok", _bits(result), cycles, nc.items[before:]))
+        results.append(result)
+    return hops, results, commit is None
+
+
 def _run_hop(group, stack, first, last, plan):
     """One hop of the run kernel over ``stack``, as a ready receive train
-    takes it: the run form computes once and the rows commit in order, or,
-    when it declines, each row runs through the one-block body; either way
-    the run stops at its first error. Returns each row's ``_outcome``
+    takes it (see ``_commit_rows``). Returns each row's ``_outcome``
     record, the forwarded vectors (or records) and whether it declined."""
     nc, outputs = _Counters(), ProgramOutputs()
-    body, run = _make_fused_group(
+    run_group, run = _make_fused_group(
         group, "stage_in", first, None if last else OUT,
         list(range(len(stack))), {"done": 0}, plan, PAPER_CYCLE_MODEL,
         outputs, nc, True,
     )
-    commits = run(stack.copy())
-    hops, results = [], []
-    for r, row in enumerate(stack):
-        ctx, before = _Ctx(), len(nc.items)
-        try:
-            if commits is None:
-                ctx.buffers["stage_in"] = row.copy()
-                body(ctx)
-            else:
-                commits[r](ctx)
-        except CompressionError as exc:
-            hops.append(("error", str(exc), ctx.cycles, nc.items[before:]))
-            break
-        result = outputs.records[r] if last else ctx.sent[0]
-        hops.append(("ok", _bits(result), ctx.cycles, nc.items[before:]))
-        results.append(result)
-    return hops, results, commits is None
+
+    def body(ctx, r):
+        ctx.buffers["stage_in"] = stack[r].copy()
+        run_group(ctx)
+
+    return _commit_rows(
+        run(stack.copy()), len(stack), body, outputs.records, last, nc
+    )
 
 
 def _run_chain(groups, blocks, plan):
@@ -342,31 +365,23 @@ def _record_stack(records) -> np.ndarray:
 
 def _decode_run_hop(group, stack, entries, first, last, plan):
     """One decode hop of the run form over ``stack``, as a ready receive
-    train takes it: the rows commit in order or, when it declines, each
-    row's ``entries`` one runs through the one-block ``process``; either
-    way the run stops at its first error. Returns each row's ``_outcome``
-    record, the forwarded vectors (or values) and whether it declined."""
+    train takes it (see ``_commit_rows``; a row the batch does not commit
+    runs its ``entries`` one through the one-block ``process``). Returns
+    each row's ``_outcome`` record, the forwarded vectors (or values) and
+    whether it declined."""
     nc, outputs = _Counters(), DecompressOutputs()
     process, run = _make_fused_decode(
         group, first, None if last else OUT, list(range(len(stack))),
         {"done": 0}, plan, PAPER_CYCLE_MODEL, outputs, nc,
     )
-    commits = run(stack.copy())
-    hops, results = [], []
-    for r in range(len(stack)):
-        ctx, before = _Ctx(), len(nc.items)
-        try:
-            if commits is None:
-                process(ctx, entries[r]())
-            else:
-                commits[r](ctx)
-        except CompressionError as exc:
-            hops.append(("error", str(exc), ctx.cycles, nc.items[before:]))
-            break
-        result = outputs.blocks[r] if last else ctx.sent[0]
-        hops.append(("ok", _bits(result), ctx.cycles, nc.items[before:]))
-        results.append(result)
-    return hops, results, commits is None
+    return _commit_rows(
+        run(stack.copy()),
+        len(stack),
+        lambda ctx, r: process(ctx, entries[r]()),
+        outputs.blocks,
+        last,
+        nc,
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,8 +2,8 @@
 
 A stage PE's receive, group kernel and re-arm is one engine primitive
 (``mov32(mem1d, fabin, on_complete=go, count=k)``). A ready PE takes whole
-runs of handed or fed blocks (committing a row-vectorized kernel's run
-block by block); every other block, and every run with a fault injector,
+runs of handed or fed blocks (committing a row-vectorized kernel's run in
+one pass); every other block, and every run with a fault injector,
 takes the queued path — the events a re-arming receive task would cost.
 Under the never-firing fault plan every per-PE result must therefore equal
 the clean run: only the engine's event count may differ. The queued path
@@ -16,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.wse.engine as engine_module
+from repro.core.lower import _make_fused_group, _make_stepped_group
 from repro.core.lower import host_block_records
+from repro.core.mapping import ProgramOutputs
 from repro.core.plan import (
     plan_pipeline,
     plan_pipeline_decompress,
@@ -28,11 +31,19 @@ from repro.core.stages import compression_substages, decompression_substages
 from repro.errors import TaskError
 from repro.obs.tracing import Tracer
 from repro.wse.color import ColorAllocator
+from repro.wse.cost import PAPER_CYCLE_MODEL
 from repro.wse.dsd import FabinDsd, FaboutDsd, Mem1dDsd
 from repro.wse.engine import Engine
 from repro.wse.fabric import Fabric
-from repro.wse.pe import Task
+from repro.wse.pe import Task, TaskContext
+from repro.wse.trace import NodeCounters
 from repro.wse.wavelet import Direction
+from tests.core.test_fused_groups import (
+    _block,
+    _compress_hop,
+    _compress_plan,
+    _outcome,
+)
 from tests.core.test_relay_trains import EPS, NEVER, _plan as _relay_plan
 from tests.core.test_relay_trains import _run
 
@@ -206,6 +217,173 @@ def test_wafer_pipeline_runs_whole_rows_in_one_event():
         )
         assert clean == 16 * 8 * 2 + 16
         assert queued == 16 * 32 * queued_events
+
+
+def test_wafer_pipeline_commits_whole_runs_without_task_contexts(
+    monkeypatch,
+):
+    """The same 16x16 L=8 shape: a ready run's rows are committed by the
+    engine in one pass, so only tasks that run a body through a context
+    build one. Those are the 128 PEs' posting tasks, and in decode the
+    head's ``on_header`` task of each of the 512 records (every one has a
+    body here). The per-block path built one per block-stage: 128 + 16 x
+    32 x 8 = 4,224 in compress, and 128 + 16 x 32 x (7 + 2) = 4,736 in
+    decode (seven stage PEs, and the head's header and body tasks)."""
+    built = []
+
+    class Counted(TaskContext):
+        def __init__(self, engine, pe, now):
+            built.append(pe.coord)
+            super().__init__(engine, pe, now)
+
+    monkeypatch.setattr(engine_module, "TaskContext", Counted)
+    blocks = _blocks(16 * 32, 32, 5)
+    records = host_block_records(blocks, EPS, range(len(blocks)))
+    assert all(record[:4] != bytes(4) for record in records.values())
+    for decode, contexts in ((False, 16 * 8), (True, 16 * 8 + 16 * 32)):
+        built.clear()
+        _run(_pipeline(blocks, 16, 16, 8, decode=decode))
+        assert len(built) == contexts
+
+
+# --- failures inside a ready run --------------------------------------------
+
+
+def _states(fls, split: int, corrupt: int | None = None):
+    """Pipeline states of blocks with fixed lengths ``fls`` after the first
+    ``split`` compression sub-stages (8 planned bits, 32-value blocks);
+    state ``corrupt`` gets the phase word of a raw block."""
+    head = tuple(compression_substages(8, 32)[:split])
+    plan = _compress_plan(32, 8)
+    vecs = [
+        _outcome(
+            _compress_hop, _make_stepped_group, head, _block(32, fl, fl),
+            True, False, plan,
+        )[1]
+        for fl in fls
+    ]
+    if corrupt is not None:
+        vecs[corrupt][0] = 0.0  # "raw": no sign bytes, nothing to shuffle
+    return vecs
+
+
+def _fed_stage(vecs, group, *, forward: bool, tx_short: bool, faults=None):
+    """A receive-train stage PE at (0,0) fed ``vecs`` from the west edge,
+    running the fused ``group`` kernel: a tail that stores records, or
+    (``forward``) a stage that forwards each state to a sink at (0,1).
+    ``tx_short`` leaves one byte less free SRAM than a forwarded state
+    needs. Returns the error the run raised and the stage's state then."""
+    fabric = Fabric(1, 2)
+    tracer = Tracer(level="timeline")
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    colors = ColorAllocator()
+    c_x, c_y, c_go, c_sink, c_got = (
+        colors.allocate(n) for n in ("x", "y", "go", "sink", "got")
+    )
+    fabric.set_route(0, 0, c_x, Direction.WEST, Direction.RAMP)
+    fabric.route_row_segment(0, 0, 1, c_y)
+    stage, sink = fabric.pe(0, 0), fabric.pe(0, 1)
+    plan = _compress_plan(32, 8)
+    stage.alloc_buffer("stage_in", np.zeros(plan.state_len))
+    sink.alloc_buffer("in", np.zeros(plan.state_len))
+    outputs, box = ProgramOutputs(), {"done": 0}
+    nc = NodeCounters("stage", "stage", 0, 0)
+    body, run = _make_fused_group(
+        group, "stage_in", False, c_y if forward else None,
+        list(range(len(vecs))), box, plan, PAPER_CYCLE_MODEL, outputs, nc,
+        True,
+    )
+    stage_in = Mem1dDsd("stage_in")
+    fabin = FabinDsd(c_x, extent=plan.state_len)
+    stage.bind_task(
+        c_x,
+        Task(
+            "recv",
+            lambda ctx: ctx.mov32(
+                stage_in, fabin, on_complete=c_go, count=len(vecs)
+            ),
+        ),
+    )
+    stage.bind_task(c_go, Task("compute", body, run))
+    sink.bind_task(
+        c_sink,
+        Task(
+            "recv",
+            lambda ctx: ctx.mov32(
+                Mem1dDsd("in"), FabinDsd(c_y, extent=plan.state_len),
+                on_complete=c_got,
+            ),
+        ),
+    )
+    sink.bind_task(c_got, Task("got", lambda ctx: ctx.activate(c_sink)))
+    if tx_short:
+        stage.sram.capacity = stage.sram.used + 8 * plan.state_len - 1
+    engine.schedule_activation(stage, c_x.id, 0.0)
+    engine.schedule_activation(sink, c_sink.id, 0.0)
+    for i, vec in enumerate(vecs):
+        engine.inject(0, 0, c_x, vec.copy(), at=4.0 * i)
+    with pytest.raises(Exception) as failure:
+        engine.run()
+    return (
+        type(failure.value).__name__,
+        str(failure.value),
+        stage.busy_until,
+        stage.compute_cycles,
+        stage.tasks_run,
+        stage.halted,
+        dict(nc.stage_cycles),
+        (nc.blocks_emitted, nc.wavelets_sent),
+        dict(outputs.records),
+        box["done"],
+        [
+            (e.name, e.start_cycles, e.dur_cycles)
+            for e in tracer.pe_events
+            if (e.row, e.col) == (0, 0)
+        ],
+    )
+
+
+def _fails_as_queued(vecs, group, *, forward=False, tx_short=False):
+    """The ready run (committed in one pass) and the queued oracle fail
+    alike; returns the ready run's outcome."""
+    ready = _fed_stage(vecs, group, forward=forward, tx_short=tx_short)
+    queued = _fed_stage(
+        vecs, group, forward=forward, tx_short=tx_short, faults=NEVER
+    )
+    assert ready == queued
+    return ready
+
+
+@pytest.mark.parametrize("corrupt", [0, 2, 4])
+def test_a_row_that_cannot_finalize_fails_at_the_same_block(corrupt):
+    """A tail stage (shuffle bits 1-7) takes five states whose row
+    ``corrupt`` arrives as a raw block of fl 0: all of its shuffle bits
+    are idle, so it reaches the record with no sign bytes. The rows
+    before it commit as a batch, and it fails through the task body with
+    the one-block path's error, after the same charges."""
+    stages = compression_substages(8, 32)
+    vecs = _states((3, 5, 0, 2, 0), 7)
+    vecs[corrupt] = _states((0,), 7, corrupt=0)[0]
+    ready = _fails_as_queued(vecs, tuple(stages[7:]))
+    assert ready[:2] == (
+        "CompressionError", "cannot finalize a block in phase 'raw'"
+    )
+    assert sorted(ready[8]) == list(range(corrupt))  # the records before it
+    assert ready[9] == corrupt
+
+
+def test_a_send_larger_than_free_sram_fails_at_the_same_block():
+    """A forwarding stage whose free SRAM is a byte short of one state:
+    its first send fails through the task body with the transmit check's
+    error, after the row's charges."""
+    stages = compression_substages(8, 32)
+    vecs = _states((3, 5, 1, 2, 4), 7)
+    ready = _fails_as_queued(
+        vecs, tuple(stages[7:10]), forward=True, tx_short=True
+    )
+    assert ready[0] == "MemoryError_"
+    assert "__tx_" in ready[1]
+    assert ready[7] == (0, 0) and ready[9] == 1
 
 
 # --- the primitive on hand-built chains -------------------------------------

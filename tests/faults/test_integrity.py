@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.compressor import CereSZ
 from repro.core.decompressor import salvage_decompress, verify_stream
+from repro.core.encoding import record_sizes
 from repro.core.format import (
     DEFAULT_CRC_GROUP,
     FORMAT_VERSION_CHECKSUM,
@@ -284,6 +285,54 @@ class TestSalvage:
         counter = registry.get("salvage.blocks_lost")
         assert counter is not None
         assert counter.total() == report.blocks_lost > 0
+
+
+class TestStructuralSalvage:
+    """Streams without checksums: salvage trusts only their structure."""
+
+    @pytest.mark.parametrize(
+        "case", ["v2-truncated", "v1-truncated", "v2-corrupt-fl", "v1-clean"]
+    )
+    def test_salvage_loses_only_the_blocks_it_cannot_locate(self, case):
+        """A v2 stream cut mid-record loses the blocks from that record
+        on; a cut v1 stream, whose records only its header walk can find,
+        loses every block; a corrupt fl entry k in a v2 index loses blocks
+        k onward (every later offset depends on it); an intact v1 stream
+        loses nothing. Every block before the first lost one decodes
+        bit-exact."""
+        codec = CereSZ()
+        data = _field(4000)
+        stream = codec.compress(data, eps=EPS, index=case[:2] == "v2").stream
+        header, offset = StreamHeader.unpack(stream)
+        nb, L = header.num_blocks, header.block_size
+        base = codec.decompress(stream).reshape(-1)
+        first, note = nb, None
+        if case == "v2-truncated":
+            first = nb // 2
+            fls = np.frombuffer(stream, np.uint8, nb, offset)
+            sizes = record_sizes(fls, L, header.header_width)
+            cut = offset + nb + int(sizes[:first].sum()) + sizes[first] // 2
+            stream = stream[:cut]
+            note = (
+                f"{nb - first} block records truncated off the end of the "
+                f"stream"
+            )
+        elif case == "v1-truncated":
+            first, note = 0, "v1 stream walk failed"
+            stream = stream[:-3]
+        elif case == "v2-corrupt-fl":
+            first = nb // 3
+            stream = _flip(stream, offset + first, 0xC0)  # fl > 63
+            note = f"fl table corrupt at block {first}"
+        values, report = salvage_decompress(stream)
+        assert report.lost_block_indices == tuple(range(first, nb))
+        assert report.blocks_lost == nb - first
+        if note is None:
+            assert report.clean and not report.notes
+        else:
+            assert any(n.startswith(note) for n in report.notes), report.notes
+        flat = values.reshape(-1)
+        assert np.array_equal(flat[: first * L], base[: first * L])
 
 
 class TestShardedIntegrity:
