@@ -248,7 +248,7 @@ def _lower_plan(
         outputs = DecompressOutputs()
     lowered = LoweredProgram(plan=plan, colors=cmap, outputs=outputs)
 
-    kernels: dict = {}  # fused group kernels, shared across PEs
+    kernels: dict = {}  # fused kernels, shared across PEs
     for node in plan.nodes:
         if isinstance(node, (IngestNode, EgressNode)):
             continue
@@ -267,7 +267,8 @@ def _lower_plan(
         lowered.counters.append(nc)
         if isinstance(node, ComputeNode):
             _lower_compute(
-                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
+                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels,
+                kernels,
             )
         elif isinstance(node, RelayNode):
             _lower_relay(
@@ -348,15 +349,14 @@ def _run_full_compress(
     return state
 
 
-def _make_fast_compress(
-    plan: MappingPlan, model: CycleModel, nc: NodeCounters
-):
-    """Fused whole-block compression: ``inbox`` values -> record bytes.
+def _make_fast_compress(plan: MappingPlan, model: CycleModel):
+    """Fused whole-block compression: ``inbox`` values -> record bytes and
+    the block's stage items (the caller adds them to its counters).
 
     Arithmetic and accounting are exact replays of the stepped path
     (``_run_full_compress`` + ``finalize_record``): the same operations in
-    the same order, one ``ctx.spend``/``nc.add_stage`` pair per live stage
-    with the same per-stage rounding, and the same byte layout
+    the same order, one spend that sums its per-stage roundings, its stage
+    items in stage order, and the same byte layout
     (:func:`_encode_record`). The only differences are mechanical: costs
     are precomputed at lowering time instead of re-derived per block, and
     all ``fl`` bit planes are packed in one vectorized call instead of
@@ -389,14 +389,62 @@ def _make_fast_compress(
             + tuple((f"shuffle_bit_{k}", per_bit) for k in range(fl))
         )
 
-    def compress(ctx: TaskContext) -> bytes:
+    def compress(ctx: TaskContext) -> tuple[bytes, tuple]:
         record, fl = _encode_record(ctx.buffer("inbox"), eps, pred)
         spend, items = accounting(fl)
         ctx.spend(spend)
-        nc.add_stages(items)
-        return record
+        return record, items
 
     return compress
+
+
+def _make_consume(
+    plan: MappingPlan,
+    model: CycleModel,
+    outputs: ProgramOutputs,
+    nc: NodeCounters,
+    my: list[int],
+    box: dict,
+    fast_kernels: bool,
+    kernels: dict,
+):
+    """One PE's whole-block compression task body: the ``inbox`` block
+    becomes the record of the PE's next block (``box["done"]`` counts
+    them).
+
+    The stepped sub-stage machine models the paper's 1-D Lorenzo
+    pipeline; any other block-local predictor always runs through the
+    fused kernel, which dispatches on ``plan.predictor``. The fused kernel
+    reads no per-PE state, so every PE of the lowering shares one, with
+    its ``accounting`` cache.
+    """
+    if fast_kernels or plan.predictor != "lorenzo1d":
+        fast = _shared(
+            kernels, ("compress",), lambda: _make_fast_compress(plan, model)
+        )
+
+        def encode(ctx: TaskContext) -> bytes:
+            record, items = fast(ctx)
+            nc.add_stages(items)
+            return record
+
+    else:
+        stages = compression_substages(64, plan.block_size, model)
+
+        def encode(ctx: TaskContext) -> bytes:
+            return finalize_record(
+                _run_full_compress(
+                    ctx, stages, plan.eps, plan.block_size, model, nc
+                )
+            )
+
+    def consume(ctx: TaskContext) -> None:
+        idx = my[box["done"]]
+        box["done"] += 1
+        outputs.records[idx] = encode(ctx)
+        nc.blocks_emitted += 1
+
+    return consume
 
 
 def _encode_record(vals: np.ndarray, eps: float, pred) -> tuple[bytes, int]:
@@ -561,9 +609,9 @@ class _Rows(NamedTuple):
 
 
 def _shared(kernels: dict | None, key: tuple, build: Callable):
-    """The group kernel ``build()`` makes, built once per ``key`` (group,
-    entry, tail) in ``kernels``: it reads no per-PE state, so every PE
-    running the group shares it."""
+    """The kernel ``build()`` makes, built once per ``key`` in ``kernels``
+    (a group kernel's key is its group, entry and tail): it reads no per-PE
+    state, so every PE running it shares it."""
     if kernels is None:
         return build()
     kernel = kernels.get(key)
@@ -919,21 +967,17 @@ def _lower_compute(
     outputs: ProgramOutputs,
     nc: NodeCounters,
     fast_kernels: bool,
+    kernels: dict,
 ) -> None:
     """Whole-algorithm-per-PE node (the rows strategy's only worker kind)."""
     block_size = plan.block_size
     c_recv = cmap[node.recv]
     c_go = cmap[node.go]
     my = list(node.blocks)
-    # The stepped sub-stage machine models the paper's 1-D Lorenzo
-    # pipeline; any other block-local predictor always runs through the
-    # fused kernel, which dispatches on plan.predictor.
-    use_fast = fast_kernels or plan.predictor != "lorenzo1d"
-    fast = _make_fast_compress(plan, model, nc) if use_fast else None
-    stages = (  # the stepped path's superset plan
-        None if use_fast else compression_substages(64, block_size, model)
+    box = {"done": 0}
+    consume = _make_consume(
+        plan, model, outputs, nc, my, box, fast_kernels, kernels
     )
-    progress = {"next": 0}
     # DSDs are immutable descriptors: build them once, not per block.
     inbox, fabin = Mem1dDsd("inbox"), FabinDsd(c_recv, extent=block_size)
 
@@ -943,17 +987,8 @@ def _lower_compute(
         ctx.mov32(inbox, fabin, on_complete=c_go, count=len(my))
 
     def compute(ctx: TaskContext) -> None:
-        idx = my[progress["next"]]
-        progress["next"] += 1
-        if fast is not None:
-            outputs.records[idx] = fast(ctx)
-        else:
-            state = _run_full_compress(
-                ctx, stages, plan.eps, block_size, model, nc
-            )
-            outputs.records[idx] = finalize_record(state)
-        nc.blocks_emitted += 1
-        if progress["next"] == len(my):
+        consume(ctx)
+        if box["done"] == len(my):
             ctx.halt()
 
     pe.bind_task(c_recv, Task("recv", recv))
@@ -1017,27 +1052,9 @@ def _lower_relay(
             ctx.mov32(inbox, fabin, on_complete=c_go)
 
     if node.group is None:
-        # Same rule as _lower_compute: the stepped machine is the 1-D
-        # Lorenzo model; other predictors take the fused kernel.
-        use_fast = fast_kernels or plan.predictor != "lorenzo1d"
-        fast = _make_fast_compress(plan, model, nc) if use_fast else None
-        stages = (
-            None if use_fast
-            else compression_substages(64, block_size, model)
+        consume = _make_consume(
+            plan, model, outputs, nc, my, box, fast_kernels, kernels
         )
-
-        def consume(ctx: TaskContext) -> None:
-            idx = my[box["done"]]
-            box["done"] += 1
-            if fast is not None:
-                outputs.records[idx] = fast(ctx)
-            else:
-                state = _run_full_compress(
-                    ctx, stages, plan.eps, block_size, model, nc
-                )
-                outputs.records[idx] = finalize_record(state)
-            nc.blocks_emitted += 1
-
     else:
         c_out = cmap[node.out] if node.out is not None else None
         make = (

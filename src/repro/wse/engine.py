@@ -53,24 +53,33 @@ PE busy for ``c`` relay cycles, counts one task run, one timeline event
 and the block in the train's ``counters``, and posts the block's relay
 descriptor, whose send happens at ``max(arrival, step start)``.
 
-A step normally goes through the PE's task queue, with the activation,
-task and match events a relay task would cost (the *queued* step). When
-the PE is **quiet**, the engine commits the step inline instead, at the
-match that sent the previous block, and takes the next block at its
-deliver event with no match event. Quiet means: no fault injector; the PE
-is not halted; it has no queued activation, no armed task event and no
-activation event in flight; and no other receive or relay is posted on it.
-Nothing but the train can then touch the PE's timing before the train
-ends (only a PE's own tasks post descriptors or activate its colors), so
-the inline step lands on exactly the cycles the queued one would; it only
-sets PE state ahead of the event clock. A block the train takes before its
-step starts still counts in the inbox depth of later deliveries until
-then, as it would sit in the inbox on the device. Every per-PE result —
-makespan, ``tasks_run``, traces, counters, timeline events, inbox depths —
-is identical either way; only ``events_processed`` (and the heap
-high-water mark) drops. A fault plan that never fires forces the queued
-step everywhere, which makes it the inline step's named oracle
-(``tests/core/test_relay_trains.py``).
+A block takes one of two paths:
+
+* *Queued* (the oracle): the block waits for its deliver and match
+  events, the match sends it and activates the fabin color, and the next
+  step is that activation's task: the events a re-arming relay task cost.
+  A block at a PE that is not quiet, and every block of a run with a
+  fault injector, takes this path.
+* *Convoy* (:meth:`Engine._convoy`): the train takes a run of blocks in
+  one loop, stepping each at its own cycles. The run is handed or fed to
+  a ready train ("Convoys" below) or, at a deliver or match event at a
+  **quiet** PE, it is the blocks waiting in its inbox, up to the train's
+  remaining count (blocks that waited while the PE computed). Quiet
+  means: no fault injector; the PE is not halted; it has no queued
+  activation, no armed task event and no activation event in flight; and
+  only the train's descriptor is posted on it. Nothing but the train can
+  then touch the PE's timing before the train ends (only a PE's own tasks
+  post descriptors or activate its colors), so each step lands on exactly
+  the cycles the queued one would; the run only sets PE state ahead of
+  the event clock. A block the train takes before its step starts still
+  counts in the inbox depth of later deliveries until then, as it would
+  sit in the inbox on the device.
+
+Every per-PE result — makespan, ``tasks_run``, traces, counters, timeline
+events, inbox depths — is identical either way; only ``events_processed``
+(and the heap high-water mark) drops. A fault plan that never fires
+forces the queued path everywhere, which makes it the convoys' named
+oracle (``tests/core/test_relay_trains.py``).
 
 Convoys
 -------
@@ -80,9 +89,8 @@ whole run of handed blocks in one loop, whose sends go on to the next
 ready PE the same way (breadth-first, between two events). So one event
 carries a run of blocks down a chain of quiet PEs. Ready means all of:
 
-* the PE is quiet and the train's descriptor is the only one posted on
-  it (the inline step's rule: until the train's last block, nothing but
-  the train can move the PE's timing);
+* the PE is quiet (until the train's last block, nothing but the train
+  can move the PE's timing);
 * its inbox on the color is empty and no delivery for the PE is
   scheduled (``pe.inbound``): a block taken ahead must not overtake one
   already on its way;
@@ -92,13 +100,16 @@ carries a run of blocks down a chain of quiet PEs. Ready means all of:
   order, so the run is exactly the sequence of blocks the deliver events
   would bring (cached per PE and color; routes are static).
 
-Each block is charged exactly what its deliver plus the inline step
-would charge — inbox depth (with the ahead backlog), the step
+Each block is charged exactly what its deliver and queued step would
+charge — inbox depth (with the ahead backlog), the step
 (:meth:`Engine._step`, the one copy of the step arithmetic), the send at
 ``max(arrival, step start)`` and ``on_complete`` after the last block —
 at the cycle it would have arrived. Blocks past the train's count become
 ordinary deliveries at their own arrival cycles. The run resolves its
-route and wavelet count once.
+route and wavelet count once. A quiet PE's inbox run needs neither of
+the last two conditions: its blocks have arrived, in the order their
+deliver events brought them, and each counts as arriving at the event
+that takes it.
 
 Edge feeds: :meth:`Engine.inject` still draws one sequence number per
 block, but only the head of each (PE, color) feed sits in the heap; the
@@ -107,11 +118,8 @@ the heap pops feeds in exactly the order it would hold them all. A ready
 PE takes as many feed blocks as its train wants in that one dispatch; any
 other PE gets them one event at a time.
 
-Per-PE results are unchanged (every per-block charge lands on the same
-cycle); ``events_processed``, the heap high-water mark and route-cache
-lookups drop. A fault injector disables convoys, so the never-firing
-fault plan stays the per-hop oracle and faulted runs keep their event
-counts.
+Route-cache lookups drop with the events. A fault injector disables
+convoys, so faulted runs keep their event counts.
 
 Receive trains
 --------------
@@ -197,11 +205,11 @@ exceeds the free SRAM, runs through the task body with its block in the
 buffer, which raises the same error at the same block after the same
 charges.
 
-Unlike a relay train, a receive train has no per-block inline path at a
-deliver or match event. Algorithm 1's plans hand or feed each stage
-block, and feed each decode head's records, to a ready PE (on
-wafer-pipeline every one of the 4,096 compress and 3,584 decode stage
-blocks and all 512 records), so such a path would serve no lowered plan.
+Unlike a relay train, a receive train takes no inbox run at a deliver
+or match event. Algorithm 1's plans hand or feed each stage block, and
+feed each decode head's records, to a ready PE (on wafer-pipeline every
+one of the 4,096 compress and 3,584 decode stage blocks and all 512
+records), so such a run would serve no lowered plan.
 
 :meth:`Engine._run` is the one copy of the task-run arithmetic for a
 task body, shared by the queued task and every block of a ready run that
@@ -236,19 +244,12 @@ from repro.wse.wavelet import Direction, wavelet_count
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Result of :meth:`Engine.run`.
-
-    ``fault`` is ``None`` for a clean run. Under
-    ``run(on_stall="report")`` a detected stall hands back the structured
-    :class:`~repro.faults.report.FaultReport` here instead of raising —
-    the handoff the self-healing retry loop consumes.
-    """
+    """Result of :meth:`Engine.run`."""
 
     makespan_cycles: float
     events_processed: int
     tasks_run: int
     trace: TraceRecorder
-    fault: "object | None" = None
 
 
 class _Misframe(TaskError):
@@ -276,22 +277,16 @@ class _Train:
 
 
 @dataclass(slots=True)
-class _PendingRecv:
-    dst: Mem1dDsd
+class _Pending:
+    """A posted receive (into ``dst``) or relay (onto ``out_color``)."""
+
     extent: int
     on_complete: Color | None
     posted_at: float
-    train: _Train | None = None
-
-
-@dataclass(slots=True)
-class _PendingRelay:
-    out_color: Color
-    extent: int
-    on_complete: Color | None
-    posted_at: float
+    train: _Train | None
+    dst: Mem1dDsd | None
+    out_color: Color | None
     charge_relay: bool
-    train: _Train | None = None
 
 
 @dataclass(slots=True)
@@ -370,8 +365,8 @@ class Engine:
         self.max_queue_depth = 0
         self._queue: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
-        self._recv: dict[tuple[int, int, int], deque[_PendingRecv]] = {}
-        self._relay: dict[tuple[int, int, int], deque[_PendingRelay]] = {}
+        self._recv: dict[tuple[int, int, int], deque[_Pending]] = {}
+        self._relay: dict[tuple[int, int, int], deque[_Pending]] = {}
         #: Step starts of train blocks taken ahead of the event clock: on
         #: the device each still waits in the inbox until then.
         self._ahead: dict[tuple[int, int, int], deque[float]] = {}
@@ -388,7 +383,6 @@ class Engine:
         #: Single-producer verdicts per (PE, color) (static routes).
         self._producers: dict[tuple[int, int, int], bool] = {}
         self._events_processed = 0
-        self._now = 0.0
         #: Optional fault injector (see :mod:`repro.faults`). ``_faulted``
         #: caches presence so clean runs pay one attribute test per deliver.
         if isinstance(faults, FaultPlan):
@@ -399,10 +393,6 @@ class Engine:
             faults.install(self)
 
     # -- public API -----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -530,33 +520,14 @@ class Engine:
                 f"{type(dst).__name__}"
             )
 
-    def run(
-        self,
-        *,
-        allow_pending: bool = False,
-        on_stall: str = "raise",
-    ) -> SimulationReport:
+    def run(self, *, allow_pending: bool = False) -> SimulationReport:
         """Process events until quiescence.
 
         With ``allow_pending=False`` (the default), finishing with unmatched
         pending receives is a detected stall — on the device that state is
-        a silent hang. ``on_stall`` selects the handoff: ``"raise"`` (the
-        default) raises :class:`DeadlockError` carrying the structured
-        FaultReport; ``"report"`` returns normally with the same
-        FaultReport attached as :attr:`SimulationReport.fault`, so repair
-        orchestration can consume stalls as data instead of control flow.
+        a silent hang — and raises :class:`DeadlockError` carrying the
+        structured FaultReport.
         """
-        if on_stall not in ("raise", "report"):
-            raise ValueError(
-                f"on_stall must be 'raise' or 'report', got {on_stall!r}"
-            )
-
-        def _stall(message: str, reason: str) -> SimulationReport:
-            report = self._diagnose(reason)
-            if on_stall == "raise":
-                raise DeadlockError(message, report=report)
-            return self._finish(fault=report)
-
         while self._queue:
             if self._events_processed >= self.max_events:
                 message = (
@@ -566,21 +537,19 @@ class Engine:
                 pending = self._pending_summary()
                 if pending:
                     message += f"; pending: {pending}"
-                return _stall(message, "livelock")
+                raise self._stall(message, "livelock")
             time, _, event = heapq.heappop(self._queue)
-            if time > self._now:
-                self._now = time
             self._events_processed += 1
             try:
                 self._dispatch(time, event)
                 if self._handed:
                     self._drain()
             except _Misframe as exc:
-                return _stall(str(exc), "deadlock")
+                raise self._stall(str(exc), "deadlock")
         if not allow_pending:
             desc = self._pending_summary()
             if desc:
-                return _stall(
+                raise self._stall(
                     f"simulation quiesced with unmatched pending receives: "
                     f"{desc}",
                     "deadlock",
@@ -597,15 +566,11 @@ class Engine:
                         )
                         for s in leftovers
                     )
-                    return _stall(
+                    raise self._stall(
                         f"simulation quiesced with undelivered data or "
                         f"queued tasks at injection-halted PEs: {locs}",
                         "deadlock",
                     )
-        return self._finish()
-
-    def _finish(self, fault=None) -> SimulationReport:
-        """Fold per-PE state into the report (clean or stalled-with-report)."""
         trace = TraceRecorder()
         tasks_run = 0
         for pe in self.fabric:
@@ -618,16 +583,18 @@ class Engine:
             events_processed=self._events_processed,
             tasks_run=tasks_run,
             trace=trace,
-            fault=fault,
         )
 
     # -- internals --------------------------------------------------------------------
 
-    def _diagnose(self, reason: str):
-        """Build the structured :class:`FaultReport` for a detected stall."""
+    def _stall(self, message: str, reason: str) -> DeadlockError:
+        """The error of a detected stall, carrying its structured
+        :class:`FaultReport`."""
         if self.faults is not None:
-            return self.faults.build_report(self, reason)
-        return build_fault_report(self, reason)
+            report = self.faults.build_report(self, reason)
+        else:
+            report = build_fault_report(self, reason)
+        return DeadlockError(message, report=report)
 
     def _pending_summary(self) -> str:
         """Describe every stuck pending receive/relay for deadlock reports.
@@ -714,11 +681,12 @@ class Engine:
                 self._backlog(pe, ahead, time, len(pe.inbox[event.color_id]))
             # Data with no posted receive/relay just waits in the inbox; the
             # matching submit_transfer will probe when it arrives. A quiet
-            # PE's relay train takes the block at once: nothing else can
-            # run on the PE before the match event would.
+            # PE's relay train takes the waiting blocks at once, as a convoy
+            # run: nothing else can run on the PE before the match event
+            # would.
             relays = self._relay.get(key)
             if relays and relays[0].train is not None and self._quiet(pe, 1):
-                self._match(pe, event.color_id, time, quiet=True)
+                self._match(pe, event.color_id, time)
             elif relays or self._recv.get(key):
                 self._push(time, _Event("match", pe, event.color_id))
         elif event.kind == "match":
@@ -735,9 +703,7 @@ class Engine:
         else:  # pragma: no cover - defensive
             raise TaskError(f"unknown event kind {event.kind!r}")
 
-    def _head(
-        self, key: tuple[int, int, int]
-    ) -> _PendingRelay | _PendingRecv | None:
+    def _head(self, key: tuple[int, int, int]) -> _Pending | None:
         """The first relay, else the first receive, posted on ``key``."""
         relays = self._relay.get(key)
         if relays:
@@ -829,6 +795,7 @@ class Engine:
             )
         if count < 1:
             raise TaskError(f"PE{pe.coord}: train count must be >= 1")
+        buffer, out_color = (dst, None) if receive else (None, dst.color)
         train = None
         if count > 1:
             if pe.train is not None and pe.train.left:
@@ -846,7 +813,7 @@ class Engine:
                 )
             train = pe.train = _Train(
                 fabin=src.color,
-                out_color=None if receive else dst.color,
+                out_color=out_color,
                 extent=src.extent,
                 left=count - 1,
                 overhead=int(round(overhead)),
@@ -854,61 +821,37 @@ class Engine:
                 on_complete=on_complete,
                 counters=counters,
                 name=task.name,
-                dst=dst if receive else None,
+                dst=buffer,
                 body=body,
             )
             if not receive:
                 on_complete = src.color  # the next block's step
-        if receive:
-            self._post_recv(
-                pe,
-                src.color.id,
-                _PendingRecv(dst, src.extent, on_complete, now, train),
-                probe=True,
-            )
-            return
         if counters is not None:
             counters.blocks_relayed += 1
             counters.wavelets_sent += src.extent
-        self._post_relay(
+        self._post(
             pe,
             src.color.id,
-            _PendingRelay(
-                dst.color, src.extent, on_complete, now, charge_relay, train
+            _Pending(
+                src.extent, on_complete, now, train, buffer, out_color,
+                charge_relay,
             ),
             probe=True,
         )
 
-    def _post_relay(
+    def _post(
         self,
         pe: ProcessingElement,
         color_id: int,
-        pending: _PendingRelay,
+        pending: _Pending,
         *,
         probe: bool,
     ) -> None:
-        """Post one block's relay descriptor."""
-        self._relay.setdefault((pe.row, pe.col, color_id), deque()).append(
-            pending
-        )
-        pe.posted += 1
-        if probe and pe.inbox.get(color_id):
-            self._push(pending.posted_at, _Event("match", pe, color_id))
-
-    def _post_recv(
-        self,
-        pe: ProcessingElement,
-        color_id: int,
-        pending: _PendingRecv,
-        *,
-        probe: bool,
-    ) -> None:
-        """Post one receive descriptor. A receive can only pair at once if
+        """Post one receive or relay descriptor. It can only pair at once if
         data already sits in the inbox; otherwise the next deliver event
         probes for it."""
-        self._recv.setdefault((pe.row, pe.col, color_id), deque()).append(
-            pending
-        )
+        queues = self._relay if pending.dst is None else self._recv
+        queues.setdefault((pe.row, pe.col, color_id), deque()).append(pending)
         pe.posted += 1
         if probe and pe.inbox.get(color_id):
             self._push(pending.posted_at, _Event("match", pe, color_id))
@@ -917,26 +860,15 @@ class Engine:
         self, pe: ProcessingElement, train: _Train, at: float, *, probe: bool
     ) -> None:
         """Post the descriptor of the train step started at ``at``."""
-        if train.dst is not None:
-            self._post_recv(
-                pe,
-                train.fabin.id,
-                _PendingRecv(
-                    train.dst, train.extent, train.on_complete, at, train
-                ),
-                probe=probe,
-            )
-            return
-        self._post_relay(
+        on_complete = train.on_complete
+        if train.dst is None and train.left:
+            on_complete = train.fabin  # a relay's next step
+        self._post(
             pe,
             train.fabin.id,
-            _PendingRelay(
-                train.out_color,
-                train.extent,
-                train.fabin if train.left else train.on_complete,
-                at,
-                train.charge_relay,
-                train,
+            _Pending(
+                train.extent, on_complete, at, train, train.dst,
+                train.out_color, train.charge_relay,
             ),
             probe=probe,
         )
@@ -975,20 +907,11 @@ class Engine:
             pe.max_inbox_depth = depth
 
     def _match(
-        self,
-        pe: ProcessingElement,
-        color_id: int,
-        time: float,
-        *,
-        quiet: bool = False,
+        self, pe: ProcessingElement, color_id: int, time: float
     ) -> None:
-        """Pair arrived data with pending receives/relays, FIFO.
-
-        ``quiet=True`` says the caller saw ``pe`` quiet with only a relay
-        train's descriptor posted; the pairings below keep it so (a train
-        block either commits the next step, which stays quiet, or is the
-        last one, after which nothing on this color is posted).
-        """
+        """Pair arrived data with pending receives/relays, FIFO. At a quiet
+        PE a relay train takes the waiting blocks as one convoy run (see
+        "Relay trains")."""
         key = (pe.row, pe.col, color_id)
         inbox = pe.inbox.get(color_id)
         while inbox:
@@ -996,75 +919,53 @@ class Engine:
             recvs = self._recv.get(key)
             if not relays and not recvs:
                 return
-            data = inbox.popleft()
             # The earlier-posted descriptor matches first; a receive wins a
             # tie with a relay.
             if relays and (
                 not recvs or relays[0].posted_at < recvs[0].posted_at
             ):
-                pending = relays[0]
-                if data.size != pending.extent:
-                    raise (_Misframe if self._faulted else TaskError)(
-                        f"PE{pe.coord}: relay on color {color_id} expected "
-                        f"{pending.extent} wavelets, got {data.size}"
-                    )
-                relays.popleft()
-                pe.posted -= 1
-                at = pending.posted_at if pending.posted_at > time else time
-                if at > time:  # an inline step's block, taken ahead
-                    self._ahead.setdefault(key, deque()).append(at)
-                train = pending.train
-                if (
-                    train is not None
-                    and train.left
-                    and (quiet or self._quiet(pe))
-                ):
-                    # Commit the next step inline; the loop pairs its
-                    # descriptor with a block already waiting, if any.
-                    done = self._send(
-                        pe, pending.out_color, data, at, None,
-                        pending.charge_relay,
-                    )
-                    start = self._step(pe, train, done)
-                    self._post_step(pe, train, start, probe=False)
-                    quiet = True
-                else:
-                    if train is not None and not train.left:
-                        if pe.train is train:  # the train's last block
-                            pe.train = None
-                    self._send(
-                        pe,
-                        pending.out_color,
-                        data,
-                        at,
-                        pending.on_complete,
-                        pending.charge_relay,
-                    )
+                queue = relays
             else:
-                pending = recvs[0]
-                if data.size != pending.extent:
-                    raise (_Misframe if self._faulted else TaskError)(
-                        f"PE{pe.coord}: receive on color {color_id} expected "
-                        f"{pending.extent} wavelets, got {data.size}"
-                    )
-                recvs.popleft()
-                pe.posted -= 1
-                target = pending.dst.resolve(pe.buffers)
-                if target.size != data.size:
-                    raise TaskError(
-                        f"PE{pe.coord}: receive buffer window holds "
-                        f"{target.size} elements, data has {data.size}"
-                    )
-                target[:] = data.astype(target.dtype, copy=False)
-                at = pending.posted_at if pending.posted_at > time else time
-                train = pending.train
-                if train is not None:
-                    if at > time:  # taken ahead of a ready run's re-post
-                        self._ahead.setdefault(key, deque()).append(at)
-                    if not train.left and pe.train is train:  # the last one
-                        pe.train = None
-                if pending.on_complete is not None:
-                    self.schedule_activation(pe, pending.on_complete.id, at)
+                queue = recvs
+            pending = queue[0]
+            relay = pending.dst is None
+            train = pending.train
+            if relay and train is not None and self._quiet(pe, 1):
+                take = min(len(inbox), train.left + 1)
+                run = [(time, inbox.popleft()) for _ in range(take)]
+                self._convoy(pe, color_id, run)
+                return
+            data = inbox.popleft()
+            if data.size != pending.extent:
+                raise (_Misframe if self._faulted else TaskError)(
+                    f"PE{pe.coord}: {'relay' if relay else 'receive'} on "
+                    f"color {color_id} expected {pending.extent} wavelets, "
+                    f"got {data.size}"
+                )
+            queue.popleft()
+            pe.posted -= 1
+            at = pending.posted_at if pending.posted_at > time else time
+            if train is not None and not train.left and pe.train is train:
+                pe.train = None  # the train's last block
+            if relay:
+                if at > time:  # taken ahead of its step's start
+                    self._ahead.setdefault(key, deque()).append(at)
+                self._send(
+                    pe, pending.out_color, data, at, pending.on_complete,
+                    pending.charge_relay,
+                )
+                continue
+            target = pending.dst.resolve(pe.buffers)
+            if target.size != data.size:
+                raise TaskError(
+                    f"PE{pe.coord}: receive buffer window holds "
+                    f"{target.size} elements, data has {data.size}"
+                )
+            target[:] = data.astype(target.dtype, copy=False)
+            if train is not None and at > time:  # ahead of a run's re-post
+                self._ahead.setdefault(key, deque()).append(at)
+            if pending.on_complete is not None:
+                self.schedule_activation(pe, pending.on_complete.id, at)
 
     def _send(
         self,
@@ -1144,9 +1045,9 @@ class Engine:
         color_id: int,
         blocks: list[tuple[float, np.ndarray]],
     ) -> None:
-        """A ready train takes a run of blocks (arrival, data), in arrival
-        order: each is charged what its deliver plus the inline step would
-        charge (see "Convoys")."""
+        """A ready or quiet train takes a run of blocks (arrival, data), in
+        arrival order: each is charged what its deliver and queued step
+        would charge (see "Relay trains" and "Convoys")."""
         if pe.train.dst is not None:
             self._take_run(pe, color_id, blocks)
             return
@@ -1158,7 +1059,7 @@ class Engine:
         route = self.fabric.resolve(pe.row, pe.col, train.out_color)
         lag = route.hops * HOP_CYCLES
         extent = train.extent
-        ahead = self._ahead.get(key)
+        ahead = self._ahead.setdefault(key, deque())
         if pe.max_inbox_depth < 1:  # each block arrives to an empty inbox
             pe.max_inbox_depth = 1
         sent: list[tuple[float, np.ndarray]] = []
@@ -1169,13 +1070,7 @@ class Engine:
                     f"PE{pe.coord}: relay on color {color_id} expected "
                     f"{extent} wavelets, got {data.size}"
                 )
-            if ahead:
-                self._backlog(pe, ahead, arrive, 1)
-            at = posted_at if posted_at > arrive else arrive
-            if at > arrive:
-                if ahead is None:
-                    ahead = self._ahead[key] = deque()
-                ahead.append(at)
+            at = self._waited(pe, ahead, arrive, posted_at)
             if data.dtype is not dtype:
                 dtype = data.dtype
                 cycles = wavelet_count(data) * HOP_CYCLES
@@ -1271,7 +1166,9 @@ class Engine:
                         or not self._quiet(pe, 1)
                     ):  # unlike a record train's go task: queue the rest
                         if train.left and not recvs:
-                            self._requeue(pe, train)
+                            self.schedule_activation(
+                                pe, train.fabin.id, pe.busy_until
+                            )
                         break
                     taken += 1
                     self._take_body(pe, key, ahead, body, batch)
@@ -1279,7 +1176,9 @@ class Engine:
                     # The task left work: queue the re-post.
                     if batch is not None:
                         self._settle(pe, batch)
-                    self._requeue(pe, train)
+                    self.schedule_activation(
+                        pe, train.fabin.id, pe.busy_until
+                    )
                     break
             if not train.left:
                 break
@@ -1385,21 +1284,15 @@ class Engine:
         arrive: float,
         posted_at: float,
     ) -> float:
-        """The cycle a block a ready receive train takes at ``arrive``
-        leaves the inbox: its receive's posting, if later, and until then
-        it counts in later deliveries' inbox depth (the ``ahead``
-        backlog)."""
+        """The cycle a block a train takes in a run at ``arrive`` leaves
+        the inbox: its descriptor's posting, if later, and until then it
+        counts in later deliveries' inbox depth (the ``ahead`` backlog)."""
         if ahead:
             self._backlog(pe, ahead, arrive, 1)
         if posted_at <= arrive:
             return arrive
         ahead.append(posted_at)
         return posted_at
-
-    def _requeue(self, pe: ProcessingElement, train: _Train) -> None:
-        """Queue a receive train's re-post at the end of the task that
-        just ran (the queued path's activation of its fabin color)."""
-        self.schedule_activation(pe, train.fabin.id, pe.busy_until)
 
     def _schedule_task(self, pe: ProcessingElement, at: float) -> None:
         """Push a ``task`` event for ``pe``, at most one in flight.
@@ -1447,7 +1340,7 @@ class Engine:
                 # A receive train's queued re-post, at the end of its go
                 # task (unless it posted a record's body receive) or of a
                 # record's body task.
-                self._requeue(pe, train)
+                self.schedule_activation(pe, train.fabin.id, pe.busy_until)
         if pe.pending and not pe.halted:
             self._schedule_task(pe, pe.busy_until)
 

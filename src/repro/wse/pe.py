@@ -191,10 +191,6 @@ class TaskContext:
     # -- introspection ----------------------------------------------------------
 
     @property
-    def pe(self) -> ProcessingElement:
-        return self._pe
-
-    @property
     def coord(self) -> tuple[int, int]:
         return self._pe.coord
 
@@ -232,9 +228,6 @@ class TaskContext:
             return self._pe.buffers[name]
         except KeyError:
             raise TaskError(f"PE{self.coord}: unknown buffer {name!r}")
-
-    def alloc_buffer(self, name: str, array: np.ndarray) -> np.ndarray:
-        return self._pe.alloc_buffer(name, array)
 
     # -- dataflow ------------------------------------------------------------------
 

@@ -72,10 +72,6 @@ class NodeCounters:
         for name, cycles in items:
             sc[name] = sc.get(name, 0.0) + cycles
 
-    @property
-    def busy_cycles(self) -> float:
-        return sum(self.stage_cycles.values())
-
 
 @dataclass(frozen=True)
 class PETrace:

@@ -134,14 +134,23 @@ def _entered_hop(make, group, enter, vec, last, plan, ctx, nc):
     return _decode_hop(make, group, enter(vec), False, last, plan, ctx, nc)
 
 
+def _error(exc: Exception) -> str:
+    """A failed hop's record of its error: a ``CompressionError``'s message,
+    or the type of the ``ValueError`` a state past ``state_len`` raises,
+    which the fused and stepped writes word differently."""
+    if isinstance(exc, CompressionError):
+        return str(exc)
+    return type(exc).__name__
+
+
 def _outcome(hop, *args):
-    """A hop's result, cycles and items — or the CompressionError it raised
-    with what it charged before raising."""
+    """A hop's result, cycles and items — or the error it raised (see
+    ``_error``) with what it charged before raising."""
     ctx, nc = _Ctx(), _Counters()
     try:
         result = hop(*args, ctx, nc)
-    except CompressionError as exc:
-        return ("error", str(exc), ctx.cycles, nc.items), None
+    except (CompressionError, ValueError) as exc:
+        return ("error", _error(exc), ctx.cycles, nc.items), None
     return ("ok", _bits(result), ctx.cycles, nc.items), result
 
 
@@ -247,9 +256,9 @@ def _commit_rows(commit, rows, body, outputs, last, nc):
             ctx = _Ctx()
             try:
                 body(ctx, r)
-            except CompressionError as exc:
+            except (CompressionError, ValueError) as exc:
                 hops.append(
-                    ("error", str(exc), ctx.cycles, nc.items[before:])
+                    ("error", _error(exc), ctx.cycles, nc.items[before:])
                 )
                 break
             result = outputs[r] if last else ctx.sent[0]
@@ -635,6 +644,62 @@ def test_corrupt_row_fails_the_run_like_stepped(split, last, word, value, row):
     # may a wrong bits word that puts a row's new planes out of line.
     checked = any(failed) and "finalize" not in expected[-1][1]
     assert declined == checked or word == 4
+
+
+@pytest.mark.parametrize("decode", [False, True])
+def test_a_state_past_state_len_fails_the_run_like_stepped(decode):
+    """A plan whose ``state_len`` is short of its longest forwarded state:
+    by 20 words for compression states after shuffle bits 1-4 (8 planned
+    bits), by one plane word for decode states of the largest fixed length
+    (12). The run form commits the rows before the first state that does
+    not fit as their stepped hops do, and that row raises the stepped
+    hop's ``ValueError`` after the same charges."""
+    if decode:
+        plan = _decode_plan(32, 12)
+        plan.state_len -= 1
+        group = tuple(decompression_substages(12, 32)[:3])
+        records = [
+            _record(_block(32, fl, fl))[1:] for fl in (3, 8, 5, 12, 2)
+        ]
+        entries = [
+            lambda fl=fl, words=words: _record_entry(fl, words, 32)
+            for fl, words in records
+        ]
+        hops, _, declined = _decode_run_hop(
+            group, _record_stack(records), entries, True, False, plan
+        )
+        stepped = [
+            _outcome(
+                _decode_hop, _make_decompress_process, group,
+                DecompressState.from_record(fl, words, 32), True, False,
+                plan,
+            )[0]
+            for fl, words in records
+        ]
+    else:
+        plan = _compress_plan(32, 8)
+        plan.state_len -= 20
+        stages = compression_substages(8, 32)
+        group = tuple(stages[7:11])
+        vecs = [
+            _outcome(
+                _compress_hop, _make_stepped_group, tuple(stages[:7]),
+                _block(32, fl, fl), True, False, plan,
+            )[1]
+            for fl in (3, 2, 5, 1, 4)
+        ]
+        hops, _, declined = _run_hop(group, np.array(vecs), False, False, plan)
+        stepped = [
+            _outcome(
+                _compress_hop, _make_stepped_group, group, vec.copy(), False,
+                False, plan,
+            )[0]
+            for vec in vecs
+        ]
+    failed = [hop[0] == "error" for hop in stepped]
+    assert failed.index(True) == (3 if decode else 2)
+    assert hops == stepped[: failed.index(True) + 1]
+    assert hops[-1][1] == "ValueError" and not declined
 
 
 def test_non_contiguous_group_is_rejected_at_lowering():

@@ -267,12 +267,15 @@ def _states(fls, split: int, corrupt: int | None = None):
     return vecs
 
 
-def _fed_stage(vecs, group, *, forward: bool, tx_short: bool, faults=None):
+def _fed_stage(
+    vecs, group, *, forward: bool, tx_short: bool, cut: int = 0, faults=None
+):
     """A receive-train stage PE at (0,0) fed ``vecs`` from the west edge,
     running the fused ``group`` kernel: a tail that stores records, or
     (``forward``) a stage that forwards each state to a sink at (0,1).
     ``tx_short`` leaves one byte less free SRAM than a forwarded state
-    needs. Returns the error the run raised and the stage's state then."""
+    needs; ``cut`` shortens the plan's ``state_len``. Returns the error the
+    run raised and the stage's state then."""
     fabric = Fabric(1, 2)
     tracer = Tracer(level="timeline")
     engine = Engine(fabric, tracer=tracer, faults=faults)
@@ -284,6 +287,7 @@ def _fed_stage(vecs, group, *, forward: bool, tx_short: bool, faults=None):
     fabric.route_row_segment(0, 0, 1, c_y)
     stage, sink = fabric.pe(0, 0), fabric.pe(0, 1)
     plan = _compress_plan(32, 8)
+    plan.state_len -= cut
     stage.alloc_buffer("stage_in", np.zeros(plan.state_len))
     sink.alloc_buffer("in", np.zeros(plan.state_len))
     outputs, box = ProgramOutputs(), {"done": 0}
@@ -343,12 +347,15 @@ def _fed_stage(vecs, group, *, forward: bool, tx_short: bool, faults=None):
     )
 
 
-def _fails_as_queued(vecs, group, *, forward=False, tx_short=False):
+def _fails_as_queued(vecs, group, *, forward=False, tx_short=False, cut=0):
     """The ready run (committed in one pass) and the queued oracle fail
     alike; returns the ready run's outcome."""
-    ready = _fed_stage(vecs, group, forward=forward, tx_short=tx_short)
+    ready = _fed_stage(
+        vecs, group, forward=forward, tx_short=tx_short, cut=cut
+    )
     queued = _fed_stage(
-        vecs, group, forward=forward, tx_short=tx_short, faults=NEVER
+        vecs, group, forward=forward, tx_short=tx_short, cut=cut,
+        faults=NEVER,
     )
     assert ready == queued
     return ready
@@ -384,6 +391,24 @@ def test_a_send_larger_than_free_sram_fails_at_the_same_block():
     assert ready[0] == "MemoryError_"
     assert "__tx_" in ready[1]
     assert ready[7] == (0, 0) and ready[9] == 1
+
+
+def test_a_state_past_state_len_fails_at_the_same_block():
+    """A forwarding stage (shuffle bits 1-4) of a plan whose ``state_len``
+    is 20 words short: the first state with four live bits there (fl 5,
+    row 2) does not fit, so after the two rows before it are sent it fails
+    through the task body with the one-block write's ``ValueError``. The
+    stage owns its run: in a pipeline the failing PE is downstream, and
+    its ready upstream PE has already run ahead."""
+    stages = compression_substages(8, 32)
+    # The states' 45 words end 28 short of the full plan's state_len, so
+    # the shorter plan's states are the same words with less zero padding.
+    vecs = [vec[:-20] for vec in _states((3, 2, 5, 1, 4), 7)]
+    ready = _fails_as_queued(
+        vecs, tuple(stages[7:11]), forward=True, cut=20
+    )
+    assert ready[0] == "ValueError"
+    assert ready[9] == 2
 
 
 # --- the primitive on hand-built chains -------------------------------------

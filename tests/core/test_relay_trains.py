@@ -1,13 +1,14 @@
 """Relay trains: the engine's counted relay against its queued-step oracle.
 
 Fig 9's counted relay is one engine primitive (``mov32(..., count=k)``).
-A quiet PE commits each block's step inline, and a ready one takes whole
-runs of handed or fed blocks without their deliver events (convoys); any
-other PE, and every run with a fault injector, takes the queued step —
-the events a relay task re-armed per block would cost. A fault plan that
-never fires therefore forces the queued step everywhere, and every per-PE
-result must equal the clean run: only the engine's event count may
-differ.
+A relayed block takes one of two paths. In a convoy, a ready train takes
+a whole run of handed or fed blocks without their deliver events, and a
+quiet PE's train takes the blocks waiting in its inbox at one deliver or
+match event. Any other PE, and every run with a fault injector, takes
+the queued step — the events a relay task re-armed per block would cost.
+A fault plan that never fires therefore forces the queued step
+everywhere, and every per-PE result must equal the clean run: only the
+engine's event count may differ.
 """
 
 import dataclasses
@@ -124,7 +125,7 @@ def test_queued_steps_match_inline(mesh, rounds, block_size):
 def test_slow_relays_keep_the_inbox_backlog():
     """With C1 above twice the block size a relay drains slower than the
     edge feeds arrive, so PE(0,0)'s inbox backs up during its train. The
-    blocks an inline step takes ahead still count in the inbox depth."""
+    blocks a convoy takes ahead still count in the inbox depth."""
     slow = dataclasses.replace(PAPER_CYCLE_MODEL, c1_relay=150.0)
     blocks = np.random.default_rng(1).normal(size=(64, 32)).cumsum(axis=1)
 
@@ -152,8 +153,8 @@ def test_slow_relays_keep_the_inbox_backlog():
 def test_convoys_match_the_queued_oracle(
     staged, length, rows, cols, rounds, short, block_size, c1_relay
 ):
-    """Random multi and staged plans: the clean run (inline steps and
-    convoys) equals the never-firing-fault run in everything but events."""
+    """Random multi and staged plans: the clean run (convoys) equals the
+    never-firing-fault run in everything but events."""
     length = min(length, cols) if staged else 1
     per_round = rows * (cols // length)
     n = max(1, per_round * rounds - short)
@@ -178,7 +179,7 @@ def test_convoys_match_the_queued_oracle(
 
 
 def test_sampled_timeline_matches():
-    """The per-PE sampling stride counts inline steps like queued ones."""
+    """The per-PE sampling stride counts convoy steps like queued ones."""
     inline, _ = _run(_plan("multi", 3, 32), sample_every=3)
     queued, _ = _run(_plan("multi", 3, 32), NEVER, sample_every=3)
     assert inline["chrome"] == queued["chrome"]
@@ -288,11 +289,10 @@ class TestCountedRelay:
         assert counted[0] == list(range(blocks))
         assert counted[1] == 1  # on_complete fires once, after the last
         assert counted[5] == (blocks, 8 * blocks)
-        # Each later block's inline step saves an activate, a task and a
-        # match event; the first block is taken at its deliver, no match.
-        # The train is ready when the first block arrives, so it takes the
-        # whole feed in that one dispatch: each later block's deliver event
-        # goes too.
+        # Each later block's convoy step saves an activate, a task and a
+        # match event, and the first block needs no match. The train is
+        # ready when the first block arrives, so it takes the whole feed in
+        # that one dispatch: each later block's deliver event goes too.
         saved = 4 * (blocks - 1) + 1 if blocks > 1 else 0
         assert stepped_events - counted_events == saved
 

@@ -42,10 +42,11 @@ EPS = 0.01
 #: event per activation, one match probe per deliver and per posted
 #: receive) made 91/273/165/258 for the compression plans; these pins catch
 #: a return to it. Relay trains (``repro.wse.engine``) took multi from 138
-#: to 124: quiet PEs step their counted relays inline. Convoys took it to
-#: 122: a ready train takes handed and fed blocks without their deliver
-#: events. Staged stays at 214 because its PEs that relay more than one
-#: block per train are never quiet.
+#: to 124: a quiet PE's counted relay takes the blocks waiting in its inbox
+#: as one convoy run, without the queued step's activate, task and match
+#: events. Convoys took it to 122: a ready train also takes handed and fed
+#: blocks, without their deliver events. Staged stays at 214 because its
+#: PEs that relay more than one block per train are never quiet.
 #:
 #: Receive trains took rows 78 -> 9 and pipeline 234 -> 14: every compute
 #: or stage PE posts one train (an activate and a task event), then each
