@@ -22,8 +22,8 @@ from repro.harness.figures import fig14_wse_sizes_simulated
 
 #: Wall-clock ceiling for the single most expensive simulated point (the
 #: full wafer). Generous for shared CI runners; a quiet box does it in
-#: ~1 s.
-WAFER_BUDGET_S = 10.0
+#: well under 1 s.
+WAFER_BUDGET_S = 5.0
 
 #: One mesh beyond the paper's largest: the hybrid path has no wafer cap
 #: (replication cost is per-class, not per-row), so the sweep can ask

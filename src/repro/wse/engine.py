@@ -60,9 +60,9 @@ A block takes one of two paths:
   step is that activation's task: the events a re-arming relay task cost.
   A block at a PE that is not quiet, and every block of a run with a
   fault injector, takes this path.
-* *Convoy* (:meth:`Engine._convoy`): the train takes a run of blocks in
-  one loop, stepping each at its own cycles. The run is handed or fed to
-  a ready train ("Convoys" below) or, at a deliver or match event at a
+* *Convoy* (:meth:`Engine._convoy`): the train takes a run of blocks at
+  once, timing each at its own cycles. The run is handed or fed to a
+  ready train ("Convoys" below) or, at a deliver or match event at a
   **quiet** PE, it is the blocks waiting in its inbox, up to the train's
   remaining count (blocks that waited while the PE computed). Quiet
   means: no fault injector; the PE is not halted; it has no queued
@@ -71,9 +71,11 @@ A block takes one of two paths:
   then touch the PE's timing before the train ends (only a PE's own tasks
   post descriptors or activate its colors), so each step lands on exactly
   the cycles the queued one would; the run only sets PE state ahead of
-  the event clock. A block the train takes before its step starts still
-  counts in the inbox depth of later deliveries until then, as it would
-  sit in the inbox on the device.
+  the event clock. A block the train takes still counts in the inbox
+  depth of later deliveries until it leaves the inbox (the later of its
+  arrival and its step's start), that cycle included, as it would sit in
+  the inbox on the device: on the queued path its match event at that
+  cycle comes after every delivery already on its way.
 
 Every per-PE result — makespan, ``tasks_run``, traces, counters, timeline
 events, inbox depths — is identical either way; only ``events_processed``
@@ -85,8 +87,8 @@ Convoys
 -------
 A block relayed to a PE whose train is **ready** skips its ``deliver``
 event: ``_send`` hands it straight to that train, and the train takes its
-whole run of handed blocks in one loop, whose sends go on to the next
-ready PE the same way (breadth-first, between two events). So one event
+whole run of handed blocks at once, whose sends go on to the next ready
+PE the same way (breadth-first, between two events). So one event
 carries a run of blocks down a chain of quiet PEs. Ready means all of:
 
 * the PE is quiet (until the train's last block, nothing but the train
@@ -101,15 +103,34 @@ carries a run of blocks down a chain of quiet PEs. Ready means all of:
   would bring (cached per PE and color; routes are static).
 
 Each block is charged exactly what its deliver and queued step would
-charge — inbox depth (with the ahead backlog), the step
-(:meth:`Engine._step`, the one copy of the step arithmetic), the send at
+charge — inbox depth (with the ahead backlog), the step, the send at
 ``max(arrival, step start)`` and ``on_complete`` after the last block —
 at the cycle it would have arrived. Blocks past the train's count become
-ordinary deliveries at their own arrival cycles. The run resolves its
-route and wavelet count once. A quiet PE's inbox run needs neither of
-the last two conditions: its blocks have arrived, in the order their
-deliver events brought them, and each counts as arriving at the event
-that takes it.
+ordinary deliveries at their own arrival cycles, and a block of the
+wrong extent raises at that block, after the blocks before it are
+charged. A quiet PE's inbox run needs neither of the last two
+conditions: its blocks have arrived, in the order their deliver events
+brought them, and each counts as arriving at the event that takes it.
+
+A relay run that keeps pace with its arrivals is timed in one NumPy
+pass (:func:`_keep_pace`): when the train's descriptor is posted by the
+first block's arrival, the first step starts by the second block's, each
+later block arrives by the time the one before it is injected, and the
+overhead does not outlast an injection, every block is sent on arrival
+and every later step starts as its block's injection ends. Each block
+then leaves the inbox before the next arrives, so every inbox depth is
+one and only the last block stays in the ahead backlog; ``tasks_run``,
+``relay_cycles``, ``busy_until``, the train's count and its counters move
+once per run. Any other run (one that queues, starts behind the ahead
+backlog, mixes dtypes or has one block) is stepped block by block with
+:meth:`Engine._waited` and :meth:`Engine._step`. Either way the run
+resolves its route and wavelet count once. Runs travel between trains as
+:class:`_Run` (arrival cycles and payloads, with their common extent and
+dtype), so a relay hop neither rechecks a block's extent nor builds a
+tuple per block. The step arithmetic is :meth:`Engine._step` (the queued
+step, a stepped run, a receive train's re-post); :func:`_keep_pace`
+restates it for the runs that keep pace, where each start is an
+injection end.
 
 Edge feeds: :meth:`Engine.inject` still draws one sequence number per
 block, but only the head of each (PE, color) feed sits in the heap; the
@@ -311,6 +332,61 @@ class _Event:
     fault: object = None  # the armed fault of a "fault" event
 
 
+@dataclass(slots=True)
+class _Run:
+    """A run of blocks handed between trains, in arrival order: their
+    arrival cycles and payloads, with their common ``extent`` and ``dtype``
+    when known (-1 and None: not known to be common)."""
+
+    times: list[float]
+    datas: list
+    extent: int = -1
+    dtype: object = None
+
+    def __len__(self) -> int:
+        return len(self.datas)
+
+    def __getitem__(self, part: slice) -> "_Run":
+        return _Run(self.times[part], self.datas[part], self.extent, self.dtype)
+
+    def extend(self, run: "_Run") -> None:
+        """Append the blocks of ``run``, which arrive after this run's."""
+        self.times += run.times
+        self.datas += run.datas
+        if run.extent != self.extent or run.dtype is not self.dtype:
+            self.extent, self.dtype = -1, None  # found by the taker
+
+
+def _keep_pace(
+    times: list[float], posted: float, busy: float, inject: int, overhead: int
+) -> tuple[float, np.ndarray] | None:
+    """Time a relay train's run of blocks arriving at ``times`` (at least
+    two) in one array pass, when the run keeps pace with its arrivals;
+    None when it does not, and the caller steps it block by block.
+
+    Block ``i`` is sent from ``max(times[i], posts[i])`` for ``inject``
+    cycles, and the step after it starts at ``posts[i + 1] = max(done[i],
+    busy)``, ``busy`` being ``busy_until`` for the first step and
+    ``posts[i] + overhead`` after (the queued step's arithmetic,
+    :meth:`Engine._step`). The run keeps pace when ``posted <= times[0]``,
+    the first step starts by ``times[1]``, each later block arrives by the
+    time the one before it is done and ``overhead <= inject``: then every
+    block is sent on arrival and every step after the first starts as its
+    block is done, in float64 as in exact arithmetic (rounding is
+    monotone, so ``posts[i] + overhead <= times[i] + inject``). Returns
+    the first step's start and the blocks' injection ends."""
+    first = times[0] + inject
+    if first < busy:
+        first = busy
+    if posted > times[0] or overhead > inject or first > times[1]:
+        return None
+    arrive = np.array(times)
+    done = arrive + inject
+    if not (done[1:-1] <= arrive[2:]).all():
+        return None
+    return first, done
+
+
 def _record_span(records: int, datas: list[np.ndarray]) -> int:
     """How many leading ``datas`` (a header first) make up at most
     ``records`` whole records: a zero header alone, any other followed by
@@ -375,11 +451,9 @@ class Engine:
         self._feeds: dict[
             tuple[int, int, int], deque[tuple[float, int, np.ndarray]]
         ] = {}
-        #: Runs of (arrival, data) handed to ready trains, drained
-        #: breadth-first after each event.
-        self._handed: deque[
-            tuple[ProcessingElement, int, list[tuple[float, np.ndarray]]]
-        ] = deque()
+        #: Runs handed to ready trains, drained breadth-first after each
+        #: event.
+        self._handed: deque[tuple[ProcessingElement, int, _Run]] = deque()
         #: Single-producer verdicts per (PE, color) (static routes).
         self._producers: dict[tuple[int, int, int], bool] = {}
         self._events_processed = 0
@@ -651,14 +725,15 @@ class Engine:
             if feed:
                 self._push_feed(pe, color_id, feed)
             return False
-        run = [(time, data)]
+        times, datas = [time], [data]
         for _ in range(more):
             arrive, _, data = feed.popleft()
-            run.append((arrive, data))
-        pe.inbound -= len(run) - 1
+            times.append(arrive)
+            datas.append(data)
+        pe.inbound -= more
         if feed:
             self._push_feed(pe, color_id, feed)
-        self._convoy(pe, color_id, run)
+        self._convoy(pe, color_id, _Run(times, datas))
         return True
 
     def _dispatch(self, time: float, event: _Event) -> None:
@@ -932,7 +1007,8 @@ class Engine:
             train = pending.train
             if relay and train is not None and self._quiet(pe, 1):
                 take = min(len(inbox), train.left + 1)
-                run = [(time, inbox.popleft()) for _ in range(take)]
+                datas = [inbox.popleft() for _ in range(take)]
+                run = _Run([time] * take, datas)
                 self._convoy(pe, color_id, run)
                 return
             data = inbox.popleft()
@@ -995,61 +1071,53 @@ class Engine:
                 dest.inbound += 1
                 self._push(arrive, _Event("deliver", dest, color.id, data))
             else:
-                self._arrive(dest, color.id, [(arrive, data)])
+                self._arrive(
+                    dest,
+                    color.id,
+                    _Run([arrive], [data], data.size, data.dtype),
+                )
         if on_complete is not None:
             self.schedule_activation(pe, on_complete.id, done)
         return done
 
-    def _arrive(
-        self,
-        pe: ProcessingElement,
-        color_id: int,
-        blocks: list[tuple[float, np.ndarray]],
-    ) -> None:
-        """Route sent ``blocks`` (arrival, data), in arrival order, to
-        ``pe``: a ready train takes them as a run (after this event), any
-        other PE gets a deliver event per block."""
+    def _arrive(self, pe: ProcessingElement, color_id: int, run: _Run) -> None:
+        """Route a sent ``run`` to ``pe``: a ready train takes it (after this
+        event), any other PE gets a deliver event per block."""
         if not self._ready(pe, color_id):
-            self._deliver_at(pe, color_id, blocks)
+            self._deliver_at(pe, color_id, run)
             return
         handed = self._handed
         if handed and handed[-1][0] is pe and handed[-1][1] == color_id:
-            handed[-1][2].extend(blocks)
+            handed[-1][2].extend(run)
         else:
-            handed.append((pe, color_id, blocks))
+            handed.append((pe, color_id, run))
 
     def _deliver_at(
-        self,
-        pe: ProcessingElement,
-        color_id: int,
-        blocks: list[tuple[float, np.ndarray]],
+        self, pe: ProcessingElement, color_id: int, run: _Run
     ) -> None:
         """One deliver event per block, at its arrival cycle."""
-        pe.inbound += len(blocks)
-        for arrive, data in blocks:
+        pe.inbound += len(run)
+        for arrive, data in zip(run.times, run.datas):
             self._push(arrive, _Event("deliver", pe, color_id, data))
 
     def _drain(self) -> None:
         """Run the handed runs breadth-first (see "Convoys")."""
         handed = self._handed
         while handed:
-            pe, color_id, blocks = handed.popleft()
+            pe, color_id, run = handed.popleft()
             if self._ready(pe, color_id):
-                self._convoy(pe, color_id, blocks)
+                self._convoy(pe, color_id, run)
             else:  # no longer ready since the hand-off (the train ended)
-                self._deliver_at(pe, color_id, blocks)
+                self._deliver_at(pe, color_id, run)
 
-    def _convoy(
-        self,
-        pe: ProcessingElement,
-        color_id: int,
-        blocks: list[tuple[float, np.ndarray]],
-    ) -> None:
-        """A ready or quiet train takes a run of blocks (arrival, data), in
-        arrival order: each is charged what its deliver and queued step
-        would charge (see "Relay trains" and "Convoys")."""
+    def _convoy(self, pe: ProcessingElement, color_id: int, run: _Run) -> None:
+        """A ready or quiet train takes a run of blocks, in arrival order:
+        each is charged what its deliver and queued step would charge (see
+        "Relay trains" and "Convoys"). A relay run that keeps pace with its
+        arrivals is timed in one array pass (:func:`_keep_pace`), any other
+        block by block."""
         if pe.train.dst is not None:
-            self._take_run(pe, color_id, blocks)
+            self._take_run(pe, color_id, run)
             return
         key = (pe.row, pe.col, color_id)
         pending = self._relay[key].popleft()
@@ -1059,61 +1127,117 @@ class Engine:
         route = self.fabric.resolve(pe.row, pe.col, train.out_color)
         lag = route.hops * HOP_CYCLES
         extent = train.extent
-        ahead = self._ahead.setdefault(key, deque())
+        times, datas = run.times, run.datas
+        take = min(len(datas), train.left + 1)
+        bad = -1  # the first block of the wrong size, which raises
+        dtype = run.dtype
+        if run.extent != extent:  # a fed, inbox or joined run
+            dtype = datas[0].dtype
+            for i in range(take):
+                data = datas[i]
+                if data.size != extent:
+                    bad = take = i
+                    break
+                if data.dtype is not dtype:
+                    dtype = None
         if pe.max_inbox_depth < 1:  # each block arrives to an empty inbox
             pe.max_inbox_depth = 1
-        sent: list[tuple[float, np.ndarray]] = []
-        dtype = cycles = None
-        for taken, (arrive, data) in enumerate(blocks, 1):
-            if data.size != extent:
-                raise TaskError(
-                    f"PE{pe.coord}: relay on color {color_id} expected "
-                    f"{extent} wavelets, got {data.size}"
+        last = take > train.left  # the train's last block is in the run
+        paced = None
+        ahead = self._ahead.get(key)
+        if take > 1 and dtype is not None and (
+            not ahead or ahead[-1] < times[0]
+        ):
+            inject = wavelet_count(datas[0]) * HOP_CYCLES
+            if inject:  # so each block leaves before the next arrives
+                paced = _keep_pace(
+                    times[:take], posted_at, pe.busy_until, inject,
+                    train.overhead,
                 )
-            at = self._waited(pe, ahead, arrive, posted_at)
-            if data.dtype is not dtype:
-                dtype = data.dtype
-                cycles = wavelet_count(data) * HOP_CYCLES
+        if paced is not None:
+            first, done = paced
+            steps = take - last
+            overhead = train.overhead
+            starts = done[1:steps]  # the later steps, as their blocks are done
+            posted_at = float(starts[-1]) if steps > 1 else first
+            train.left -= steps
+            pe.busy_until = posted_at + overhead
             if train.charge_relay:
-                pe.relay_cycles += cycles
-            done = at + cycles
-            sent.append((done + lag, data))
-            if not train.left:  # the train's last block
-                pe.train = None
-                if train.on_complete is not None:
-                    self.schedule_activation(pe, train.on_complete.id, done)
-                break
-            posted_at = self._step(pe, train, done)
+                pe.relay_cycles += inject * take
+            pe.relay_cycles += steps * overhead
+            pe.tasks_run += steps
+            if self._timeline:
+                for start in [first, *starts.tolist()]:
+                    self.tracer.pe_event(
+                        pe.row, pe.col, train.name, start, overhead
+                    )
+            counters = train.counters
+            if counters is not None:
+                counters.blocks_relayed += steps
+                counters.wavelets_sent += steps * extent
+            # Every inbox depth is one; the last block stays in the backlog.
+            self._ahead[key] = deque((times[take - 1],))
+            end = float(done[-1])
+            sent = (done + lag).tolist()
+        else:
+            if ahead is None:
+                ahead = self._ahead[key] = deque()
+            sent = []
+            kind = cycles = None
+            for i in range(take):
+                data = datas[i]
+                at = self._waited(pe, ahead, times[i], posted_at)
+                if data.dtype is not kind:
+                    kind = data.dtype
+                    cycles = wavelet_count(data) * HOP_CYCLES
+                if train.charge_relay:
+                    pe.relay_cycles += cycles
+                end = at + cycles
+                sent.append(end + lag)
+                if train.left:
+                    posted_at = self._step(pe, train, end)
+        if bad >= 0:
+            raise TaskError(
+                f"PE{pe.coord}: relay on color {color_id} expected "
+                f"{extent} wavelets, got {datas[bad].size}"
+            )
+        if last:
+            pe.train = None
+            if train.on_complete is not None:
+                self.schedule_activation(pe, train.on_complete.id, end)
         else:  # the train goes on: its next descriptor waits for a block
             self._post_step(pe, train, posted_at, probe=False)
-        if taken < len(blocks):  # past the train's count
-            self._deliver_at(pe, color_id, blocks[taken:])
+        if take < len(datas):  # past the train's count
+            self._deliver_at(pe, color_id, run[take:])
         if not route.dropped:
             self._arrive(
-                self.fabric.pe(*route.destination), train.out_color.id, sent
+                self.fabric.pe(*route.destination),
+                train.out_color.id,
+                _Run(sent, datas[:take], extent, dtype),
             )
 
     def _take_run(
         self,
         pe: ProcessingElement,
         color_id: int,
-        blocks: list[tuple[float, np.ndarray]],
+        run: _Run,
     ) -> None:
-        """A ready receive train takes a run of blocks (arrival, data), or
-        of whole records, in arrival order: each is charged what the queued
-        path charges it — inbox depth, its go task (and a record's body
-        task) from the later of its arrival and its receive's posting, the
-        re-post at the end (see "Receive trains"). A go task with a run
-        form commits the run in one pass ("Run commits")."""
+        """A ready receive train takes a run of blocks, or of whole records,
+        in arrival order: each is charged what the queued path charges it —
+        inbox depth, its go task (and a record's body task) from the later
+        of its arrival and its receive's posting, the re-post at the end
+        (see "Receive trains"). A go task with a run form commits the run in
+        one pass ("Run commits")."""
         key = (pe.row, pe.col, color_id)
         train = pe.train
+        blocks = list(zip(run.times, run.datas))
         bodies = None  # a record train's: each header's body, or None
         if train.body is None:
             heads = blocks[: train.left + 1]
         else:
-            span = _record_span(train.left + 1, [data for _, data in blocks])
+            span = _record_span(train.left + 1, run.datas)
             if not span:  # a header whose body is still on its way
-                self._deliver_at(pe, color_id, blocks)
+                self._deliver_at(pe, color_id, run)
                 return
             heads, bodies = [], []
             blocks_in = iter(blocks[:span])
@@ -1189,7 +1313,7 @@ class Engine:
             self._settle(pe, batch)
             target[:] = heads[r][1]  # the last block, as block by block
         if taken < len(blocks):  # past the train's count, or queued
-            self._deliver_at(pe, color_id, blocks[taken:])
+            self._deliver_at(pe, color_id, run[taken:])
 
     def _take_body(
         self,
@@ -1270,10 +1394,12 @@ class Engine:
             self._arrive(
                 self.fabric.pe(*route.destination),
                 commit.color.id,
-                [
-                    ((end + inject) + lag, sends[r])
-                    for r, end in zip(range(lo, hi), batch.ends)
-                ],
+                _Run(
+                    [(end + inject) + lag for end in batch.ends],
+                    [sends[r] for r in range(lo, hi)],
+                    sends.shape[1],
+                    sends.dtype,
+                ),
             )
         batch.ends.clear()
 
@@ -1285,14 +1411,19 @@ class Engine:
         posted_at: float,
     ) -> float:
         """The cycle a block a train takes in a run at ``arrive`` leaves
-        the inbox: its descriptor's posting, if later, and until then it
-        counts in later deliveries' inbox depth (the ``ahead`` backlog)."""
+        the inbox: the later of its arrival and its descriptor's posting.
+        Until then, that cycle included, it counts in later deliveries'
+        inbox depth (the ``ahead`` backlog): on the queued path its match
+        event at that cycle comes after every delivery already on its
+        way."""
         if ahead:
-            self._backlog(pe, ahead, arrive, 1)
-        if posted_at <= arrive:
-            return arrive
-        ahead.append(posted_at)
-        return posted_at
+            if ahead[-1] < arrive:  # every block taken ahead has left
+                ahead.clear()
+            else:
+                self._backlog(pe, ahead, arrive, 1)
+        at = arrive if posted_at <= arrive else posted_at
+        ahead.append(at)
+        return at
 
     def _schedule_task(self, pe: ProcessingElement, at: float) -> None:
         """Push a ``task`` event for ``pe``, at most one in flight.

@@ -12,6 +12,8 @@ engine's event count may differ.
 """
 
 import dataclasses
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +350,220 @@ class TestCountedRelay:
         engine.schedule_activation(pe, c_go.id, 0.0)
         with pytest.raises(TaskError, match="fabin color"):
             engine.run()
+
+
+# --- the array pass: exact timing, the extent check, no per-block step -----
+
+
+#: The exactness property's block width: an odd injection, so that sums of
+#: it cross a coarse float grid at ties (round half to even).
+WIDE = 7
+
+
+def _relay_chain(
+    feed: list[float],
+    trains: tuple[list[int], list[int]],
+    overheads: tuple[int, int],
+    posts: tuple[float, float],
+    busy: int,
+    faults=None,
+):
+    """Feed ``WIDE``-wavelet blocks at cycles ``feed`` through two relay PEs
+    into a sink (a 1x3 chain).
+
+    Relay PE ``p`` first posts at cycle ``posts[p]`` (blocks that come
+    earlier wait in its inbox) and then posts its counted relays one after
+    another, ``trains[p]`` blocks each, charging ``overheads[p]`` cycles a
+    block; its relay task runs again after each train's last block and
+    spends ``busy`` cycles after posting. The two PEs split the blocks into
+    different trains, so runs handed on are longer than the next train's
+    count, and a slow second PE keeps an ahead backlog across runs.
+    """
+    fabric = Fabric(1, 3)
+    tracer = Tracer(level="timeline")
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    colors = ColorAllocator()
+    c_in, c_mid, c_out, c_go, c_got = (
+        colors.allocate(n) for n in ("in", "mid", "out", "go", "got")
+    )
+    fabric.set_route(0, 0, c_in, Direction.WEST, Direction.RAMP)
+    fabric.route_row_segment(0, 0, 1, c_mid)
+    fabric.route_row_segment(0, 1, 2, c_out)
+    sink = fabric.pe(0, 2)
+    sink.alloc_buffer("in", np.zeros(WIDE, dtype=np.float32))
+    counters = []
+    for col, (c_from, c_to) in enumerate(((c_in, c_mid), (c_mid, c_out))):
+        nc = NodeCounters(label=f"relay{col}", kind="relay", row=0, col=col)
+        counters.append(nc)
+        fabout, fabin = FaboutDsd(c_to, extent=WIDE), FabinDsd(c_from, extent=WIDE)
+        counts = iter(trains[col])
+
+        def relay(ctx, fabout=fabout, fabin=fabin, counts=counts, nc=nc,
+                  overhead=overheads[col]):
+            count = next(counts, None)
+            if count is None:  # after the last train
+                return
+            ctx.mov32(
+                fabout, fabin, on_complete=fabin.color, relay=True,
+                count=count, overhead=overhead, counters=nc,
+            )
+            ctx.spend(busy)
+
+        pe = fabric.pe(0, col)
+        pe.bind_task(c_from, Task("relay", relay))
+        engine.schedule_activation(pe, c_from.id, posts[col])
+    got = []
+
+    def recv(ctx):
+        ctx.mov32(Mem1dDsd("in"), FabinDsd(c_out, extent=WIDE), on_complete=c_got)
+
+    def record(ctx):
+        got.append(int(ctx.buffer("in")[0]))
+        if len(got) < len(feed):
+            ctx.activate(c_go)
+
+    sink.bind_task(c_go, Task("recv", recv))
+    sink.bind_task(c_got, Task("got", record))
+    engine.schedule_activation(sink, c_go.id, 0.0)
+    for i, at in enumerate(feed):
+        engine.inject(0, 0, c_in, np.full(WIDE, i, dtype=np.float32), at=at)
+    report = engine.run()
+    return (
+        got,
+        report.makespan_cycles,
+        [(t.relay_cycles, t.tasks_run, t.finished_at)
+         for t in report.trace.traces],
+        [pe.busy_until for pe in fabric],
+        [pe.max_inbox_depth for pe in fabric],
+        [(nc.blocks_relayed, nc.wavelets_sent) for nc in counters],
+        sorted(
+            (e.row, e.col, e.name, e.start_cycles, e.dur_cycles)
+            for e in tracer.pe_events
+        ),
+    ), report.events_processed
+
+
+def _split(n: int, cuts: list[int]) -> list[int]:
+    """``n`` blocks as consecutive trains, cut at ``cuts`` (mod ``n``)."""
+    edges = sorted({0, n, *(c % n for c in cuts)})
+    return [hi - lo for lo, hi in zip(edges, edges[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    binade=st.integers(50, 54),
+    below=st.floats(0, 48),
+    floor=st.sampled_from([0.0, WIDE - 1.0, float(WIDE)]),
+    gaps=st.lists(st.floats(0, 12), min_size=2, max_size=40),
+    cuts=st.tuples(
+        st.lists(st.integers(1, 60), max_size=3),
+        st.lists(st.integers(1, 60), max_size=3),
+    ),
+    overheads=st.tuples(*[st.integers(0, WIDE) | st.integers(0, 20)] * 2),
+    late=st.tuples(*[st.just(0.0) | st.floats(0, 160)] * 2),
+    busy=st.sampled_from([0, 3, 40]),
+)
+def test_convoy_timing_is_exact(binade, below, floor, gaps, cuts, overheads,
+                                late, busy):
+    """Fractional cycles just below a binade edge (2**binade), where the
+    float grid is about one cycle, so sums cross it with ties: every ready
+    run, array-timed or stepped block by block, equals the chain stepped
+    by the queued path (forced by the never-firing fault plan) in every
+    per-PE result. Gaps of at least ``floor`` cycles (one below the
+    injection, or the injection itself) give runs that keep pace or miss
+    it by a fraction of a cycle; overheads fall above and below the
+    injection, the first PE may post after blocks arrive, a busy PE paces
+    its first step, and runs handed on outlast the next train's count."""
+    start = 2.0**binade - below
+    feed = list(
+        itertools.accumulate((floor + gap for gap in gaps), initial=start)
+    )[1:]
+    trains = (_split(len(feed), cuts[0]), _split(len(feed), cuts[1]))
+    posts = (start + late[0], start + late[1])
+    clean, clean_events = _relay_chain(feed, trains, overheads, posts, busy)
+    stepped, stepped_events = _relay_chain(
+        feed, trains, overheads, posts, busy, NEVER
+    )
+    assert clean == stepped
+    assert clean[0] == list(range(len(feed)))
+    assert clean_events <= stepped_events
+
+
+@pytest.mark.parametrize("overhead", [5, 13])
+@pytest.mark.parametrize("bad", [0, 3])
+def test_a_block_of_the_wrong_size_raises_at_that_block(bad, overhead):
+    """A ready train takes a fed run whose block ``bad`` has 4 wavelets,
+    not 8: the blocks before it are charged as a run of ``bad`` good blocks
+    would charge them, then the train raises at that block. Blocks fed
+    every 8 cycles keep pace with an overhead of 5 (an array-timed run),
+    not with one of 13 (stepped block by block)."""
+
+    def chain(sizes):
+        fabric = Fabric(1, 2)
+        engine = Engine(fabric)
+        colors = ColorAllocator()
+        c_in, c_out, c_go = (colors.allocate(n) for n in ("in", "out", "go"))
+        fabric.set_route(0, 0, c_in, Direction.WEST, Direction.RAMP)
+        fabric.route_row_segment(0, 0, 1, c_out)
+        relay_pe, sink = fabric.pe(0, 0), fabric.pe(0, 1)
+        sink.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+        nc = NodeCounters(label="relay", kind="relay", row=0, col=0)
+        relay_pe.bind_task(c_in, Task("relay", lambda ctx: ctx.mov32(
+            FaboutDsd(c_out, extent=8), FabinDsd(c_in, extent=8),
+            relay=True, count=6, overhead=overhead, counters=nc,
+        )))
+        sink.bind_task(c_go, Task("recv", lambda ctx: ctx.mov32(
+            Mem1dDsd("in"), FabinDsd(c_out, extent=8), on_complete=c_go,
+        )))
+        engine.schedule_activation(relay_pe, c_in.id, 0.0)
+        engine.schedule_activation(sink, c_go.id, 0.0)
+        for i, size in enumerate(sizes):
+            engine.inject(
+                0, 0, c_in, np.full(size, i, dtype=np.float32), at=8.0 * i
+            )
+        error = None
+        try:
+            engine.run(allow_pending=True)
+        except TaskError as exc:
+            error = str(exc)
+        state = (
+            relay_pe.tasks_run, relay_pe.relay_cycles, relay_pe.busy_until,
+            relay_pe.max_inbox_depth, nc.blocks_relayed, nc.wavelets_sent,
+        )
+        return error, state
+
+    error, state = chain([8] * bad + [4] + [8] * 2)
+    assert error is not None
+    assert re.search(r"relay on color \d+ expected 8 wavelets, got 4", error)
+    error, want = chain([8] * bad)
+    assert error is None
+    if not bad:  # the bad block itself arrived to an empty inbox
+        want = want[:3] + (1,) + want[4:]
+    assert state == want
+
+
+def test_wafer_row_steps_no_relay_block(monkeypatch):
+    """A clean 1x256 multi run, the wafer-750x256 row's shape: its relay
+    runs keep pace with their arrivals, so convoys time every relayed block
+    in array passes and no relay train's block goes through
+    :meth:`Engine._step` (the queued step's arithmetic)."""
+    stepped = []
+    step = Engine._step
+
+    def counted(self, pe, train, ready):
+        if train.dst is None:
+            stepped.append(pe.coord)
+        return step(self, pe, train, ready)
+
+    monkeypatch.setattr(Engine, "_step", counted)
+    blocks = np.random.default_rng(0).normal(size=(256, 32)).cumsum(axis=1)
+    plan = plan_multi_pipeline(blocks, EPS, rows=1, cols=256)
+    fabric = Fabric(plan.rows, plan.cols)
+    engine = Engine(fabric)
+    lower_plan(plan, fabric, engine)
+    report = engine.run()
+    assert report.trace.total_blocks_relayed() == 255 * 256 // 2
+    assert stepped == []
 
 
 # --- convoy guards: where a block must not be handed ahead -----------------
